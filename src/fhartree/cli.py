@@ -11,8 +11,8 @@ are byte-identical):
     sweep          classify+evolve an amplitude grid c*Q, in parallel
     verify         re-run every identity check at the configured resolution
 
-Exit codes: 0 success, 1 validation error, 2 non-convergence,
-3 verification failure.
+Exit codes: 0 success, 1 validation error, 2 ground-state or kernel
+numerical failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .functionals import (
     invariant_pair,
     mass,
 )
-from .ground_state import NonConvergenceError, solve_ground_state
+from .ground_state import CollapseToZeroError, NonConvergenceError, solve_ground_state
 from .params import PhysParams
 from .snapshots import (
     SnapshotFormatError,
@@ -66,6 +66,7 @@ from .snapshots import (
 )
 from .spectral import (
     GridSpec,
+    NonRealKernelError,
     SpectralField,
     field_from_values,
     make_grid,
@@ -378,7 +379,7 @@ def _cmd_evolve(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 def _sweep_point(task: tuple) -> dict:
     """One (c, s, gamma) sweep point; top-level so worker processes can load it."""
     (index, c, N, s, gamma, n, L, kernel_mode,
-     q_bytes, shape, l2, me_Q, grad_Q, stepper_kwargs) = task
+     q_bytes, shape, l2, me_Q, grad_Q, stepper) = task
     p = PhysParams(N=N, s=s, gamma=gamma)
     grid = make_grid(N=N, n=n, L=L)
     mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
@@ -389,7 +390,7 @@ def _sweep_point(task: tuple) -> dict:
     u0 = field_from_values(grid, c * qv)
     pair = invariant_pair(u0, p, mult)
     memb = classify_from_ratios(pair.me / me_Q, pair.grad / grad_Q)
-    rec = evolve(u0, p, mult, StepperConfig(**stepper_kwargs), gs=gs_like)
+    rec = evolve(u0, p, mult, stepper, gs=gs_like)
     return {
         "index": index,
         "c": c,
@@ -425,16 +426,6 @@ def run_sweep(
         raise ConfigError("sweep amplitudes must be positive")
 
     sg_pairs = spec.sg_pairs or ((cfg.physics.s, cfg.physics.gamma),)
-    stepper_kwargs = {
-        "dt": cfg.stepper.dt,
-        "t_end": cfg.stepper.t_end,
-        "record_every": cfg.stepper.record_every,
-        "dt_min": cfg.stepper.dt_min,
-        "blowup_grad_factor": cfg.stepper.blowup_grad_factor,
-        "tail_fraction_max": cfg.stepper.tail_fraction_max,
-        "phase_cap": cfg.stepper.phase_cap,
-        "adaptive": cfg.stepper.adaptive,
-    }
 
     tasks = []
     index = 0
@@ -446,7 +437,7 @@ def run_sweep(
         for c in cs:
             tasks.append((index, c, p.N, s, gamma, cfg.grid.n, cfg.grid.L,
                           cfg.kernel_mode, q_bytes, gs.q.values.shape,
-                          gs.l2, gs.me_Q, gs.grad_Q, stepper_kwargs))
+                          gs.l2, gs.me_Q, gs.grad_Q, cfg.stepper))
             index += 1
 
     workers = max_workers or min(len(tasks), os.cpu_count() or 1)
@@ -661,7 +652,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, CollapseToZeroError, NonRealKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 

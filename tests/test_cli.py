@@ -1,15 +1,18 @@
 """Command-line front end: exit codes, artifacts, determinism."""
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fhartree
+from fhartree import cli, spectral
 from fhartree.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
@@ -21,6 +24,7 @@ from fhartree.cli import (
     run_sweep,
 )
 from fhartree.config import ConfigError, SweepSpec, load_config
+from fhartree.ground_state import CollapseToZeroError
 from fhartree.snapshots import read_snapshot, write_snapshot
 from fhartree.spectral import CONVENTION_TAG, field_from_values, make_grid
 
@@ -66,6 +70,28 @@ def test_ground_state_nonconvergence_exit_code(tmp_path):
     assert report["converged"] is False
     assert report["summary"]["iterations"] == 2
     assert not (tmp_path / "q.bin").exists()  # no snapshot for a bad profile
+
+
+def test_ground_state_collapse_exit_code(tmp_path, monkeypatch, capsys):
+    def collapse(*args, **kwargs):
+        raise CollapseToZeroError("iterate norm 1.000e-11 below 1e-10")
+
+    monkeypatch.setattr(cli, "solve_ground_state", collapse)
+    rc = main(["ground-state", "--out", str(tmp_path)])
+    assert rc == EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "below 1e-10" in err
+
+
+def test_non_real_kernel_exit_code(tmp_path, monkeypatch, capsys):
+    # a spurious imaginary part in the origin-cell series trips the
+    # realness check of the exact-kernel build
+    monkeypatch.setattr(spectral, "_origin_cell_oscillatory_series",
+                        lambda grid, gamma, m_max: np.full(grid.shape, 1j))
+    rc = main(["ground-state", "--out", str(tmp_path), "grid.n=16", "grid.L=4"])
+    assert rc == EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unexpectedly non-real" in err
 
 
 # --------------------------------------------------------------- classify
@@ -242,6 +268,23 @@ def test_run_sweep_rejects_bad_amplitudes():
         run_sweep(cfg, spec, amplitudes=())
     with pytest.raises(ConfigError, match="positive"):
         run_sweep(cfg, spec, amplitudes=(0.9, -1.1))
+
+
+@pytest.mark.parametrize("override", ["stepper.dealias=yes", "stepper.nonlinear=no"])
+def test_sweep_point_gets_every_stepper_field(monkeypatch, override):
+    seen = []
+
+    def fake_evolve(u0, p, mult, config, gs=None):
+        seen.append(config)
+        return SimpleNamespace(verdict="Inconclusive", t_star=None)
+
+    monkeypatch.setattr(cli, "evolve", fake_evolve)
+    cfg = load_config(overrides=["grid.n=32", "grid.L=8", override])
+    run_sweep(cfg, SweepSpec(c_lo=0.9, c_hi=1.1, k=2), max_workers=1)
+    assert len(seen) == 2
+    for config in seen:
+        for f in dataclasses.fields(cfg.stepper):
+            assert getattr(config, f.name) == getattr(cfg.stepper, f.name), f.name
 
 
 def test_sweep_bad_sg_pair(tmp_path):

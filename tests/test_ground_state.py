@@ -16,7 +16,7 @@ from fhartree.ground_state import (
     thresholds,
 )
 from fhartree.params import PhysParams
-from fhartree.spectral import field_from_values, make_multipliers
+from fhartree.spectral import field_from_values, make_grid, make_multipliers
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +145,25 @@ def test_second_parameter_set(canonical):
     assert abs(r1) < 1e-12
     assert abs(r2) < 1e-4
     assert abs(gs2.v_q / gs2.hs**2 - 4.0 * p2.s / p2.gamma) < 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:ground-state tail")
+def test_three_dimensional_solve_smoke():
+    # N=3 runs the real transform pair over three axes
+    p3 = PhysParams(N=3, s=0.7, gamma=1.6)
+    grid = make_grid(N=3, n=16, L=12.0)
+    mult = make_multipliers(grid, p3, kernel_mode="sampled")
+    gs = solve_ground_state(p3, grid, opts=SolverOptions(), mult=mult)
+    assert gs.converged
+    assert gs.el_residual < 1e-10
+    assert abs(gs.pohozaev[0]) < 1e-12
+    q = gs.q.values.real
+    assert np.unravel_index(np.argmax(q), q.shape) == (8, 8, 8)
+    # the profile equation checked through the complex transforms
+    conv = np.fft.ifftn(mult.hartree_kernel_hat * np.fft.fftn(q * q)).real
+    lq = np.fft.ifftn(mult.frac_lap_s * np.fft.fftn(q)).real + q
+    resid = np.sqrt(np.sum((lq - conv * q) ** 2) / np.sum(q**2))
+    assert resid < 1e-10
 
 
 def test_tail_truncation_warning_fires(canonical):

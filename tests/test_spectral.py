@@ -1,11 +1,14 @@
 """Grid construction, transform convention, multipliers, kernel modes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from fhartree import spectral
 from fhartree.params import PhysParams
 from fhartree.spectral import (
     CONVENTION_TAG,
@@ -239,6 +242,86 @@ def test_kernel_table_is_real_even_positive():
         assert hat[0, 0] > 0.0
 
 
+# Reference forms of the exact-kernel build: one full 2-D FFT per tensor
+# node (nodes^2 of them) and the origin-cell series summed term by term.
+# The package factors both; these keep the unfactored arithmetic.
+
+
+def _reference_origin_series(grid, gamma, m_max=26):
+    half = grid.h / 2.0
+    t, w = np.polynomial.legendre.leggauss(48)
+    th = (t + 1.0) * (np.pi / 8.0)
+    wth = w * (np.pi / 8.0)
+    cos_th, sin_th = np.cos(th), np.sin(th)
+    xi1 = grid.xi_mesh[0] * half
+    xi2 = grid.xi_mesh[1] * half
+    F0 = np.zeros(grid.shape)
+    for b1 in range(0, m_max + 1, 2):
+        for b2 in range(0, m_max + 1 - b1, 2):
+            q = b1 + b2 + 2 - gamma
+            radial = (half / cos_th) ** q / q
+            mu = 4.0 * np.sum(
+                wth * (cos_th**b1 * sin_th**b2 + cos_th**b2 * sin_th**b1) * radial
+            ) / half ** (b1 + b2)
+            sign = (-1.0) ** ((b1 + b2) // 2)
+            F0 += (sign * mu / (math.factorial(b1) * math.factorial(b2))) * xi1**b1 * xi2**b2
+    return F0
+
+
+def _reference_exact_kernel(grid, gamma, nodes=20):
+    n, L, h = grid.n, grid.L, grid.h
+    ax = grid.x_axis
+    half = h / 2.0
+    c = n // 2
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    xi_ax = grid.xi_axis
+    hat = np.zeros((n, n), dtype=np.complex128)
+    shifted_sq = [((ax + half * ti + L / 2.0) % L - L / 2.0) ** 2 for ti in t]
+    phases = [np.exp(-1j * xi_ax * (half * ti)) for ti in t]
+    for i in range(nodes):
+        for k in range(nodes):
+            K = (shifted_sq[i][:, None] + shifted_sq[k][None, :]) ** (-0.5 * gamma)
+            K[c, c] = 0.0
+            K[0, :] = 0.0
+            K[:, 0] = 0.0
+            hat += (w[i] * w[k] / 4.0) * (
+                phases[i][:, None] * phases[k][None, :]
+            ) * np.fft.fftn(np.fft.ifftshift(K))
+    hat *= h * h
+    u = half * (t + 1.0) / 2.0
+    wu = w * (half / 2.0)
+    cos1 = 2.0 * np.cos(np.outer(xi_ax, u)) * wu
+    sgn = np.where(np.rint(xi_ax * L / (2.0 * np.pi)).astype(int) % 2 == 0, 1.0, -1.0)
+    a_fold = sgn[:, None] * cos1
+    d_cut_sq = (L / 2.0 - u) ** 2
+    strip = np.zeros((nodes, n), dtype=np.complex128)
+    for k in range(nodes):
+        Ks = (d_cut_sq[:, None] + shifted_sq[k][None, :]) ** (-0.5 * gamma)
+        Ks[:, 0] = 0.0
+        f = np.fft.fft(np.fft.ifftshift(Ks, axes=1), axis=1)
+        strip += (w[k] * half) * phases[k][None, :] * f
+    hat += a_fold @ strip
+    hat += (a_fold @ strip).T
+    Kc = (d_cut_sq[:, None] + d_cut_sq[None, :]) ** (-0.5 * gamma)
+    hat += (a_fold @ Kc @ a_fold.T).astype(np.complex128)
+    hat += _reference_origin_series(grid, gamma)
+    return hat
+
+
+def test_exact_kernel_matches_per_node_fft_loop():
+    g = make_grid(N=2, n=256, L=32.0)
+    want = _reference_exact_kernel(g, 1.6)
+    got = build_hartree_kernel(g, 1.6, mode="exact")
+    assert np.max(np.abs(got - want.real)) / np.max(np.abs(want.real)) <= 1e-12
+
+
+def test_origin_series_matches_term_by_term():
+    g = make_grid(N=2, n=64, L=16.0)
+    want = _reference_origin_series(g, 1.6)
+    got = spectral._origin_cell_oscillatory_series(g, 1.6, m_max=26)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13
+
+
 def test_unknown_kernel_mode_rejected():
     g = make_grid(N=2, n=32, L=8.0)
     with pytest.raises(ValueError):
@@ -281,6 +364,18 @@ def test_apply_multiplier_diagonal_action():
         field_from_values(g, table * to_fourier(u).values, space="fourier")
     )
     assert np.max(np.abs(v.values - want.values)) < 1e-13
+
+
+def test_grad_kernel_hat_built_on_first_read(params):
+    g = make_grid(N=2, n=32, L=8.0)
+    mult = make_multipliers(g, params, kernel_mode="sampled")
+    assert "grad_kernel_hat" not in vars(mult)
+    grad = mult.grad_kernel_hat
+    assert "grad_kernel_hat" in vars(mult)
+    assert len(grad) == 2
+    for xi, table in zip(g.xi_mesh, grad):
+        assert np.array_equal(table, 1j * xi * mult.hartree_kernel_hat)
+    assert mult.grad_kernel_hat is grad
 
 
 def test_multiplier_set_tables(params):
