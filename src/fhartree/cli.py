@@ -87,6 +87,10 @@ PREDICTIONS = {
     "Boundary": "threshold orbit - no dichotomy prediction",
 }
 
+#: The K1 prediction where s < N/(2N-1): the scattering half of the
+#: dichotomy needs s >= N/(2N-1) on top of the K1 hypotheses.
+K1_NO_SCATTERING = "K1 but s < N/(2N-1) - no scattering prediction"
+
 _EXPECTED_OUTCOME = {
     "K1": VERDICT_DISPERSING,
     "K2": VERDICT_BLOWUP,
@@ -98,9 +102,19 @@ SWEEP_COLUMNS = (
 )
 
 
-def _agreement(membership: str, outcome: str) -> str:
+def _outside_scattering(membership: str, p: PhysParams) -> bool:
+    return membership == "K1" and not p.supports_scattering
+
+
+def _prediction(membership: str, p: PhysParams) -> str:
+    if _outside_scattering(membership, p):
+        return K1_NO_SCATTERING
+    return PREDICTIONS[membership]
+
+
+def _agreement(membership: str, outcome: str, p: PhysParams) -> str:
     expected = _EXPECTED_OUTCOME.get(membership)
-    if expected is None:
+    if expected is None or _outside_scattering(membership, p):
         return "n/a"
     return "yes" if outcome == expected else "no"
 
@@ -304,7 +318,7 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     u0, desc = _initial_state(cfg, args, gs)
     pair = invariant_pair(u0, cfg.physics, mult)
     memb = classify_membership(pair, gs)
-    prediction = PREDICTIONS[memb.verdict]
+    prediction = _prediction(memb.verdict, cfg.physics)
     print(f"me_ratio={memb.me_ratio:.6f}  grad_ratio={memb.grad_ratio:.6f}")
     print(f"membership={memb.verdict}  prediction: {prediction}")
     _write_json(
@@ -332,7 +346,7 @@ def _cmd_evolve(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     u0, desc = _initial_state(cfg, args, gs)
     pair = invariant_pair(u0, cfg.physics, mult)
     memb = classify_membership(pair, gs)
-    prediction = PREDICTIONS[memb.verdict]
+    prediction = _prediction(memb.verdict, cfg.physics)
 
     scfg = replace(cfg.stepper, snapshot_every=cfg.io.snapshot_every)
     t_wrap = wrap_time(cfg.grid, cfg.physics.s)
@@ -347,7 +361,7 @@ def _cmd_evolve(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         write_snapshot(out / f"snap_{k:04d}.bin", snap, cfg.physics,
                        sidecar={"time": t})
     audit = invariance_audit(rec)
-    agreement = _agreement(memb.verdict, rec.verdict)
+    agreement = _agreement(memb.verdict, rec.verdict, cfg.physics)
     _write_json(
         out / "run.json",
         {
@@ -399,10 +413,10 @@ def _sweep_point(task: tuple) -> dict:
         "me_ratio": memb.me_ratio,
         "grad_ratio": memb.grad_ratio,
         "membership": memb.verdict,
-        "prediction": PREDICTIONS[memb.verdict],
+        "prediction": _prediction(memb.verdict, p),
         "outcome": rec.verdict,
         "t_star": rec.t_star,
-        "agreement": _agreement(memb.verdict, rec.verdict),
+        "agreement": _agreement(memb.verdict, rec.verdict, p),
     }
 
 

@@ -8,6 +8,16 @@ nonlinear step applies the exact phase for frozen modulus.  Each substep is
 unitary on the grid, so discrete mass is conserved to rounding for any dt,
 the map is time-reversible, and the composition is second order in dt.
 
+The step loop carries the raw spectrum fftn(u) from one step to the next:
+a step is ifftn, the nonlinear phase, fftn, ifftn (3 complex transforms),
+and the Hartree potential of the real density |u|^2 goes through the real
+pair rfftn/irfftn.  Samples read the carried spectrum, so they need no
+complex transform.  The half-step phase table is rebuilt only when the
+step size changes, and |u|^2 is formed once per step boundary for the
+space-time norm, the sample and the adaptive step.  The centering phases
+of the transform convention cancel for diagonal multipliers, so the raw
+FFT pair is used throughout.
+
 A run produces a RunRecord: sampled conserved quantities, scale-invariant
 threshold ratios, set membership, a running space-time norm, and a final
 verdict (Soliton / GlobalDispersing / BlowUp / Inconclusive).  Focusing runs
@@ -18,6 +28,7 @@ refusal is recorded in-band as a caveat, never an exception).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -28,6 +39,8 @@ from .params import PhysParams
 from .spectral import (
     MultiplierSet,
     SpectralField,
+    _half,
+    _real_multiply,
     dealias_mask,
     field_from_values,
     parseval_weight,
@@ -225,11 +238,20 @@ def adapt_dt(u: SpectralField, cfg: StepperConfig, mult: MultiplierSet) -> float
     """Effective step: nominal dt shrunk so the worst-case nonlinear phase
     increment max|u|^2 * W_hat(0) * dt stays below phase_cap, never below
     dt_min."""
-    amp = float(np.max(u.values.real**2 + u.values.imag**2))
+    return _adapted_dt(float(np.max(u.values.real**2 + u.values.imag**2)), cfg, mult)
+
+
+def _adapted_dt(amp: float, cfg: StepperConfig, mult: MultiplierSet) -> float:
+    """adapt_dt for a precomputed amplitude amp = max|u|^2."""
     scale = amp * mult.kernel_zero_mode
     if scale <= 0.0:
         return cfg.dt
     return max(cfg.dt_min, min(cfg.dt, cfg.phase_cap / scale))
+
+
+def _half_step_phase(frac_lap_s: np.ndarray, dt: float) -> np.ndarray:
+    """The free half-step multiplier exp(-i (dt/2) |xi|^{2s})."""
+    return np.exp(-0.5j * dt * frac_lap_s)
 
 
 def strang_step(
@@ -241,39 +263,48 @@ def strang_step(
 ) -> SpectralField:
     """One Strang step: half free flow, full Hartree phase, half free flow.
 
-    Centering phases cancel for diagonal multipliers, so the raw FFT pair is
-    used throughout.  With mask given, both linear substeps project onto the
-    retained modes (this breaks exact mass conservation).
+    A thin wrapper of the step evolve() runs: it transforms u once and
+    returns the field at the end of the step.  With mask given, both linear
+    substeps project onto the retained modes (this breaks exact mass
+    conservation).
     """
     if not u.is_physical:
         raise ValueError("strang_step requires a physical-space field")
-    half = np.exp(-0.5j * dt * mult.frac_lap_s)
-    vals = _strang_kernel(u.values, half, mult.hartree_kernel_hat, dt, nonlinear, mask)
+    half = _half_step_phase(mult.frac_lap_s, dt)
+    what_half = _half(mult.hartree_kernel_hat)
+    vals, _ = _strang(np.fft.fftn(u.values), half, what_half, dt, nonlinear, mask)
     return SpectralField(grid=u.grid, values=vals, space=u.space)
 
 
-def _strang_kernel(
-    vals: np.ndarray,
-    half_phase: np.ndarray,
-    what: np.ndarray,
+def _strang(
+    hat: np.ndarray,
+    half: np.ndarray,
+    what_half: np.ndarray,
     dt: float,
     nonlinear: bool,
     mask: np.ndarray | None,
-) -> np.ndarray:
-    hat = np.fft.fftn(vals)
-    hat *= half_phase
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Strang step on the raw spectrum hat = fftn(u), which it
+    overwrites.  Returns (vals, hat) at the end of the step, where hat is
+    the spectrum vals was made from, so the next step needs no forward
+    transform.  half is the half-step phase, what_half the half-spectrum
+    Hartree multiplier of the real density."""
+    hat *= half
     if mask is not None:
         hat *= mask
     vals = np.fft.ifftn(hat)
     if nonlinear:
-        rho = vals.real**2 + vals.imag**2
-        pot = np.fft.ifftn(what * np.fft.fftn(rho)).real
-        vals = vals * np.exp(1j * dt * pot)
+        phase = dt * _real_multiply(what_half, vals.real**2 + vals.imag**2)
+        rot = np.empty_like(vals)  # exp(i phase) from real cos/sin
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
+        rot *= vals
+        vals = rot
     hat = np.fft.fftn(vals)
-    hat *= half_phase
+    hat *= half
     if mask is not None:
         hat *= mask
-    return np.fft.ifftn(hat)
+    return np.fft.ifftn(hat), hat
 
 
 def evolve(
@@ -298,7 +329,9 @@ def evolve(
     * GlobalDispersing -- the run finished with grad_ratio < 1 at every
                    sample and V(t_end) < 0.5 V(0).
     * Inconclusive otherwise (including tail refusal without gradient
-                   growth; the refusal itself is recorded as a caveat).
+                   growth, and a sample whose mass or H^s-dot norm is not
+                   finite, which stops the run; either stop is recorded as
+                   a caveat).
     """
     if not u0.is_physical:
         raise ValueError("evolve requires a physical-space initial state")
@@ -316,7 +349,7 @@ def evolve(
     xi2s = mult.frac_lap_s
     xi2sc = grid.xi_sq**p.s_c
     tail = ~dealias_mask(grid, 2.0 / 3.0)
-    what = mult.hartree_kernel_hat
+    what_half = _half(mult.hartree_kernel_hat)
     mask = dealias_mask(grid) if cfg.dealias else None
     qc = p.q_c
 
@@ -326,6 +359,9 @@ def evolve(
         q_l2 = gs.l2
 
     vals = u0.values.astype(np.complex128, copy=True)
+    hat = np.fft.fftn(vals)  # carried from step to step: the spectrum of vals
+    rho = vals.real**2 + vals.imag**2  # |u|^2 at the current step boundary
+    half = half_dt = None  # half-step phase and the dt it was built for
     t = 0.0
     n_steps = 0
     accum_qc = 0.0  # running sum of dt * ||u||_{r_c}^{q_c}
@@ -349,19 +385,17 @@ def evolve(
     dt_s: list[float] = []
     snaps: list[tuple[float, SpectralField]] = []
 
-    def sample(dt_eff: float) -> tuple[float, float, float]:
-        """Record one diagnostic row; returns (hs, grad_ratio, tail_fraction)."""
-        rho = vals.real**2 + vals.imag**2
+    def sample(dt_eff: float) -> tuple[float, float, float, float]:
+        """Record one diagnostic row; returns (mass, hs, grad_ratio, tail_fraction)."""
         m = hN * float(np.sum(rho))
-        hat_sq = np.fft.fftn(vals)
-        hat_sq = hat_sq.real**2 + hat_sq.imag**2
+        hat_sq = hat.real**2 + hat.imag**2
         grad_dens = xi2s * hat_sq
         grad_total = float(np.sum(grad_dens))
         hs_sq = plancherel * grad_total
         hs = float(np.sqrt(hs_sq))
         hsc = float(np.sqrt(plancherel * float(np.sum(xi2sc * hat_sq))))
         tail_frac = float(np.sum(grad_dens[tail])) / grad_total if grad_total > 0 else 0.0
-        pot = np.fft.ifftn(what * np.fft.fftn(rho)).real
+        pot = _real_multiply(what_half, rho)
         v = hN * float(np.sum(pot * rho))
         e = 0.5 * hs_sq - 0.25 * v
         lpc = float((hN * float(np.sum(rho ** (0.5 * p.p_c)))) ** (1.0 / p.p_c))
@@ -394,12 +428,21 @@ def evolve(
         dt_s.append(dt_eff)
         if cfg.snapshot_every > 0 and (len(times) - 1) % cfg.snapshot_every == 0:
             snaps.append((t, field_from_values(grid, vals)))
-        return hs, grad_ratio, tail_frac
+        return m, hs, grad_ratio, tail_frac
 
-    u_view = SpectralField(grid=grid, values=vals, space="physical")
-    dt_eff = adapt_dt(u_view, cfg, mult) if cfg.adaptive else cfg.dt
-    hs0, _, tail0 = sample(dt_eff)
-    if tail0 > cfg.tail_fraction_max:
+    def nonfinite(m: float, hs: float) -> bool:
+        """Whether a sample's mass or H^s norm is not finite; records the
+        caveat of the stop that follows."""
+        if math.isfinite(m) and math.isfinite(hs):
+            return False
+        caveats.append(f"non-finite state at t={t:.6g}")
+        return True
+
+    dt_eff = _adapted_dt(float(np.max(rho)), cfg, mult) if cfg.adaptive else cfg.dt
+    m0, hs0, _, tail0 = sample(dt_eff)
+    if nonfinite(m0, hs0):
+        verdict = VERDICT_INCONCLUSIVE
+    elif tail0 > cfg.tail_fraction_max:
         caveats.append(f"initial state already under-resolved (tail fraction {tail0:.3g})")
     floored = False
     hs_limit = cfg.blowup_grad_factor * hs0
@@ -407,24 +450,26 @@ def evolve(
 
     while t < t_stop and verdict is None:
         if cfg.adaptive:
-            u_view = SpectralField(grid=grid, values=vals, space="physical")
-            dt_eff = adapt_dt(u_view, cfg, mult)
+            dt_eff = _adapted_dt(float(np.max(rho)), cfg, mult)
             if dt_eff <= cfg.dt_min and not floored:
                 floored = True
                 caveats.append(f"step floored at dt_min={cfg.dt_min:g} from t={t:.6g}")
         else:
             dt_eff = cfg.dt
         dt_step = min(dt_eff, cfg.t_end - t)
-        mod = np.abs(vals)
-        accum_qc += dt_step * hN * float(np.sum(mod**qc))
-        half = np.exp(-0.5j * dt_step * xi2s)
-        vals = _strang_kernel(vals, half, what, dt_step, cfg.nonlinear, mask)
+        accum_qc += dt_step * hN * float(np.sum(rho ** (0.5 * qc)))
+        if dt_step != half_dt:
+            half, half_dt = _half_step_phase(xi2s, dt_step), dt_step
+        vals, hat = _strang(hat, half, what_half, dt_step, cfg.nonlinear, mask)
+        rho = vals.real**2 + vals.imag**2
         t += dt_step
         n_steps += 1
         at_end = t >= t_stop
         if n_steps % cfg.record_every == 0 or at_end:
-            hs_k, grad_ratio_k, tail_k = sample(dt_eff)
-            if hs_k > hs_limit:
+            m_k, hs_k, grad_ratio_k, tail_k = sample(dt_eff)
+            if nonfinite(m_k, hs_k):
+                verdict = VERDICT_INCONCLUSIVE
+            elif hs_k > hs_limit:
                 verdict = VERDICT_BLOWUP
                 t_star = t
             elif tail_k > cfg.tail_fraction_max:

@@ -26,6 +26,8 @@ from .spectral import (
     GridSpec,
     MultiplierSet,
     SpectralField,
+    _half,
+    _real_multiply,
     field_from_values,
     make_multipliers,
     sobolev_norm,
@@ -174,19 +176,6 @@ def _tail_ratio(values: np.ndarray, grid: GridSpec) -> float:
         sel[axis] = 0  # x_axis[0] = -L/2
         edges.append(abs(values[tuple(sel)]))
     return float(max(edges) / peak)
-
-
-def _half(table: np.ndarray) -> np.ndarray:
-    """Columns [..., :n//2+1] of a real even Fourier table: the half
-    spectrum that the real transform pair works on."""
-    return table[..., : table.shape[-1] // 2 + 1]
-
-
-def _real_multiply(table_half: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply a real even multiplier, given on the half spectrum, to a real
-    array: irfftn(table_half * rfftn(f)) over every axis of f."""
-    axes = tuple(range(f.ndim))
-    return np.fft.irfftn(table_half * np.fft.rfftn(f, axes=axes), s=f.shape, axes=axes)
 
 
 def solve_ground_state(

@@ -14,7 +14,10 @@ that one function.
 
 Applying a diagonal Fourier multiplier through this convention is exactly
 equivalent to ``ifftn(T * fftn(u))`` on the centered-coordinate arrays (the
-centering phases cancel), which is what the hot paths use.
+centering phases cancel), which is what the hot paths use.  A real even
+table applied to a real array (the Hartree kernel on a density, the
+solver's symbols on its real iterate) goes through the real pair instead:
+``_real_multiply(_half(T), f)``.
 """
 from __future__ import annotations
 
@@ -155,6 +158,19 @@ def apply_multiplier(u: SpectralField, table: np.ndarray) -> SpectralField:
     _require_physical(u)
     vals = np.fft.ifftn(table * np.fft.fftn(u.values))
     return SpectralField(grid=u.grid, values=vals, space=PHYSICAL)
+
+
+def _half(table: np.ndarray) -> np.ndarray:
+    """Columns [..., :n//2+1] of a real even Fourier table: the half
+    spectrum that the real transform pair works on."""
+    return table[..., : table.shape[-1] // 2 + 1]
+
+
+def _real_multiply(table_half: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Apply a real even multiplier, given on the half spectrum, to a real
+    array: irfftn(table_half * rfftn(f)) over every axis of f."""
+    axes = tuple(range(f.ndim))
+    return np.fft.irfftn(table_half * np.fft.rfftn(f, axes=axes), s=f.shape, axes=axes)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fhartree.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     EXIT_VERIFY,
+    K1_NO_SCATTERING,
     PREDICTIONS,
     SWEEP_COLUMNS,
     main,
@@ -285,6 +286,30 @@ def test_sweep_point_gets_every_stepper_field(monkeypatch, override):
     for config in seen:
         for f in dataclasses.fields(cfg.stepper):
             assert getattr(config, f.name) == getattr(cfg.stepper, f.name), f.name
+
+
+def test_k1_prediction_needs_scattering_hypothesis(tmp_path):
+    # s=0.6 < N/(2N-1) = 2/3 at N=2: K1 rows get no prediction; s=0.7 keeps it
+    small = ["grid.n=32", "grid.L=8", "stepper.t_end=0.05", "stepper.adaptive=no"]
+    rc = main(["sweep", "--out", str(tmp_path), "--c-lo", "0.9", "--c-hi", "1.1",
+               "--count", "2", "--sg", "0.6,1.4", "--sg", "0.7,1.6", *small])
+    assert rc == EXIT_OK
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    by_key = {(float(r[2]), r[6]): (r[7], r[9]) for r in rows}
+    assert by_key[(0.6, "K1")] == (K1_NO_SCATTERING, "n/a")
+    assert by_key[(0.6, "K2")][0] == PREDICTIONS["K2"]
+    assert by_key[(0.6, "K2")][1] != "n/a"
+    assert by_key[(0.7, "K1")][0] == PREDICTIONS["K1"]
+    assert by_key[(0.7, "K1")][1] != "n/a"
+
+    below = ["physics.s=0.6", "physics.gamma=1.4", *small]
+    assert main(["classify", "--out", str(tmp_path), "--c", "0.9", *below]) == EXIT_OK
+    data = json.loads((tmp_path / "classify.json").read_text())
+    assert (data["membership"], data["prediction"]) == ("K1", K1_NO_SCATTERING)
+    assert main(["evolve", "--out", str(tmp_path), "--c", "0.9", *below]) == EXIT_OK
+    data = json.loads((tmp_path / "run.json").read_text())
+    assert (data["membership"], data["prediction"]) == ("K1", K1_NO_SCATTERING)
+    assert data["agreement"] == "n/a"
 
 
 def test_sweep_bad_sg_pair(tmp_path):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import solve_setup
 
 import oracles
+from fhartree import evolution
 from fhartree.evolution import (
     StepperConfig,
     adapt_dt,
@@ -15,12 +17,14 @@ from fhartree.evolution import (
     wrap_time,
 )
 from fhartree.functionals import mass
+from fhartree.functionals import classify_from_ratios
 from fhartree.spectral import (
     dealias_mask,
     field_from_values,
     linear_propagator,
     make_grid,
     make_multipliers,
+    parseval_weight,
     to_fourier,
 )
 
@@ -362,3 +366,191 @@ def test_wrap_time_scales_with_box(canonical, params):
     g_big = make_grid(N=2, n=256, L=128.0)
     assert wrap_time(g_big, params.s) > 2.0 * t32
     assert 0.0 < t32 < canonical.grid.L
+
+
+# --------------------------------------------------------------------------
+# the step loop against the transform-per-step loop it replaced
+
+_SERIES = ("times", "mass_series", "energy_series", "hs_series", "hsc_series",
+           "v_series", "lpc_series", "me_ratio_series", "grad_ratio_series",
+           "tail_fraction_series", "strichartz_accum", "soliton_deviation",
+           "dt_series")
+
+
+def _reference_evolve(u0, p, mult, cfg, gs):
+    """The step loop as it was before the spectrum was carried: fftn at the
+    start of every step, the Hartree convolution through the complex pair,
+    exp(-0.5i dt |xi|^{2s}) rebuilt every step, and fftn(vals) in every
+    sample.  Returns the series of _SERIES, the membership series, the
+    verdict and the step count; snapshots and the non-finite stop are left
+    out."""
+    grid = u0.grid
+    hN = grid.h**grid.N
+    plancherel = parseval_weight(grid) * hN * hN
+    xi2s, xi2sc = mult.frac_lap_s, grid.xi_sq**p.s_c
+    tail = ~dealias_mask(grid, 2.0 / 3.0)
+    what = mult.hartree_kernel_hat
+    mask = dealias_mask(grid) if cfg.dealias else None
+    qc = p.q_c
+
+    def kernel(vals, half, dt):
+        hat = np.fft.fftn(vals) * half
+        if mask is not None:
+            hat *= mask
+        vals = np.fft.ifftn(hat)
+        if cfg.nonlinear:
+            rho = vals.real**2 + vals.imag**2
+            vals = vals * np.exp(1j * dt * np.fft.ifftn(what * np.fft.fftn(rho)).real)
+        hat = np.fft.fftn(vals) * half
+        if mask is not None:
+            hat *= mask
+        return np.fft.ifftn(hat)
+
+    vals = u0.values.astype(np.complex128, copy=True)
+    t, n_steps, accum = 0.0, 0, 0.0
+    rows, members = [], []
+
+    def sample(dt_eff):
+        rho = vals.real**2 + vals.imag**2
+        m = hN * float(np.sum(rho))
+        hat_sq = np.abs(np.fft.fftn(vals)) ** 2
+        grad_dens = xi2s * hat_sq
+        grad_total = float(np.sum(grad_dens))
+        hs_sq = plancherel * grad_total
+        hsc = float(np.sqrt(plancherel * float(np.sum(xi2sc * hat_sq))))
+        tail_frac = float(np.sum(grad_dens[tail])) / grad_total
+        v = hN * float(np.sum(np.fft.ifftn(what * np.fft.fftn(rho)).real * rho))
+        e = 0.5 * hs_sq - 0.25 * v
+        lpc = float((hN * float(np.sum(rho ** (0.5 * p.p_c)))) ** (1.0 / p.p_c))
+        factor = m**p.mass_power
+        me_ratio, grad_ratio = factor * e / gs.me_Q, factor * hs_sq / gs.grad_Q
+        diff = vals * np.exp(-1j * t) - gs.q.values
+        sol = float(np.sqrt(hN * float(np.sum(np.abs(diff) ** 2)))) / gs.l2
+        rows.append((t, m, e, float(np.sqrt(hs_sq)), hsc, v, lpc, me_ratio, grad_ratio,
+                     tail_frac, accum ** (1.0 / qc), sol, dt_eff))
+        members.append(classify_from_ratios(me_ratio, grad_ratio).verdict)
+        return float(np.sqrt(hs_sq)), grad_ratio, tail_frac
+
+    def dt_now():
+        return adapt_dt(field_from_values(grid, vals), cfg, mult) if cfg.adaptive else cfg.dt
+
+    dt_eff = dt_now()
+    hs_limit = cfg.blowup_grad_factor * sample(dt_eff)[0]
+    t_stop = cfg.t_end * (1.0 - 1e-12)
+    verdict = None
+    while t < t_stop and verdict is None:
+        dt_eff = dt_now()
+        dt_step = min(dt_eff, cfg.t_end - t)
+        accum += dt_step * hN * float(np.sum(np.abs(vals) ** qc))
+        vals = kernel(vals, np.exp(-0.5j * dt_step * xi2s), dt_step)
+        t += dt_step
+        n_steps += 1
+        if n_steps % cfg.record_every == 0 or t >= t_stop:
+            hs_k, grad_ratio_k, tail_k = sample(dt_eff)
+            if hs_k > hs_limit:
+                verdict = "BlowUp"
+            elif tail_k > cfg.tail_fraction_max:
+                verdict = "BlowUp" if grad_ratio_k > 1.0 else "Inconclusive"
+    cols = np.array(rows).T
+    if verdict is None:
+        sol, gr, v = cols[11], cols[8], cols[5]
+        if np.all(sol < 1e-3):
+            verdict = "Soliton"
+        elif np.all(gr < 1.0) and v[-1] < 0.5 * v[0]:
+            verdict = "GlobalDispersing"
+        else:
+            verdict = "Inconclusive"
+    return dict(zip(_SERIES, cols)), tuple(members), verdict, n_steps
+
+
+@pytest.fixture(scope="module")
+def coarse(params):
+    return solve_setup(params, 64, 16.0)
+
+
+@pytest.mark.parametrize(
+    "c, kw",
+    [
+        (0.8, {"adaptive": False, "t_end": 1.0, "record_every": 4}),
+        (0.8, {"adaptive": False, "t_end": 0.2, "record_every": 1, "dealias": True}),
+        # phase_cap below the default so the step shrinks on this coarse grid
+        (1.2, {"adaptive": True, "t_end": 2.0, "record_every": 2, "phase_cap": 0.05}),
+    ],
+    ids=["K1-fixed-dt", "K1-dealias", "K2-adaptive"],
+)
+def test_evolve_matches_transform_per_step_loop(coarse, c, kw):
+    s = coarse
+    u0 = field_from_values(s.grid, c * s.gs.q.values)
+    cfg = StepperConfig(dt=1e-3, **kw)
+    rec = evolve(u0, s.p, s.mult, cfg, gs=s.gs)
+    series, members, verdict, n_steps = _reference_evolve(u0, s.p, s.mult, cfg, s.gs)
+    assert rec.verdict == verdict
+    assert rec.n_steps == n_steps
+    assert rec.membership_series == members
+    assert members[0] == ("K1" if c < 1.0 else "K2")
+    assert (len(set(rec.dt_series)) > 1) == cfg.adaptive
+    for name in _SERIES:
+        new, old = getattr(rec, name), series[name]
+        assert new.shape == old.shape, name
+        tol = 1e-10 * np.abs(old)
+        if name == "tail_fraction_series" and cfg.dealias:
+            # the carried spectrum is exactly 0 on the masked modes, where
+            # fftn(vals) holds rounding noise (~1e-30 of the gradient norm)
+            tol = np.maximum(tol, 1e-20)
+        assert np.all(np.abs(new - old) <= tol), name
+
+
+def test_fixed_dt_run_builds_half_step_phase_once(canonical, monkeypatch):
+    calls = []
+    build = evolution._half_step_phase
+
+    def counting(frac_lap_s, dt):
+        calls.append(dt)
+        return build(frac_lap_s, dt)
+
+    monkeypatch.setattr(evolution, "_half_step_phase", counting)
+    u0 = field_from_values(canonical.grid, 0.9 * canonical.gs.q.values)
+    # dt = 2^-10 and t_end = 2^-5: the step count is exact, no short last step
+    cfg = StepperConfig(dt=2.0**-10, dt_min=2.0**-10, t_end=2.0**-5, record_every=8,
+                        adaptive=False)
+    rec = evolve(u0, canonical.p, canonical.mult, cfg, gs=canonical.gs)
+    assert rec.n_steps == 32
+    assert calls == [cfg.dt]
+
+
+# --------------------------------------------------------------------------
+# non-finite states
+
+
+def test_nan_initial_state_stops_after_first_sample(canonical):
+    vals = canonical.gs.q.values.copy()
+    vals[3, 5] = np.nan
+    u0 = field_from_values(canonical.grid, vals)
+    cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=1)
+    rec = evolve(u0, canonical.p, canonical.mult, cfg, gs=canonical.gs)
+    assert rec.verdict == "Inconclusive"
+    assert rec.n_steps == 0
+    assert rec.times.size == 1
+    assert rec.caveats == ("non-finite state at t=0",)
+    assert rec.t_star is None
+
+
+def test_state_turning_non_finite_stops_at_next_sample(canonical, monkeypatch):
+    step = evolution._strang
+    count = []
+
+    def poisoned(hat, *args):
+        count.append(1)
+        vals, hat = step(hat, *args)
+        if len(count) == 3:
+            vals[0, 0] = hat[0, 0] = np.nan
+        return vals, hat
+
+    monkeypatch.setattr(evolution, "_strang", poisoned)
+    u0 = field_from_values(canonical.grid, 0.9 * canonical.gs.q.values)
+    cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=2, adaptive=False)
+    rec = evolve(u0, canonical.p, canonical.mult, cfg, gs=canonical.gs)
+    assert rec.verdict == "Inconclusive"
+    assert rec.n_steps == 4  # the step-3 state is first sampled after step 4
+    assert rec.times.size == 3
+    assert rec.caveats == ("non-finite state at t=0.004",)
