@@ -20,14 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import energy, hartree_energy, mass
+from .functionals import hartree_energy, mass
 from .params import PhysParams
 from .spectral import (
     GridSpec,
     MultiplierSet,
     SpectralField,
     _half,
+    _half_pairing,
+    _irfftn,
     _real_multiply,
+    _rfftn,
     field_from_values,
     make_multipliers,
     sobolev_norm,
@@ -143,9 +146,11 @@ def pohozaev_residuals(
     r1 normalizes  G + M - V  and r2 normalizes
     ((N-2s)/2) G + (N/2) M - ((2N-gamma)/4) V  by G = ||q||_{Hs-dot}^2.
     """
-    g = sobolev_norm(q, p.s) ** 2
-    m = mass(q)
-    v = hartree_energy(q, mult)
+    return _pohozaev(sobolev_norm(q, p.s) ** 2, mass(q), hartree_energy(q, mult), p)
+
+
+def _pohozaev(g: float, m: float, v: float, p: PhysParams) -> tuple[float, float]:
+    """(r1, r2) of pohozaev_residuals from G = ||q||_{Hs-dot}^2, M and V."""
     r1 = (g + m - v) / g
     r2 = ((p.N - 2.0 * p.s) / 2.0 * g + p.N / 2.0 * m - (2.0 * p.N - p.gamma) / 4.0 * v) / g
     return float(r1), float(r2)
@@ -187,6 +192,14 @@ def solve_ground_state(
 ) -> GroundState:
     """Run the renormalized fixed-point iteration and certify the result.
 
+    The iteration carries the half spectrum q_hat = rfftn(q) as loop state.
+    One iteration forms N(q) = (W * q^2) q (two real transforms) and its
+    spectrum rfftn(N(q)) (one); the next spectrum is
+    gamma_k^{3/2} L_hat^{-1} rfftn(N(q)) and the next iterate its irfftn
+    (one): 4 real transforms per iteration, for N=2 and N=3.  The pairing
+    <q, Lq> is a Parseval sum over the carried half spectrum, so Lq is
+    never formed in physical space.
+
     Stops when the successive relative L^2 change drops below opts.tol.
     Raises CollapseToZeroError if iterates vanish and NonConvergenceError
     (carrying a partial report) if the budget is exhausted.
@@ -199,11 +212,14 @@ def solve_ground_state(
     hN = grid.h**grid.N
     lhat = 1.0 + _half(grid.xi_sq) ** p.s  # symbol of L = 1 + (-Delta)^s
     lhat_inv = 1.0 / lhat
+    lpair = _half_pairing(grid, lhat)  # <q, Lq> = sum lpair |q_hat|^2
     what = _half(mult.hartree_kernel_hat)
 
     q = seed.values.real.astype(np.float64)
-    if np.sqrt(hN * np.sum(q**2)) <= 0:
+    norm = np.sqrt(hN * np.sum(q**2))
+    if norm <= 0:
         raise ValueError("seed must be nonzero")
+    qhat = _rfftn(q)
 
     alpha_dev = np.inf
     delta = np.inf
@@ -211,21 +227,22 @@ def solve_ground_state(
     converged = False
     for it in range(1, opts.max_iter + 1):
         nq = _real_multiply(what, q * q) * q
-        lq = _real_multiply(lhat, q)
-        num = hN * np.sum(q * lq)
+        nqhat = _rfftn(nq)
+        num = np.sum(lpair * (qhat.real**2 + qhat.imag**2))
         den = hN * np.sum(q * nq)
         if den <= 0:
             raise CollapseToZeroError("nonlinear pairing lost positivity; iterate collapsing")
         gamma_k = num / den
-        q_next = gamma_k**1.5 * _real_multiply(lhat_inv, nq)
+        nqhat *= gamma_k**1.5 * lhat_inv  # the spectrum of the next iterate
+        q_next = _irfftn(nqhat, q.shape)
 
         norm_next = np.sqrt(hN * np.sum(q_next**2))
         if norm_next < 1e-10:
             raise CollapseToZeroError(f"iterate norm {norm_next:.3e} below 1e-10")
-        norm_prev = np.sqrt(hN * np.sum(q**2))
-        delta = np.sqrt(hN * np.sum((q_next - q) ** 2)) / norm_prev
+        delta = np.sqrt(hN * np.sum((q_next - q) ** 2)) / norm
+        norm = norm_next
         alpha_dev = abs(gamma_k**1.5 - 1.0)
-        q = q_next
+        q, qhat = q_next, nqhat
         if delta < opts.tol:
             converged = True
             break
@@ -253,18 +270,25 @@ def _certify(
     converged: bool,
     alpha_dev: float,
 ) -> GroundState:
-    q = field_from_values(grid, q_vals)
-    l2 = np.sqrt(mass(q))
-    hs = sobolev_norm(q, p.s)
-    v_q = hartree_energy(q, mult)
-    e_q = energy(q, mult)
+    """Every certificate scalar of the real profile q_vals from one
+    rfftn(Q) and one convolution W * Q^2 (4 real transforms in all)."""
+    hN = grid.h**grid.N
+    xi2s = _half(grid.xi_sq) ** p.s
+    qhat = _rfftn(q_vals)
+    rho = q_vals * q_vals
+    conv = _real_multiply(_half(mult.hartree_kernel_hat), rho)
+    m = hN * np.sum(rho)
+    g = np.sum(_half_pairing(grid, xi2s) * (qhat.real**2 + qhat.imag**2))  # ||Q||_{Hs-dot}^2
+    v_q = hN * np.sum(conv * rho)
+    l2 = np.sqrt(m)
+    hs = np.sqrt(g)
+    e_q = 0.5 * g - 0.25 * v_q
 
     # Euler-Lagrange residual of the profile equation
-    conv = _real_multiply(_half(mult.hartree_kernel_hat), q_vals**2)
-    lhs = _real_multiply(_half(grid.xi_sq) ** p.s, q_vals) + q_vals - conv * q_vals
-    el = np.sqrt(grid.h**grid.N * np.sum(lhs**2)) / l2
+    lhs = _irfftn(xi2s * qhat, q_vals.shape) + q_vals - conv * q_vals
+    el = np.sqrt(hN * np.sum(lhs**2)) / l2
 
-    r1, r2 = pohozaev_residuals(q, p, mult)
+    r1, r2 = _pohozaev(g, m, v_q, p)
 
     cgn_a, cgn_b = _cgn_values(l2, hs, p)
 
@@ -280,7 +304,7 @@ def _certify(
     )
 
     return GroundState(
-        q=q,
+        q=field_from_values(grid, q_vals),
         params=p,
         l2=float(l2),
         hs=float(hs),
@@ -307,19 +331,6 @@ def _cgn_values(l2: float, hs: float, p: PhysParams) -> tuple[float, float]:
     cgn_a = (4.0 * s / gamma) / (l2 ** ((4.0 * s - gamma) / s) * hs ** ((gamma - 2.0 * s) / s))
     cgn_b = ((4.0 * s - gamma) / gamma) ** (gamma / (2.0 * s)) * 4.0 * s / ((4.0 * s - gamma) * l2**2)
     return float(cgn_a), float(cgn_b)
-
-
-def cgn_both_ways(gs: GroundState, p: PhysParams) -> tuple[float, float]:
-    """The sharp interpolation constant from the Q-norm formula and from the
-    mass-only closed form; they coincide exactly when the Pohozaev
-    identities hold exactly."""
-    return _cgn_values(gs.l2, gs.hs, p)
-
-
-def thresholds(gs: GroundState, p: PhysParams) -> ThresholdReport:
-    """Direct and closed-form threshold invariants with their discrepancies."""
-    del p  # derivable from gs.params; kept for signature symmetry
-    return gs.threshold_report
 
 
 def soliton_orbit_check(

@@ -50,10 +50,6 @@ class PhysParams:
         return (2.0 * self.N + 4.0 * self.s) / (self.N + 2.0 * self.s - self.gamma)
 
     @property
-    def r_c(self) -> float:
-        return self.q_c
-
-    @property
     def mass_power(self) -> float:
         """Exponent (s - s_c)/s_c weighting the mass in scale-invariant products."""
         return (self.s - self.s_c) / self.s_c

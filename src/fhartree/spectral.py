@@ -17,7 +17,8 @@ equivalent to ``ifftn(T * fftn(u))`` on the centered-coordinate arrays (the
 centering phases cancel), which is what the hot paths use.  A real even
 table applied to a real array (the Hartree kernel on a density, the
 solver's symbols on its real iterate) goes through the real pair instead:
-``_real_multiply(_half(T), f)``.
+``_real_multiply(_half(T), f)``; a quadratic form <f, T f> of a real array
+is summed on its half spectrum with the weights of ``_half_pairing``.
 """
 from __future__ import annotations
 
@@ -166,11 +167,35 @@ def _half(table: np.ndarray) -> np.ndarray:
     return table[..., : table.shape[-1] // 2 + 1]
 
 
+def _rfftn(f: np.ndarray) -> np.ndarray:
+    """Raw real forward transform over every axis of f (no h^N weight)."""
+    return np.fft.rfftn(f, axes=tuple(range(f.ndim)))
+
+
+def _irfftn(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of _rfftn back to a real array of the given shape."""
+    return np.fft.irfftn(hat, s=shape, axes=tuple(range(len(shape))))
+
+
 def _real_multiply(table_half: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Apply a real even multiplier, given on the half spectrum, to a real
     array: irfftn(table_half * rfftn(f)) over every axis of f."""
-    axes = tuple(range(f.ndim))
-    return np.fft.irfftn(table_half * np.fft.rfftn(f, axes=axes), s=f.shape, axes=axes)
+    return _irfftn(table_half * _rfftn(f), f.shape)
+
+
+def _half_pairing(grid: GridSpec, table_half: np.ndarray) -> np.ndarray:
+    """Weights P on the half spectrum with
+
+        <f, T f> = h^N sum_j f_j (T f)_j = sum P |rfftn(f)|^2
+
+    for a real array f and a real even table T given on the half spectrum.
+    P is T times the column weights (1, 2, ..., 2, 1), which count twice the
+    columns that stand for their mirror image too, times the Parseval factor
+    w h^{2N} of the raw transform (w = parseval_weight(grid))."""
+    cols = np.full(grid.n // 2 + 1, 2.0 * parseval_weight(grid) * grid.h ** (2 * grid.N))
+    cols[0] *= 0.5
+    cols[-1] *= 0.5
+    return table_half * cols
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +298,16 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarr
     rebuilt from the Hermitian mirror hat[a, n-j] = conj(hat[-a, j]).
     Memory stays at a few n^N arrays.
 
+    The Gauss-Legendre nodes come in mirror pairs t_{nodes-1-k} = -t_k
+    with equal weights, and the -t table of squared distances is the t
+    table with its index reversed, S_{-t}(p) = S_t(-p mod n).  Along axis 2
+    the real FFT of the -t_k samples and the -t_k phase are therefore the
+    conjugates of the t_k ones, and the pair adds up to w_k Re(P_k F_k);
+    along axis 1 the -t_i term is again the conjugate of the t_i term.  So
+    the main pass runs over ceil(nodes/2)^2 node pairs with real
+    accumulators, pair weight w per axis, and w/2 for the self-paired
+    middle node (t = 0) of an odd rule.
+
     The cells centered on the cut locus |y_j| = L/2 need care: the
     minimum-image distance has a derivative kink at the cell center there,
     which would degrade the Gauss rule to algebraic accuracy.  On those
@@ -295,21 +330,27 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarr
         np.fft.ifftshift(((ax + half * ti + L / 2.0) % L - L / 2.0) ** 2) for ti in t
     ]
     phases = [np.exp(-1j * xi_ax * (half * ti)) for ti in t]
-    hat = np.zeros((n, m), dtype=np.complex128)
-    for i in range(nodes):
-        acc = np.zeros((n, m), dtype=np.complex128)
-        for k in range(nodes):
+    # main pass over the mirror pairs (t_k, -t_k), see above
+    pairs = (nodes + 1) // 2
+    pair_w = w[:pairs].copy()
+    if nodes % 2:
+        pair_w[-1] *= 0.5
+    hat = np.zeros((n, m))
+    for i in range(pairs):
+        acc = np.zeros((n, m))
+        for k in range(pairs):
             K = np.add.outer(shifted_sq[i], shifted_sq[k])
-            np.power(K, -0.5 * gamma, out=K)
+            with np.errstate(divide="ignore"):  # 0^-gamma/2 when t_i = t_k = 0
+                np.power(K, -0.5 * gamma, out=K)
             K[0, 0] = 0.0  # origin cell: analytic series below
             K[c, :] = 0.0  # cut strips: folded side passes below
             K[:, c] = 0.0
             f = np.fft.rfft(K, axis=1)
-            f *= (0.5 * w[k]) * phases[k][:m]
-            acc += f
+            f *= pair_w[k] * phases[k][:m]
+            acc += f.real
         f = np.fft.fft(acc, axis=0)
-        f *= ((0.5 * w[i]) * phases[i])[:, None]
-        hat += f
+        f *= (pair_w[i] * phases[i])[:, None]
+        hat += f.real
     hat *= h * h
 
     # folded Gauss rule on [0, h/2] against the cosine phase; the leading
@@ -328,7 +369,7 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarr
         Ks = (d_cut_sq[:, None] + shifted_sq[k][None, :]) ** (-0.5 * gamma)
         Ks[:, c] = 0.0  # corner cell handled separately
         strip += (w[k] * half) * phases[k][None, :] * np.fft.fft(Ks, axis=1)
-    hat += a_fold @ strip[:, :m]
+    hat = hat + a_fold @ strip[:, :m]
     # row strip: the integrand is symmetric under axis swap
     hat += (a_fold[:m] @ strip).T
 
@@ -448,9 +489,9 @@ def linear_propagator(u: SpectralField, t: float, s: float) -> SpectralField:
 def hartree_potential(u: SpectralField, mult: MultiplierSet) -> SpectralField:
     """The convolution factor W * |u|^2, real-valued on real-kernel grids."""
     _require_physical(u)
-    rho = (u.values.real**2 + u.values.imag**2).astype(np.complex128)
-    conv = np.fft.ifftn(mult.hartree_kernel_hat * np.fft.fftn(rho))
-    return SpectralField(grid=u.grid, values=conv.real.astype(np.complex128), space=PHYSICAL)
+    rho = u.values.real**2 + u.values.imag**2
+    conv = _real_multiply(_half(mult.hartree_kernel_hat), rho)
+    return SpectralField(grid=u.grid, values=conv.astype(np.complex128), space=PHYSICAL)
 
 
 def sobolev_norm(u: SpectralField, alpha: float) -> float:

@@ -518,6 +518,41 @@ def test_fixed_dt_run_builds_half_step_phase_once(canonical, monkeypatch):
     assert calls == [cfg.dt]
 
 
+def _count_half_step_builds(monkeypatch):
+    calls = []
+    build = evolution._half_step_phase
+
+    def counting(frac_lap_s, dt):
+        calls.append(dt)
+        return build(frac_lap_s, dt)
+
+    monkeypatch.setattr(evolution, "_half_step_phase", counting)
+    return calls
+
+
+def test_fixed_dt_run_takes_no_hair_short_last_step(coarse, monkeypatch):
+    calls = _count_half_step_builds(monkeypatch)
+    u0 = field_from_values(coarse.grid, 0.8 * coarse.gs.q.values)
+    # 200 steps of 1e-3 accumulate to a rounding hair below t_end
+    cfg = StepperConfig(dt=1e-3, t_end=0.2, record_every=50, adaptive=False)
+    rec = evolve(u0, coarse.p, coarse.mult, cfg, gs=coarse.gs)
+    assert calls == [cfg.dt]
+    assert rec.n_steps == 200
+    assert abs(rec.times[-1] - cfg.t_end) <= 1e-12 * cfg.t_end
+
+
+def test_fixed_dt_run_clips_a_short_remainder(coarse, monkeypatch):
+    calls = _count_half_step_builds(monkeypatch)
+    u0 = field_from_values(coarse.grid, 0.8 * coarse.gs.q.values)
+    cfg = StepperConfig(dt=1e-3, t_end=0.0505, record_every=10, adaptive=False)
+    rec = evolve(u0, coarse.p, coarse.mult, cfg, gs=coarse.gs)
+    assert len(calls) == 2
+    assert calls[0] == cfg.dt
+    assert abs(calls[1] - 5e-4) <= 1e-12
+    assert rec.n_steps == 51
+    assert abs(rec.times[-1] - cfg.t_end) <= 1e-12 * cfg.t_end
+
+
 # --------------------------------------------------------------------------
 # non-finite states
 

@@ -5,18 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fhartree.functionals import energy, hartree_energy, mass
 from fhartree.ground_state import (
     NonConvergenceError,
     SolverOptions,
-    cgn_both_ways,
+    _cgn_values,
     default_seed,
     pohozaev_residuals,
     soliton_orbit_check,
     solve_ground_state,
-    thresholds,
 )
 from fhartree.params import PhysParams
-from fhartree.spectral import field_from_values, make_grid, make_multipliers
+from fhartree.spectral import (
+    field_from_values,
+    fractional_laplacian,
+    hartree_potential,
+    make_grid,
+    make_multipliers,
+    sobolev_norm,
+)
 
 
 # --------------------------------------------------------------------------
@@ -67,15 +74,18 @@ def test_pohozaev_combination_ratios(canonical):
 
 
 def test_sharp_constant_two_routes_agree(canonical):
-    a, b = cgn_both_ways(canonical.gs, canonical.p)
+    gs = canonical.gs
+    a, b = gs.cgn_a, gs.cgn_b
     assert a > 0 and b > 0
     assert abs(a - b) / a < 1e-3
-    assert a == canonical.gs.cgn_a
-    assert b == canonical.gs.cgn_b
+    # the Q-norm formula and the mass-only closed form, from the stored norms
+    want_a, want_b = _cgn_values(gs.l2, gs.hs, canonical.p)
+    assert a == want_a
+    assert b == want_b
 
 
 def test_threshold_two_routes_agree(canonical):
-    rep = thresholds(canonical.gs, canonical.p)
+    rep = canonical.gs.threshold_report
     assert rep.me_discrepancy < 1e-2
     assert rep.grad_discrepancy < 1e-2
     # closed forms keep the exact ratio 2 gamma / (gamma - 2s) = 16
@@ -87,6 +97,92 @@ def test_pohozaev_residuals_detect_non_solution(canonical):
     u = default_seed(canonical.grid, width=1.0)
     r1, _ = pohozaev_residuals(u, canonical.p, canonical.mult)
     assert abs(r1) > 0.1
+
+
+def test_summary_matches_public_functionals(canonical):
+    # every scalar of the one-pass certificate, recomputed through the
+    # public functionals (complex transforms for the Sobolev norms)
+    gs, p, mult, grid = canonical.gs, canonical.p, canonical.mult, canonical.grid
+    q = gs.q
+    vals = q.values.real
+    l2 = np.sqrt(mass(q))
+    hs = sobolev_norm(q, p.s)
+    e_q = energy(q, mult)
+    lhs = (fractional_laplacian(q, p.s).values.real + vals
+           - hartree_potential(q, mult).values.real * vals)
+    r1, r2 = pohozaev_residuals(q, p, mult)
+    cgn_a, cgn_b = _cgn_values(l2, hs, p)
+    factor = mass(q) ** p.mass_power
+    n = grid.n
+    flipped = [np.roll(np.flip(vals, a), 1, a) for a in (0, 1)] + [vals.T]
+    want = {
+        "l2": l2,
+        "hs": hs,
+        "v_q": hartree_energy(q, mult),
+        "e_q": e_q,
+        "cgn_a": cgn_a,
+        "cgn_b": cgn_b,
+        "cgn_discrepancy": abs(cgn_a - cgn_b) / cgn_a,
+        "me_Q": factor * e_q,
+        "grad_Q": factor * hs**2,
+        "tail_ratio": max(abs(vals[0, n // 2]), abs(vals[n // 2, 0])) / np.max(np.abs(vals)),
+    }
+    residuals = {
+        "el_residual": np.sqrt(grid.h**2 * np.sum(lhs**2)) / l2,
+        "pohozaev_r1": r1,
+        "pohozaev_r2": r2,
+        "radial_asymmetry": max(np.max(np.abs(vals - f)) for f in flipped) / np.max(np.abs(vals)),
+        "max_imag_frac": 0.0,
+    }
+    got = gs.summary()
+    # final_alpha_dev belongs to the last iteration, not to Q alone
+    floats = {k for k, v in got.items() if isinstance(v, float)} - {"final_alpha_dev"}
+    assert floats == set(want) | set(residuals)
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-12 * abs(value), key
+    for key, value in residuals.items():
+        assert abs(got[key] - value) <= 1e-12, key
+
+
+def _reference_iterate(p, grid, mult, opts=SolverOptions()):
+    """The solver's iteration before the spectrum was carried: N(q), Lq and
+    L^{-1} N(q) each through an rfftn/irfftn pair, 6 real transforms."""
+    hN = grid.h**grid.N
+    axes = tuple(range(grid.N))
+
+    def multiply(table, f):
+        half = table[..., : grid.n // 2 + 1]
+        return np.fft.irfftn(half * np.fft.rfftn(f, axes=axes), s=f.shape, axes=axes)
+
+    lhat = 1.0 + grid.xi_sq**p.s
+    q = default_seed(grid, opts.seed_width).values.real.astype(np.float64)
+    for it in range(1, opts.max_iter + 1):
+        nq = multiply(mult.hartree_kernel_hat, q * q) * q
+        lq = multiply(lhat, q)
+        gamma_k = (hN * np.sum(q * lq)) / (hN * np.sum(q * nq))
+        q_next = gamma_k**1.5 * multiply(1.0 / lhat, nq)
+        delta = np.sqrt(hN * np.sum((q_next - q) ** 2)) / np.sqrt(hN * np.sum(q**2))
+        q = q_next
+        if delta < opts.tol:
+            return q, it
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.filterwarnings("ignore:ground-state tail")
+def test_carried_spectrum_matches_six_transform_iteration(canonical):
+    want, iterations = _reference_iterate(canonical.p, canonical.grid, canonical.mult)
+    got = canonical.gs.q.values.real
+    assert canonical.gs.iterations == iterations
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    p3 = PhysParams(N=3, s=0.7, gamma=1.6)
+    grid = make_grid(N=3, n=16, L=12.0)
+    mult = make_multipliers(grid, p3, kernel_mode="sampled")
+    want, iterations = _reference_iterate(p3, grid, mult)
+    gs = solve_ground_state(p3, grid, opts=SolverOptions(), mult=mult)
+    assert gs.iterations == iterations
+    got = gs.q.values.real
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --------------------------------------------------------------------------

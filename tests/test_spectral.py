@@ -315,6 +315,27 @@ def test_exact_kernel_matches_per_node_fft_loop():
     assert np.max(np.abs(got - want.real)) / np.max(np.abs(want.real)) <= 1e-12
 
 
+def test_exact_kernel_matches_per_node_fft_loop_odd_rule():
+    # an odd rule has a self-paired middle node t = 0
+    g = make_grid(N=2, n=128, L=32.0)
+    with np.errstate(divide="ignore"):
+        want = _reference_exact_kernel(g, 1.6, nodes=19)
+    got = build_hartree_kernel(g, 1.6, mode="exact", nodes=19)
+    assert np.max(np.abs(got - want.real)) / np.max(np.abs(want.real)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_half_pairing_matches_physical_sum(N):
+    # a random field fills every column of the half spectrum, Nyquist too
+    g = make_grid(N=N, n=16, L=8.0)
+    f = np.random.default_rng(5).standard_normal(g.shape)
+    table = 1.0 + g.xi_sq**0.7
+    want = g.h**N * np.sum(f * np.fft.ifftn(table * np.fft.fftn(f)).real)
+    hat = spectral._rfftn(f)
+    got = np.vdot(hat, spectral._half_pairing(g, spectral._half(table)) * hat).real
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_origin_series_matches_term_by_term():
     g = make_grid(N=2, n=64, L=16.0)
     want = _reference_origin_series(g, 1.6)
