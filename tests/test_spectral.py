@@ -332,7 +332,7 @@ def test_half_pairing_matches_physical_sum(N):
     table = 1.0 + g.xi_sq**0.7
     want = g.h**N * np.sum(f * np.fft.ifftn(table * np.fft.fftn(f)).real)
     hat = spectral._rfftn(f)
-    got = np.vdot(hat, spectral._half_pairing(g, spectral._half(table)) * hat).real
+    got = np.sum(spectral._half_pairing(g, spectral._half(table)) * np.abs(hat) ** 2)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
