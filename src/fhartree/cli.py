@@ -271,7 +271,8 @@ def _cmd_ground_state(cfg: RunConfig, args: argparse.Namespace, out: Path) -> in
         gs = exc.partial
         _write_json(
             out / "ground_state.json",
-            {"config": cfg.resolved(), "converged": False, "summary": gs.summary()},
+            {"config": cfg.resolved(), "converged": False, "summary": gs.summary(),
+             "solver_history": gs.solver_history()},
         )
         print(f"ground-state: no convergence after {gs.iterations} iterations "
               f"(report in {out / 'ground_state.json'})")
@@ -295,6 +296,7 @@ def _cmd_ground_state(cfg: RunConfig, args: argparse.Namespace, out: Path) -> in
             "config": cfg.resolved(),
             "converged": True,
             "summary": gs.summary(),
+            "solver_history": gs.solver_history(),
             "thresholds": {
                 "me_direct": rep.me_direct,
                 "me_closed": rep.me_closed,

@@ -180,7 +180,9 @@ def _irfftn(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _real_multiply(table_half: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Apply a real even multiplier, given on the half spectrum, to a real
     array: irfftn(table_half * rfftn(f)) over every axis of f."""
-    return _irfftn(table_half * _rfftn(f), f.shape)
+    hat = _rfftn(f)
+    hat *= table_half
+    return _irfftn(hat, f.shape)
 
 
 def _half_pairing(grid: GridSpec, table_half: np.ndarray) -> np.ndarray:

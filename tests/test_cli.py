@@ -56,6 +56,9 @@ def test_ground_state_command(tmp_path):
     assert report["config"]["grid"] == {"n": 128, "L": 32.0, "kernel_mode": "exact"}
     assert report["summary"]["l2"] > 0
     assert report["thresholds"]["me_discrepancy"] < 1e-2
+    history = report["solver_history"]
+    assert len(history["delta"]) == len(history["gamma"]) == report["summary"]["iterations"]
+    assert history["delta"][-1] < 1e-12  # the default solver.tol
 
     q, p, side = read_snapshot(tmp_path / "q.bin")
     assert q.is_physical and q.grid.n == 128
@@ -70,6 +73,7 @@ def test_ground_state_nonconvergence_exit_code(tmp_path):
     report = json.loads((tmp_path / "ground_state.json").read_text())
     assert report["converged"] is False
     assert report["summary"]["iterations"] == 2
+    assert len(report["solver_history"]["delta"]) == 2
     assert not (tmp_path / "q.bin").exists()  # no snapshot for a bad profile
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fhartree import ground_state
 from fhartree.functionals import energy, hartree_energy, mass
 from fhartree.ground_state import (
     NonConvergenceError,
@@ -169,10 +170,13 @@ def _reference_iterate(p, grid, mult, opts=SolverOptions()):
 
 
 @pytest.mark.filterwarnings("ignore:ground-state tail")
-def test_carried_spectrum_matches_six_transform_iteration(canonical):
+def test_carried_spectrum_matches_six_transform_iteration(canonical, monkeypatch):
+    # depth 0 is the plain iteration the reference runs
+    monkeypatch.setattr(ground_state, "ANDERSON_DEPTH", 0)
     want, iterations = _reference_iterate(canonical.p, canonical.grid, canonical.mult)
-    got = canonical.gs.q.values.real
-    assert canonical.gs.iterations == iterations
+    gs = solve_ground_state(canonical.p, canonical.grid, opts=SolverOptions(), mult=canonical.mult)
+    got = gs.q.values.real
+    assert gs.iterations == iterations
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     p3 = PhysParams(N=3, s=0.7, gamma=1.6)
@@ -183,6 +187,65 @@ def test_carried_spectrum_matches_six_transform_iteration(canonical):
     assert gs.iterations == iterations
     got = gs.q.values.real
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore:ground-state tail")
+def test_mixed_iteration_matches_plain_at_tight_tolerance(canonical, monkeypatch):
+    # Anderson mixing changes the path, not the fixed point: both runs to
+    # tol 1e-14 land on the same certificate scalars
+    tight = SolverOptions(tol=1e-14)
+    mixed = solve_ground_state(canonical.p, canonical.grid, opts=tight, mult=canonical.mult)
+    monkeypatch.setattr(ground_state, "ANDERSON_DEPTH", 0)
+    plain = solve_ground_state(canonical.p, canonical.grid, opts=tight, mult=canonical.mult)
+    assert mixed.iterations < plain.iterations
+    for key in ("l2", "hs", "v_q", "e_q", "me_Q", "grad_Q", "cgn_a", "cgn_b"):
+        want = getattr(plain, key)
+        assert abs(getattr(mixed, key) - want) <= 5e-13 * abs(want), key
+
+
+@pytest.mark.filterwarnings("ignore:ground-state tail")
+@pytest.mark.parametrize("s, gamma", [(0.7, 1.6), (0.6, 1.5), (0.9, 1.9)])
+def test_mixed_iteration_count(canonical, s, gamma):
+    # the plain iteration takes 76, 119 and 52 iterations here
+    p = PhysParams(N=2, s=s, gamma=gamma)
+    mult = make_multipliers(canonical.grid, p, kernel_mode="exact")
+    gs = solve_ground_state(p, canonical.grid, opts=SolverOptions(), mult=mult)
+    assert gs.converged
+    assert gs.iterations <= 30
+
+
+def test_solver_history_covers_every_iteration(canonical):
+    gs = canonical.gs
+    assert len(gs.delta_history) == len(gs.gamma_history) == gs.iterations
+    assert gs.delta_history[-1] < SolverOptions().tol
+    assert all(d >= SolverOptions().tol for d in gs.delta_history[:-1])
+    assert abs(gs.gamma_history[-1] ** 1.5 - 1.0) == gs.final_alpha_dev
+    assert gs.solver_history() == {
+        "delta": list(gs.delta_history), "gamma": list(gs.gamma_history),
+    }
+
+
+def test_anderson_safeguard_drops_history_on_residual_rise():
+    grid = make_grid(N=2, n=16, L=8.0)
+    mixer = ground_state._Anderson(grid, depth=3)
+    rng = np.random.default_rng(7)
+    shape = mixer.g.shape[1:]
+
+    def push(scale):
+        # a map output whose residual against a zero iterate has norm ~scale
+        g = mixer.output_slot()
+        g[...] = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return g.copy(), mixer.residual(np.zeros(shape, dtype=np.complex128))
+
+    g1, r1 = push(1.0)
+    np.testing.assert_array_equal(mixer.step(), g1)  # one output: the plain step
+    g2, r2 = push(0.5)
+    mixer.step()
+    assert mixer.mixed and len(mixer.history) == 2
+    g3, r3 = push(10.0)  # the mixed step raised the residual
+    assert r3 > r2
+    np.testing.assert_array_equal(mixer.step(), g3)
+    assert not mixer.mixed and len(mixer.history) == 1
 
 
 # --------------------------------------------------------------------------
@@ -208,6 +271,7 @@ def test_budget_exhaustion_raises_with_partial(canonical):
     partial = e.value.partial
     assert not partial.converged
     assert partial.iterations == 2
+    assert len(partial.delta_history) == len(partial.gamma_history) == 2
     assert partial.l2 > 0.0
 
 
