@@ -8,7 +8,7 @@ are byte-identical):
     ground-state   solve the soliton profile, write snapshot + validation report
     classify       evaluate the threshold ratios of an initial state
     evolve         run the splitting integrator with full diagnostics
-    sweep          classify+evolve an amplitude grid c*Q, in parallel
+    sweep          classify+evolve amplitudes c*Q (a list or a uniform grid), in parallel
     verify         re-run every identity check at the configured resolution
 
 Exit codes: 0 success, 1 validation error, 2 ground-state or kernel
@@ -18,13 +18,13 @@ numerical failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -47,12 +47,10 @@ from .evolution import (
     wrap_time,
 )
 from .functionals import (
-    classify_from_ratios,
     classify_membership,
     comparability_check,
     energy,
     gn_ratio,
-    hartree_energy,
     invariant_pair,
     mass,
 )
@@ -69,8 +67,8 @@ from .spectral import (
     NonRealKernelError,
     SpectralField,
     field_from_values,
-    make_grid,
     make_multipliers,
+    random_smooth_field,
     sobolev_norm,
 )
 
@@ -171,11 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(ep)
     u0_source(ep)
 
-    sp = sub.add_parser("sweep", help="amplitude sweep u0 = c*Q across [c_lo, c_hi]")
+    sp = sub.add_parser("sweep", help="amplitude sweep u0 = c*Q, a list or a uniform grid")
     common(sp)
-    sp.add_argument("--c-lo", type=float, default=0.8)
-    sp.add_argument("--c-hi", type=float, default=1.2)
-    sp.add_argument("--count", type=int, default=5, help="number of amplitudes")
+    sp.add_argument("--c", type=float, nargs="+", metavar="C",
+                    help="amplitude list instead of --c-lo/--c-hi/--count; "
+                    "put it after the overrides or before another option")
+    sp.add_argument("--c-lo", type=float, default=None, help="lowest amplitude (default 0.8)")
+    sp.add_argument("--c-hi", type=float, default=None, help="highest amplitude (default 1.2)")
+    sp.add_argument("--count", type=int, default=None, help="number of amplitudes (default 5)")
     sp.add_argument(
         "--sg",
         action="append",
@@ -392,26 +393,30 @@ def _cmd_evolve(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 # --- sweep ----------------------------------------------------------------
 
 
-def _sweep_point(task: tuple) -> dict:
+#: What every task of a sweep process reads: the stepper config and one
+#: (params, multipliers, ground state) per (s, gamma) pair.
+_sweep_state: tuple = ()
+
+
+def _init_sweep_worker(stepper: StepperConfig, pairs: Sequence[tuple]) -> None:
+    """Pool initializer: receive the per-pair state once per process."""
+    global _sweep_state
+    _sweep_state = (stepper, tuple(pairs))
+
+
+def _sweep_point(task: tuple[int, float, int]) -> dict:
     """One (c, s, gamma) sweep point; top-level so worker processes can load it."""
-    (index, c, N, s, gamma, n, L, kernel_mode,
-     q_bytes, shape, l2, me_Q, grad_Q, stepper) = task
-    p = PhysParams(N=N, s=s, gamma=gamma)
-    grid = make_grid(N=N, n=n, L=L)
-    mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
-    qv = np.frombuffer(q_bytes, dtype=np.complex128).reshape(shape).copy()
-    gs_like = SimpleNamespace(
-        q=field_from_values(grid, qv), l2=l2, me_Q=me_Q, grad_Q=grad_Q
-    )
-    u0 = field_from_values(grid, c * qv)
-    pair = invariant_pair(u0, p, mult)
-    memb = classify_from_ratios(pair.me / me_Q, pair.grad / grad_Q)
-    rec = evolve(u0, p, mult, stepper, gs=gs_like)
+    index, c, sg_index = task
+    stepper, pairs = _sweep_state
+    p, mult, gs = pairs[sg_index]
+    u0 = field_from_values(gs.q.grid, c * gs.q.values)
+    memb = classify_membership(invariant_pair(u0, p, mult), gs)
+    rec = evolve(u0, p, mult, stepper, gs=gs)
     return {
         "index": index,
         "c": c,
-        "s": s,
-        "gamma": gamma,
+        "s": p.s,
+        "gamma": p.gamma,
         "me_ratio": memb.me_ratio,
         "grad_ratio": memb.grad_ratio,
         "membership": memb.verdict,
@@ -424,60 +429,46 @@ def _sweep_point(task: tuple) -> dict:
 
 def run_sweep(
     cfg: RunConfig,
-    spec: SweepSpec,
-    amplitudes: Sequence[float] | None = None,
+    amplitudes: Sequence[float],
+    sg_pairs: Sequence[tuple[float, float]] = (),
     max_workers: int | None = None,
 ) -> list[dict]:
-    """Classify+evolve every sweep point; rows come back ordered by index.
+    """Classify+evolve every c in `amplitudes` for each (s, gamma) pair
+    (default: the configured one); rows come back ordered by index.
 
-    `amplitudes` overrides the uniform grid of `spec` (the acceptance set
-    {0.8, 0.9, 0.95, 1.05, 1.1, 1.2} is not uniform).  Each worker owns its
-    own state; the parent solves one ground state per (s, gamma) and ships
-    the profile to the workers, which is what makes the per-c rows cheap.
+    The parent builds the multipliers and solves the ground state once per
+    pair and hands them to every process through the pool initializer, so
+    a task is only (index, c, pair index).  With one worker the same
+    initializer runs in-process.
     """
-    cs = tuple(float(c) for c in (spec.amplitudes if amplitudes is None else amplitudes))
+    cs = tuple(float(c) for c in amplitudes)
     if not cs:
         raise ConfigError("sweep amplitude grid is empty")
     if any(c <= 0.0 for c in cs):
         raise ConfigError("sweep amplitudes must be positive")
 
-    sg_pairs = spec.sg_pairs or ((cfg.physics.s, cfg.physics.gamma),)
-
-    tasks = []
-    index = 0
-    for s, gamma in sg_pairs:
-        p = PhysParams(N=cfg.physics.N, s=s, gamma=gamma)
-        mult = make_multipliers(cfg.grid, p, kernel_mode=cfg.kernel_mode)
-        gs = solve_ground_state(p, cfg.grid, opts=cfg.solver, mult=mult)
-        q_bytes = np.ascontiguousarray(gs.q.values).tobytes()
-        for c in cs:
-            tasks.append((index, c, p.N, s, gamma, cfg.grid.n, cfg.grid.L,
-                          cfg.kernel_mode, q_bytes, gs.q.values.shape,
-                          gs.l2, gs.me_Q, gs.grad_Q, cfg.stepper))
-            index += 1
+    pairs = []
+    for s, gamma in sg_pairs or ((cfg.physics.s, cfg.physics.gamma),):
+        p = PhysParams(N=cfg.physics.N, s=float(s), gamma=float(gamma))
+        gs, mult = _solve(replace(cfg, physics=p))
+        pairs.append((p, mult, gs))
+    tasks = [(index, c, sg_index) for index, (sg_index, c)
+             in enumerate(itertools.product(range(len(pairs)), cs))]
 
     workers = max_workers or min(len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [_sweep_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+        _init_sweep_worker(cfg.stepper, pairs)
+        try:
+            return [_sweep_point(t) for t in tasks]
+        finally:
+            _init_sweep_worker(cfg.stepper, ())
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
+                             initargs=(cfg.stepper, pairs)) as ex:
         return list(ex.map(_sweep_point, tasks))
 
 
-def _sweep_csv_row(row: dict) -> str:
-    return ",".join(
-        [
-            str(row["index"]),
-            f"{row['c']:.15e}",
-            f"{row['s']:.15e}",
-            f"{row['gamma']:.15e}",
-            f"{row['me_ratio']:.15e}",
-            f"{row['grad_ratio']:.15e}",
-            row["membership"],
-            row["prediction"],
-            row["outcome"],
-            row["agreement"],
-        ]
-    )
+def _csv_cell(value) -> str:
+    return f"{value:.15e}" if isinstance(value, float) else str(value)
 
 
 def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
@@ -488,14 +479,23 @@ def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
             sg_pairs.append((float(s_s), float(g_s)))
         except ValueError:
             raise ConfigError(f"--sg expects S,GAMMA, got {item!r}") from None
-    spec = SweepSpec(c_lo=args.c_lo, c_hi=args.c_hi, k=args.count,
-                     sg_pairs=tuple(sg_pairs))
-    rows = run_sweep(cfg, spec)
+    if args.c is not None:
+        if (args.c_lo, args.c_hi, args.count) != (None, None, None):
+            raise ConfigError("--c cannot be combined with --c-lo, --c-hi or --count")
+        amplitudes = args.c
+    else:
+        amplitudes = SweepSpec(
+            c_lo=0.8 if args.c_lo is None else args.c_lo,
+            c_hi=1.2 if args.c_hi is None else args.c_hi,
+            k=5 if args.count is None else args.count,
+        ).amplitudes
+    rows = run_sweep(cfg, amplitudes, sg_pairs)
 
+    columns = SWEEP_COLUMNS.split(",")
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(SWEEP_COLUMNS + "\n")
         for row in rows:
-            fh.write(_sweep_csv_row(row) + "\n")
+            fh.write(",".join(_csv_cell(row[name]) for name in columns) + "\n")
     _write_json(out / "sweep.json", {"config": cfg.resolved(), "rows": rows})
 
     applicable = [r for r in rows if r["agreement"] != "n/a"]
@@ -533,18 +533,6 @@ VERIFY_TOLERANCES = {
 }
 
 
-def _random_smooth_field(grid: GridSpec, rng: np.random.Generator) -> SpectralField:
-    """Superposition of a few random complex Gaussians, supported well inside the box."""
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    for _ in range(3):
-        x0 = rng.uniform(-grid.L / 8.0, grid.L / 8.0, size=grid.N)
-        width = rng.uniform(0.8, 2.5)
-        amp = rng.normal() + 1j * rng.normal()
-        r_sq = sum((grid.x_mesh[j] - x0[j]) ** 2 for j in range(grid.N))
-        vals += amp * np.exp(-r_sq / width**2)
-    return field_from_values(grid, vals)
-
-
 def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     p, grid = cfg.physics, cfg.grid
     mult = make_multipliers(grid, p, kernel_mode=cfg.kernel_mode)
@@ -571,7 +559,8 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
     rng = np.random.default_rng(cfg.io.seed)
     excess = max(
-        gn_ratio(_random_smooth_field(grid, rng), gs.cgn_a, p, mult) - 1.0
+        gn_ratio(field_from_values(grid, random_smooth_field(grid, rng, span=grid.L / 8.0)),
+                 gs.cgn_a, p, mult) - 1.0
         for _ in range(20)
     )
     check("gn_ratio_random_excess", excess)

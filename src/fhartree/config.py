@@ -10,7 +10,7 @@ default; a config file only needs the keys it changes.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -66,26 +66,19 @@ class RunConfig:
     experiment: str = ""
 
     def resolved(self) -> dict:
-        """Flat, JSON-ready view of every setting, for embedding in artifacts."""
-        out: dict[str, Any] = {
-            "experiment": self.experiment,
-            "convention": CONVENTION_TAG,
-            "physics": {"N": self.physics.N, "s": self.physics.s, "gamma": self.physics.gamma},
-            "grid": {"n": self.grid.n, "L": self.grid.L, "kernel_mode": self.kernel_mode},
-            "solver": {
-                "max_iter": self.solver.max_iter,
-                "tol": self.solver.tol,
-                "seed_width": self.solver.seed_width,
-            },
-            "stepper": {
-                f.name: getattr(self.stepper, f.name) for f in fields(StepperConfig)
-            },
-            "io": {
-                "out_dir": self.io.out_dir,
-                "snapshot_every": self.io.snapshot_every,
-                "seed": self.io.seed,
-            },
-        }
+        """Flat, JSON-ready view of every setting, for embedding in artifacts.
+
+        Each section holds exactly the keys of ``_DEFAULTS``, so every
+        ``section.key=value`` of the view is a valid override that
+        reproduces this config.
+        """
+        out: dict[str, Any] = {"experiment": self.experiment, "convention": CONVENTION_TAG}
+        for section, keys in _DEFAULTS.items():
+            holder = getattr(self, section)
+            out[section] = {
+                key: self.kernel_mode if key == "kernel_mode" else getattr(holder, key)
+                for key in keys
+            }
         return out
 
 
@@ -187,13 +180,11 @@ def load_config(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Amplitude grid c in [c_lo, c_hi] with k points, applied to u0 = c Q;
-    optionally crossed with extra (s, gamma) pairs."""
+    """Uniform amplitude grid c in [c_lo, c_hi] with k points, applied to u0 = c Q."""
 
     c_lo: float
     c_hi: float
     k: int
-    sg_pairs: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.c_lo <= 0.0:

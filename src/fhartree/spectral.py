@@ -131,6 +131,19 @@ def field_from_values(grid: GridSpec, values: np.ndarray, space: str = PHYSICAL)
     return SpectralField(grid=grid, values=np.asarray(values, dtype=np.complex128), space=space)
 
 
+def random_smooth_field(grid: GridSpec, rng: np.random.Generator, n_bumps: int = 3,
+                        span: float = 4.0, widths=(0.8, 2.5)) -> np.ndarray:
+    """Superposition of a few random complex Gaussians well inside the box."""
+    vals = np.zeros(grid.shape, dtype=np.complex128)
+    for _ in range(n_bumps):
+        x0 = rng.uniform(-span, span, size=grid.N)
+        w = rng.uniform(*widths)
+        amp = rng.normal() + 1j * rng.normal()
+        r_sq = sum((grid.x_mesh[j] - x0[j]) ** 2 for j in range(grid.N))
+        vals += amp * np.exp(-r_sq / w**2)
+    return vals
+
+
 def _require_physical(u: SpectralField) -> None:
     if not u.is_physical:
         raise ValueError("operation requires a physical-space field")

@@ -134,20 +134,3 @@ def gaussian_weighted_virial(s: float, w: float) -> float:
     val, _ = quad(lambda k: k ** (5.0 - 2.0 * s) * np.exp(-(k**2) * w**2 / 2.0),
                   0.0, np.inf, limit=200)
     return np.pi * w**8 / 8.0 * val
-
-
-# ---------------------------------------------------------------------------
-# generic smooth test fields
-
-
-def random_smooth_field(grid, rng: np.random.Generator, n_bumps: int = 3,
-                        span: float = 4.0, widths=(0.8, 2.5)) -> np.ndarray:
-    """Superposition of a few random complex Gaussians well inside the box."""
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    for _ in range(n_bumps):
-        x0 = rng.uniform(-span, span, size=grid.N)
-        w = rng.uniform(*widths)
-        amp = rng.normal() + 1j * rng.normal()
-        r_sq = sum((grid.x_mesh[j] - x0[j]) ** 2 for j in range(grid.N))
-        vals += amp * np.exp(-r_sq / w**2)
-    return vals

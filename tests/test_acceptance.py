@@ -14,7 +14,7 @@ import oracles
 # the canonical-box tail advisory fires inside run_sweep's own solve
 pytestmark = pytest.mark.filterwarnings("ignore:ground-state tail")
 from fhartree.cli import run_sweep
-from fhartree.config import SweepSpec, load_config
+from fhartree.config import load_config
 from fhartree.diagnostics import (
     balakrishnan_check,
     build_cutoff,
@@ -31,6 +31,7 @@ from fhartree.spectral import (
     hartree_potential,
     make_grid,
     make_multipliers,
+    random_smooth_field,
     sobolev_norm,
 )
 
@@ -64,7 +65,7 @@ def test_02_sharp_constant_consistency(fine, canonical):
     worst = max(
         gn_ratio(
             field_from_values(canonical.grid,
-                              oracles.random_smooth_field(canonical.grid, rng)),
+                              random_smooth_field(canonical.grid, rng)),
             canonical.gs.cgn_a, canonical.p, canonical.mult,
         )
         for _ in range(100)
@@ -138,8 +139,7 @@ def test_06_dichotomy_end_to_end(dispersal_run, blowup_run, blowup_showcase):
     s_ok = show.verdict == "BlowUp" and hs_growth > 10.0 and show.caveats == ()
 
     cfg = load_config(overrides=["stepper.t_end=4.0"])
-    rows = run_sweep(cfg, SweepSpec(c_lo=0.8, c_hi=1.2, k=2),
-                     amplitudes=(0.8, 0.9, 0.95, 1.05, 1.1, 1.2))
+    rows = run_sweep(cfg, (0.8, 0.9, 0.95, 1.05, 1.1, 1.2))
     agree = all(r["agreement"] == "yes" for r in rows)
 
     ok = d_ok and b_ok and s_ok and agree
@@ -181,7 +181,7 @@ def test_08_resolvent_identity(canonical):
     rng = np.random.default_rng(11)
     worst = max(
         balakrishnan_check(
-            field_from_values(grid, oracles.random_smooth_field(grid, rng)),
+            field_from_values(grid, random_smooth_field(grid, rng)),
             p, default,
         )[2]
         for _ in range(10)
@@ -222,7 +222,7 @@ def test_09_virial_identity(virial_fd):
     rng = np.random.default_rng(2)
     weights = [weighted_virial(snaps[0][1], s.p)] + [
         weighted_virial(
-            field_from_values(s.grid, oracles.random_smooth_field(s.grid, rng)),
+            field_from_values(s.grid, random_smooth_field(s.grid, rng)),
             s.p,
         )
         for _ in range(5)
@@ -240,7 +240,7 @@ def test_10_oracle_equivalence(params):
     # for both kernel discretizations
     g32 = make_grid(N=2, n=32, L=8.0)
     rng = np.random.default_rng(3)
-    vals = oracles.random_smooth_field(g32, rng, span=1.5, widths=(0.6, 1.2))
+    vals = random_smooth_field(g32, rng, span=1.5, widths=(0.6, 1.2))
     u32 = field_from_values(g32, vals)
     rho = vals.real**2 + vals.imag**2
     sum_rels = {}

@@ -24,7 +24,7 @@ from fhartree.cli import (
     main,
     run_sweep,
 )
-from fhartree.config import ConfigError, SweepSpec, load_config
+from fhartree.config import ConfigError, load_config
 from fhartree.ground_state import CollapseToZeroError
 from fhartree.snapshots import read_snapshot, write_snapshot
 from fhartree.spectral import CONVENTION_TAG, field_from_values, make_grid
@@ -268,11 +268,10 @@ def test_sweep_artifacts(tmp_path):
 
 def test_run_sweep_rejects_bad_amplitudes():
     cfg = load_config(overrides=["stepper.t_end=0.02"])
-    spec = SweepSpec(c_lo=0.9, c_hi=1.1, k=2)
     with pytest.raises(ConfigError, match="empty"):
-        run_sweep(cfg, spec, amplitudes=())
+        run_sweep(cfg, ())
     with pytest.raises(ConfigError, match="positive"):
-        run_sweep(cfg, spec, amplitudes=(0.9, -1.1))
+        run_sweep(cfg, (0.9, -1.1))
 
 
 @pytest.mark.parametrize("override", ["stepper.dealias=yes", "stepper.nonlinear=no"])
@@ -285,11 +284,53 @@ def test_sweep_point_gets_every_stepper_field(monkeypatch, override):
 
     monkeypatch.setattr(cli, "evolve", fake_evolve)
     cfg = load_config(overrides=["grid.n=32", "grid.L=8", override])
-    run_sweep(cfg, SweepSpec(c_lo=0.9, c_hi=1.1, k=2), max_workers=1)
+    run_sweep(cfg, (0.9, 1.1), max_workers=1)
     assert len(seen) == 2
     for config in seen:
         for f in dataclasses.fields(cfg.stepper):
             assert getattr(config, f.name) == getattr(cfg.stepper, f.name), f.name
+
+
+_SMALL_SWEEP = ["grid.n=32", "grid.L=8", "stepper.t_end=0.05", "stepper.adaptive=no"]
+_TWO_PAIRS = ((0.6, 1.4), (0.7, 1.6))
+
+
+def test_sweep_builds_multipliers_once_per_pair(monkeypatch):
+    calls = []
+    build = cli.make_multipliers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_multipliers", counted)
+    rows = run_sweep(load_config(overrides=_SMALL_SWEEP), (0.9, 1.1),
+                     sg_pairs=_TWO_PAIRS, max_workers=1)
+    assert len(rows) == 4
+    assert len(calls) == 2
+
+
+def test_sweep_rows_do_not_depend_on_worker_count():
+    cfg = load_config(overrides=_SMALL_SWEEP)
+    serial = run_sweep(cfg, (0.9, 1.1), sg_pairs=_TWO_PAIRS, max_workers=1)
+    pooled = run_sweep(cfg, (0.9, 1.1), sg_pairs=_TWO_PAIRS, max_workers=2)
+    assert [r["index"] for r in serial] == [0, 1, 2, 3]
+    assert pooled == serial
+
+
+def test_sweep_explicit_amplitude_list(tmp_path):
+    rc = main(["sweep", "--out", str(tmp_path), *_SMALL_SWEEP, "--c", "0.9", "1.0", "1.1"])
+    assert rc == EXIT_OK
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == [0.9, 1.0, 1.1]
+
+
+@pytest.mark.parametrize("flag", [["--c-lo", "0.9"], ["--c-hi", "1.1"], ["--count", "3"]])
+def test_sweep_amplitude_list_excludes_grid_flags(tmp_path, capsys, flag):
+    rc = main(["sweep", "--out", str(tmp_path), *flag, "--c", "0.9", "1.1"])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_k1_prediction_needs_scattering_hypothesis(tmp_path):

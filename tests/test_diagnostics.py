@@ -25,6 +25,7 @@ from fhartree.functionals import hartree_energy
 from fhartree.spectral import (
     field_from_values,
     make_grid,
+    random_smooth_field,
     sobolev_norm,
     to_fourier,
 )
@@ -93,7 +94,7 @@ def test_norm_identity_on_gaussian(canonical, quad):
 def test_norm_identity_on_random_field(canonical, quad):
     rng = np.random.default_rng(7)
     u = field_from_values(canonical.grid,
-                          oracles.random_smooth_field(canonical.grid, rng))
+                          random_smooth_field(canonical.grid, rng))
     assert balakrishnan_check(u, canonical.p, quad)[2] < 1e-6
 
 
@@ -322,7 +323,7 @@ def test_weighted_virial_matches_continuum_oracle(canonical, params):
 def test_weighted_virial_nonnegative_and_quadratic(canonical, params):
     rng = np.random.default_rng(23)
     u = field_from_values(canonical.grid,
-                          oracles.random_smooth_field(canonical.grid, rng))
+                          random_smooth_field(canonical.grid, rng))
     v1 = weighted_virial(u, params)
     assert v1 >= 0.0
     u3 = field_from_values(canonical.grid, 3.0 * u.values)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from conftest import solve_setup
 
-import oracles
 from fhartree import evolution
 from fhartree.evolution import (
     StepperConfig,
@@ -25,13 +24,14 @@ from fhartree.spectral import (
     make_grid,
     make_multipliers,
     parseval_weight,
+    random_smooth_field,
     to_fourier,
 )
 
 
 def _rng_field(grid, seed):
     rng = np.random.default_rng(seed)
-    return field_from_values(grid, oracles.random_smooth_field(grid, rng))
+    return field_from_values(grid, random_smooth_field(grid, rng))
 
 
 # --------------------------------------------------------------------------

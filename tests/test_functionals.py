@@ -24,6 +24,7 @@ from fhartree.spectral import (
     lp_norm,
     make_grid,
     make_multipliers,
+    random_smooth_field,
     sobolev_norm,
     to_fourier,
 )
@@ -50,7 +51,7 @@ def test_mass_gaussian_closed_form(canonical):
 def test_mass_agrees_between_spaces(canonical):
     rng = np.random.default_rng(3)
     u = field_from_values(canonical.grid,
-                          oracles.random_smooth_field(canonical.grid, rng))
+                          random_smooth_field(canonical.grid, rng))
     assert np.isclose(mass(u), mass(to_fourier(u)), rtol=1e-13)
 
 
@@ -77,7 +78,7 @@ def test_quartic_nonnegative_on_random_fields(canonical):
     rng = np.random.default_rng(17)
     for _ in range(10):
         u = field_from_values(canonical.grid,
-                              oracles.random_smooth_field(canonical.grid, rng))
+                              random_smooth_field(canonical.grid, rng))
         assert hartree_energy(u, canonical.mult) >= 0.0
 
 
@@ -182,7 +183,7 @@ def test_gn_ratio_below_one_on_random_fields(canonical):
     rng = np.random.default_rng(1234)
     for _ in range(20):
         u = field_from_values(canonical.grid,
-                              oracles.random_smooth_field(canonical.grid, rng))
+                              random_smooth_field(canonical.grid, rng))
         r = gn_ratio(u, canonical.gs.cgn_a, canonical.p, canonical.mult)
         assert r <= 1.0 + 1e-4
 

@@ -23,6 +23,7 @@ from fhartree.spectral import (
     make_grid,
     make_multipliers,
     parseval_weight,
+    random_smooth_field,
     riesz_cell_average,
     sample_riesz_kernel,
     sobolev_norm,
@@ -33,7 +34,7 @@ from fhartree.spectral import (
 
 def _rng_field(grid, seed=0):
     rng = np.random.default_rng(seed)
-    return field_from_values(grid, oracles.random_smooth_field(grid, rng))
+    return field_from_values(grid, random_smooth_field(grid, rng))
 
 
 # --------------------------------------------------------------------------
