@@ -18,10 +18,12 @@ numerical failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -205,9 +207,28 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _notes():
+    """Print each UserWarning raised inside the block (the solver's box-tail
+    advisory, weighted_virial's boundary-mass advisory) as one `note: ...`
+    line once the block ends, instead of Python's file-and-source display.
+    Other warnings are passed on unchanged."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            yield
+    finally:
+        for w in caught:
+            if issubclass(w.category, UserWarning):
+                print(f"note: {w.message}")
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
 def _solve(cfg: RunConfig, seed: SpectralField | None = None):
     mult = make_multipliers(cfg.grid, cfg.physics, kernel_mode=cfg.kernel_mode)
-    gs = solve_ground_state(cfg.physics, cfg.grid, seed=seed, opts=cfg.solver, mult=mult)
+    with _notes():
+        gs = solve_ground_state(cfg.physics, cfg.grid, seed=seed, opts=cfg.solver, mult=mult)
     return gs, mult
 
 
@@ -542,71 +563,73 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     def check(name: str, measured: float, tol: float | None = None) -> None:
         checks.append((name, float(measured), VERIFY_TOLERANCES[name] if tol is None else tol))
 
-    seed = None
-    if args.q is not None:
-        seed, _, _ = read_snapshot(args.q, expect=p)
-        _require_grid_match(seed.grid, grid, "ground-state snapshot")
-    gs = solve_ground_state(p, grid, seed=seed, opts=cfg.solver, mult=mult)
-    if seed is not None:
-        # warm start from a certified profile must land almost immediately
-        check("warm_start_iterations", gs.iterations, 3.0)
+    # the solver and weighted_virial advisories print as note: lines
+    with _notes():
+        seed = None
+        if args.q is not None:
+            seed, _, _ = read_snapshot(args.q, expect=p)
+            _require_grid_match(seed.grid, grid, "ground-state snapshot")
+        gs = solve_ground_state(p, grid, seed=seed, opts=cfg.solver, mult=mult)
+        if seed is not None:
+            # warm start from a certified profile must land almost immediately
+            check("warm_start_iterations", gs.iterations, 3.0)
 
-    check("euler_lagrange_residual", gs.el_residual)
-    check("pohozaev_r1", abs(gs.pohozaev[0]))
-    check("pohozaev_r2", abs(gs.pohozaev[1]))
-    check("cgn_two_route", abs(gs.cgn_a - gs.cgn_b) / gs.cgn_a)
-    check("gn_ratio_ground_state", abs(gn_ratio(gs.q, gs.cgn_a, p, mult) - 1.0))
+        check("euler_lagrange_residual", gs.el_residual)
+        check("pohozaev_r1", abs(gs.pohozaev[0]))
+        check("pohozaev_r2", abs(gs.pohozaev[1]))
+        check("cgn_two_route", abs(gs.cgn_a - gs.cgn_b) / gs.cgn_a)
+        check("gn_ratio_ground_state", abs(gn_ratio(gs.q, gs.cgn_a, p, mult) - 1.0))
 
-    rng = np.random.default_rng(cfg.io.seed)
-    excess = max(
-        gn_ratio(field_from_values(grid, random_smooth_field(grid, rng, span=grid.L / 8.0)),
-                 gs.cgn_a, p, mult) - 1.0
-        for _ in range(20)
-    )
-    check("gn_ratio_random_excess", excess)
+        rng = np.random.default_rng(cfg.io.seed)
+        excess = max(
+            gn_ratio(field_from_values(grid, random_smooth_field(grid, rng, span=grid.L / 8.0)),
+                     gs.cgn_a, p, mult) - 1.0
+            for _ in range(20)
+        )
+        check("gn_ratio_random_excess", excess)
 
-    rep = gs.threshold_report
-    check("threshold_me_two_route", rep.me_discrepancy)
-    check("threshold_grad_two_route", rep.grad_discrepancy)
-    ratio_closed = 2.0 * p.gamma / (p.gamma - 2.0 * p.s)
-    check(
-        "threshold_ratio_closed_form",
-        abs(gs.grad_Q / gs.me_Q - ratio_closed) / ratio_closed,
-    )
+        rep = gs.threshold_report
+        check("threshold_me_two_route", rep.me_discrepancy)
+        check("threshold_grad_two_route", rep.grad_discrepancy)
+        ratio_closed = 2.0 * p.gamma / (p.gamma - 2.0 * p.s)
+        check(
+            "threshold_ratio_closed_form",
+            abs(gs.grad_Q / gs.me_Q - ratio_closed) / ratio_closed,
+        )
 
-    quad = build_quadrature(p.s)
-    gaussian = field_from_values(grid, np.exp(-grid.r_mesh**2).astype(np.complex128))
-    _, _, rel = balakrishnan_check(gaussian, p, quad)
-    check("balakrishnan_gaussian", rel)
+        quad = build_quadrature(p.s)
+        gaussian = field_from_values(grid, np.exp(-grid.r_mesh**2).astype(np.complex128))
+        _, _, rel = balakrishnan_check(gaussian, p, quad)
+        check("balakrishnan_gaussian", rel)
 
-    # short inside-K1 evolution: conservation + flow invariance + comparability
-    u0 = field_from_values(grid, 0.9 * gs.q.values)
-    rec = evolve(u0, p, mult,
-                 StepperConfig(dt=cfg.stepper.dt, t_end=0.2, record_every=10),
-                 gs=gs)
-    check("mass_drift", rec.mass_drift)
-    check("energy_drift", rec.energy_drift)
-    audit = invariance_audit(rec)
-    check("flow_invariance_flips", 0.0 if (audit.applicable and not audit.flipped) else 1.0, 0.5)
-    comp0 = comparability_check(u0, p, mult)
-    comp1 = comparability_check(rec.final_state, p, mult)
-    check("comparability_margins",
-          -min(comp0.lower_margin, comp0.upper_margin,
-               comp1.lower_margin, comp1.upper_margin), 0.0)
-    check("coercivity_gap", -min(comp0.coercivity_gap, comp1.coercivity_gap), 0.0)
+        # short inside-K1 evolution: conservation + flow invariance + comparability
+        u0 = field_from_values(grid, 0.9 * gs.q.values)
+        rec = evolve(u0, p, mult,
+                     StepperConfig(dt=cfg.stepper.dt, t_end=0.2, record_every=10),
+                     gs=gs)
+        check("mass_drift", rec.mass_drift)
+        check("energy_drift", rec.energy_drift)
+        audit = invariance_audit(rec)
+        check("flow_invariance_flips", 0.0 if (audit.applicable and not audit.flipped) else 1.0, 0.5)
+        comp0 = comparability_check(u0, p, mult)
+        comp1 = comparability_check(rec.final_state, p, mult)
+        check("comparability_margins",
+              -min(comp0.lower_margin, comp0.upper_margin,
+                   comp1.lower_margin, comp1.upper_margin), 0.0)
+        check("coercivity_gap", -min(comp0.coercivity_gap, comp1.coercivity_gap), 0.0)
 
-    # virial machinery: main+I at Q must reproduce 2*gamma*((4s/gamma)*G - V)
-    # (both sides vanish at Q up to localization error), normalized by G
-    phi = build_cutoff(grid)
-    rhs = virial_rhs(gs.q, phi, p, mult, quad)
-    g_q = gs.hs**2
-    surrogate = 2.0 * p.gamma * ((4.0 * p.s / p.gamma) * g_q - gs.v_q)
-    check("virial_surrogate",
-          abs(rhs.main + rhs.interaction - surrogate) / (2.0 * p.gamma * g_q))
-    bump = field_from_values(
-        grid, np.exp(-grid.r_mesh**2 / 2.0).astype(np.complex128)
-    )
-    check("weighted_virial_min", -min(weighted_virial(gs.q, p), weighted_virial(bump, p)))
+        # virial machinery: main+I at Q must reproduce 2*gamma*((4s/gamma)*G - V)
+        # (both sides vanish at Q up to localization error), normalized by G
+        phi = build_cutoff(grid)
+        rhs = virial_rhs(gs.q, phi, p, mult, quad)
+        g_q = gs.hs**2
+        surrogate = 2.0 * p.gamma * ((4.0 * p.s / p.gamma) * g_q - gs.v_q)
+        check("virial_surrogate",
+              abs(rhs.main + rhs.interaction - surrogate) / (2.0 * p.gamma * g_q))
+        bump = field_from_values(
+            grid, np.exp(-grid.r_mesh**2 / 2.0).astype(np.complex128)
+        )
+        check("weighted_virial_min", -min(weighted_virial(gs.q, p), weighted_virial(bump, p)))
 
     failures = 0
     lines = []

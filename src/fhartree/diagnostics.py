@@ -5,8 +5,16 @@ The fractional Laplacian admits a resolvent representation through the
 auxiliary field u_m = c_s (-Delta + m)^{-1} u with c_s = sqrt(sin(pi s)/pi):
 integrating m^s ||grad u_m||_2^2 over m in (0, inf) returns s ||u||_{Hs-dot}^2
 exactly.  That identity turns localized virial computations into spatially
-masked integrals of |grad u_m|^2 and |u_m|^2, quadratured over m on a log
-axis.  The cutoff is radial: psi(r) = r^2 inside the unit ball, 0 outside
+masked integrals of |grad u_m|^2 and |u_m|^2, quadratured over m by a
+three-piece rule (build_quadrature): Gauss-Jacobi with weight m^{s-1} on
+[0, a], Gauss-Legendre panels on ln m over [a, b], and Gauss-Jacobi with
+weight t^{-s} in t = 1/m on [0, 1/b].  Nothing is truncated.  The
+integrands are sums over the grid's modes with poles at m = -|xi|^2, all on
+[-max |xi|^2, 0], so the rule is valid while max |xi|^2 stays well below b;
+the diagnostics refuse a grid with max |xi|^2 > b/10.  The bilaplacian
+table is the grid's own spectral Delta^2 of the cutoff, which sums to zero
+as in the continuum, so the m-integral has no 1/m^2 pole at m = 0 and
+converges.  The cutoff is radial: psi(r) = r^2 inside the unit ball, 0 outside
 radius 2, bridged on [1, 2] by the unique degree-9 polynomial that matches
 psi through its fourth derivative at r=1 and vanishes through the fourth
 derivative at r=2, so the scaled cutoff phi_R(x) = R^2 psi(|x|/R) is C^4 and
@@ -14,6 +22,7 @@ equals |x|^2 exactly on |x| <= R.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,91 +33,161 @@ from .spectral import (
     GridSpec,
     MultiplierSet,
     SpectralField,
+    _half,
+    _irfftn,
+    _rfftn,
     parseval_weight,
     to_fourier,
     to_physical,
 )
 
-# Targets steering the default m-truncation of the resolvent quadrature: the
-# neglected tail above m_max carries a relative weight ~ (q/m_max)^{1-s} for
-# a mode with |xi|^2 = q, so m_max is chosen to push that weight below
-# _TAIL_TARGET for all q up to _Q_REF (|xi|^2 on desk-scale grids).
-_TAIL_TARGET = 1e-7
-_Q_REF = 300.0
-_M_MAX_CAP = 1e130
-_NODES_PER_PANEL = 8
+#: Seams of the default m-rule: Gauss-Jacobi on [0, a], log-axis panels on
+#: [a, b], Gauss-Jacobi in t = 1/m on [0, 1/b].
+_HEAD_SEAM = 1e-4
+_TAIL_SEAM = 1e6
+#: Widest Gauss-Legendre panel on the ln m axis.
+_PANEL_WIDTH = 3.0
+#: Head and tail shares of the nodes: 8 and 12 of the default 84.
+_HEAD_SHARE = 8.0 / 84.0
+_TAIL_SHARE = 12.0 / 84.0
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes m_k and weights w_k approximating int_0^inf m^s f(m) dm.
+    """Nodes m_k and weights w_k with sum w_k f(m_k) ~ int_0^inf m^s f(m) dm.
 
-    Built on the log axis y = ln m with composite Gauss-Legendre panels; the
-    weights absorb both the Jacobian m and the m^s factor, so callers sum
-    w_k * f(m_k) for the plain integrand f.
+    The weights absorb m^s and every Jacobian, so callers sum w_k * f(m_k)
+    for the plain integrand f.  Three pieces, no truncation: Gauss-Jacobi
+    with weight m^{s-1} on [0, a], Gauss-Legendre panels on ln m over
+    [a, b], and Gauss-Jacobi with weight t^{-s} in t = 1/m on [0, 1/b].  The
+    rule is built for integrands sum_q c_q/(q+m)^2 and c_q/((q+m)(q'+m)),
+    whose poles lie on [-max q, 0]; it is valid while max q stays well below
+    b (the diagnostics require max q <= b/10) and the integrand has no
+    double pole at m = 0.  The default 84 nodes hold the scalar identity
+    int m^s q/(q+m)^2 dm = q^s pi s/sin(pi s) to ~1e-10 for q in [1e-3, 1e5].
     """
 
     s: float
     nodes: np.ndarray
     weights: np.ndarray
-    m_min: float
-    m_max: float
+    a: float
+    b: float
 
     @property
     def n_nodes(self) -> int:
         return int(self.nodes.size)
 
+    def require_covers(self, grid: GridSpec) -> None:
+        """Raise ValueError unless the grid's largest |xi|^2 is <= b/10."""
+        q_max = grid.N * grid.xi_nyquist**2
+        if q_max > 0.1 * self.b:
+            raise ValueError(
+                f"the grid's largest |xi|^2 = {q_max:.3g} exceeds b/10 = {0.1 * self.b:.3g}; "
+                f"build the m-rule with b >= {10.0 * q_max:.3g}"
+            )
 
-def _default_m_max(s: float) -> float:
-    # Relative tail of int m^s q/(q+m)^2 dm above m_max, against the exact
-    # value q^s Gamma(1+s) Gamma(1-s):
-    #   (q/m_max)^{1-s} / ((1-s) Gamma(1+s) Gamma(1-s)),
-    # with Gamma(1+s) Gamma(1-s) = pi s / sin(pi s).
-    gg = np.pi * s / np.sin(np.pi * s)
-    target = _TAIL_TARGET * (1.0 - s) * gg
-    return float(min(_Q_REF * target ** (-1.0 / (1.0 - s)), _M_MAX_CAP))
+
+def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the Jacobi recurrence; the weights are the Christoffel
+    numbers of the same recurrence at those nodes (equal to mu_0 times the
+    squared first eigenvector components, mu_0 = int (1-x)^alpha (1+x)^beta
+    dx).  Same convention as scipy.special.roots_jacobi; alpha, beta > -1.
+    """
+    if n < 1 or not (alpha > -1.0 and beta > -1.0):
+        raise ValueError(f"need n >= 1 and alpha, beta > -1, got {n}, {alpha}, {beta}")
+    ab = alpha + beta
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    off = np.empty(n - 1)
+    if n > 1:
+        k = np.arange(1, n, dtype=float)
+        t = 2.0 * k + ab
+        diag[1:] = (beta**2 - alpha**2) / (t * (t + 2.0))
+        # k = 1 with the factor (1 + alpha + beta) cancelled, so that
+        # alpha + beta = -1 does not divide zero by zero
+        off[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))
+        k, t = k[1:], t[1:]
+        off[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (t**2 * (t + 1.0) * (t - 1.0))
+        np.sqrt(off, out=off)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
+    # Christoffel numbers 1/sum_k p_k(x)^2 of the orthonormal polynomials, a
+    # sum of positive terms: the small weights keep their relative accuracy,
+    # which the squared eigenvector components lose
+    p_prev, p = np.zeros(n), np.full(n, 1.0 / math.sqrt(mu0))
+    total = p**2
+    for j in range(n - 1):
+        p_prev, p = p, ((x - diag[j]) * p - (off[j - 1] * p_prev if j else 0.0)) / off[j]
+        total += p**2
+    return x, 1.0 / total
 
 
 def build_quadrature(
     s: float,
-    n_nodes: int = 200,
-    m_min: float = 1e-6,
-    m_max: float | None = None,
+    n_nodes: int = 84,
+    a: float = _HEAD_SEAM,
+    b: float = _TAIL_SEAM,
 ) -> QuadratureRule:
-    """Composite Gauss-Legendre rule for int_0^inf m^s f(m) dm.
+    """Three-piece rule for int_0^inf m^s f(m) dm with exact end pieces.
 
-    The truncation default is s-aware: the integrands here decay like
-    m^{s-2}, so a fixed upper cutoff leaves an O(m_max^{s-1}) relative tail
-    that grows intolerable as s -> 1.  m_max is pushed until that tail drops
-    below 1e-7 for desk-scale wavenumbers (capped so the weights stay inside
-    double-precision range).
+    - head [0, a]: int m^{s-1} (m f(m)) dm by Gauss-Jacobi, exact in the
+      singular factor m^{s-1}; m f(m) is smooth there when the poles of f
+      stay a distance ~q_min > a away from 0 and f has at most a simple
+      pole at m = 0;
+    - middle [a, b]: Gauss-Legendre panels at most 3 units wide on ln m,
+      where m^{s+1} f(e^y) has its poles pi off the real axis;
+    - tail [b, inf): with t = 1/m, int_0^{1/b} t^{-s} (t^{-2} f(1/t)) dt by
+      Gauss-Jacobi; t^{-2} f(1/t) is analytic for |t| < 1/max q.
+
+    The default a=1e-4, b=1e6 and 84 nodes (8 + 8 panels of 8 + 12) hold
+    for every grid with max |xi|^2 <= 1e5, which virial_rhs and
+    balakrishnan_check enforce.  Other node counts keep the shares: about
+    2/21 of the nodes in the head, 3/21 in the tail, the rest spread over
+    the panels.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if n_nodes < _NODES_PER_PANEL:
-        raise ValueError(f"need at least {_NODES_PER_PANEL} nodes, got {n_nodes}")
-    if m_max is None:
-        m_max = _default_m_max(s)
-    if not 0.0 < m_min < m_max:
-        raise ValueError(f"need 0 < m_min < m_max, got [{m_min}, {m_max}]")
-    n_panels = max(1, int(round(n_nodes / _NODES_PER_PANEL)))
-    y_lo, y_hi = np.log(m_min), np.log(m_max)
-    edges = np.linspace(y_lo, y_hi, n_panels + 1)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        y = mid + half * gl_x
-        m = np.exp(y)
-        nodes.append(m)
-        weights.append(gl_w * half * m ** (1.0 + s))
+    if not 0.0 < a < b:
+        raise ValueError(f"need seams 0 < a < b, got [{a}, {b}]")
+    n_panels = math.ceil(math.log(b / a) / _PANEL_WIDTH)
+    n_head = max(1, round(_HEAD_SHARE * n_nodes))
+    n_tail = max(1, round(_TAIL_SHARE * n_nodes))
+    n_mid = n_nodes - n_head - n_tail
+    if n_mid < n_panels:
+        raise ValueError(f"need at least {n_panels + 2} nodes, got {n_nodes}")
+
+    # head: m = a (1+x)/2, int_0^a m^s f dm = (a/2)^s int (1+x)^{s-1} m f dx
+    x, lam = gauss_jacobi(n_head, 0.0, s - 1.0)
+    m_head = 0.5 * a * (1.0 + x)
+    w_head = (0.5 * a) ** s * lam * m_head
+
+    # middle: y = ln m, int m^s f dm = int e^{(s+1) y} f(e^y) dy
+    counts = np.full(n_panels, n_mid // n_panels)
+    counts[: n_mid % n_panels] += 1
+    edges = np.linspace(math.log(a), math.log(b), n_panels + 1)
+    m_mid, w_mid = [], []
+    for lo, hi, k in zip(edges[:-1], edges[1:], counts):
+        gl_x, gl_w = np.polynomial.legendre.leggauss(int(k))
+        half = 0.5 * (hi - lo)
+        m = np.exp(0.5 * (lo + hi) + half * gl_x)
+        m_mid.append(m)
+        w_mid.append(gl_w * half * m ** (1.0 + s))
+
+    # tail: t = 1/m = (1+x)/(2b), int_b^inf m^s f dm
+    #       = (2b)^{s-1} int (1+x)^{-s} t^{-2} f(1/t) dx
+    x, lam = gauss_jacobi(n_tail, 0.0, -s)
+    m_tail = (2.0 * b / (1.0 + x))[::-1]
+    w_tail = ((2.0 * b) ** (s - 1.0) * lam)[::-1] * m_tail**2
+
     return QuadratureRule(
         s=s,
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        m_min=m_min,
-        m_max=float(m_max),
+        nodes=np.concatenate([m_head, *m_mid, m_tail]),
+        weights=np.concatenate([w_head, *w_mid, w_tail]),
+        a=float(a),
+        b=float(b),
     )
 
 
@@ -132,11 +211,13 @@ def balakrishnan_check(
     """Quadrature the m-integral of ||grad u_m||_2^2 against s ||u||_{Hs-dot}^2.
 
     Returns (lhs, rhs, rel_err); the identity is exact in the continuum and
-    mode-by-mode on the grid, so rel_err is pure quadrature/truncation error.
+    mode-by-mode on the grid, so rel_err is pure quadrature error.  Raises
+    ValueError when the grid's largest |xi|^2 exceeds quad.b/10.
     """
     if not u.is_physical:
         raise ValueError("balakrishnan_check requires a physical-space field")
     grid = u.grid
+    quad.require_covers(grid)
     hat = np.fft.fftn(u.values)
     dens = (hat.real**2 + hat.imag**2) * (
         parseval_weight(grid) * grid.h ** (2 * grid.N)
@@ -205,8 +286,9 @@ class CutoffPhi:
 
     grad holds the components of grad phi_R (equal to 2x on |x| <= R);
     psi_pp_annulus is psi''(|x|/R) masked to the bridge annulus R<|x|<2R;
-    lap2 is (Delta^2 psi)(x/R), identically zero outside the annulus; the
-    ball mask selects |x| <= R.
+    lap2 is (Delta^2 psi)(x/R) = R^2 Delta^2 phi_R, taken spectrally on the
+    grid, so it sums to zero over the grid up to rounding; the ball mask
+    selects |x| <= R.
     """
 
     grid: GridSpec
@@ -229,8 +311,7 @@ def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
     if not 0.0 < 2.0 * R <= grid.L:
         raise ValueError(f"need 0 < 2R <= L, got R={R} on L={grid.L}")
     rho = grid.r_mesh / R
-    psi0, psi1, psi2, psi3, psi4 = psi_derivatives(rho)
-    del psi0
+    psi0, psi1, psi2, _, _ = psi_derivatives(rho)
     # grad phi_R = psi'(rho) x / |x| * R = (psi'(rho)/rho) x; the ratio tends
     # to 2 at the origin where psi' = 2 rho.
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -238,16 +319,12 @@ def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
     grad = tuple(slope * x for x in grid.x_mesh)
     annulus = (rho > 1.0) & (rho < 2.0)
     psi_pp_annulus = np.where(annulus, psi2, 0.0)
-    nm1 = grid.N - 1
-    nm3 = grid.N - 3
-    lap2 = np.zeros_like(rho)
-    rb = rho[annulus]
-    lap2[annulus] = (
-        psi4[annulus]
-        + 2.0 * nm1 * psi3[annulus] / rb
-        + nm1 * nm3 * psi2[annulus] / rb**2
-        - nm1 * nm3 * psi1[annulus] / rb**3
-    )
+    # Delta^2 of the tabulated phi_R on the grid's own spectrum, so that
+    # lap2 sums to zero like its continuum counterpart.  The analytic
+    # (Delta^2 psi)(x/R) does not (h^N sum lap2 = -13.0 at 256^2, L=32),
+    # and that sum becomes a divergent |u_hat(0)|^2 m^{s-2} term of the
+    # m-integral.
+    lap2 = R**2 * _irfftn(_half(grid.xi_sq) ** 2 * _rfftn(R**2 * psi0), grid.shape)
     return CutoffPhi(
         grid=grid,
         R=float(R),
@@ -294,6 +371,12 @@ class VirialRHS:
         return self.main + self.interaction
 
 
+def _weighted_sum(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
+    """sum(w * f * g) over equal-shaped arrays in one einsum pass, without
+    the product temporaries (and without BLAS)."""
+    return float(np.einsum("i,i,i->", w.ravel(), f.ravel(), g.ravel()))
+
+
 def virial_rhs(
     u: SpectralField,
     phi: CutoffPhi,
@@ -306,45 +389,60 @@ def virial_rhs(
     main = 8 int m^s int_{|x|<=R} |grad u_m|^2
          + 4 int m^s int_{R<|x|<2R} psi''(|x|/R) |grad u_m|^2
          - R^{-2} int m^s int (Delta^2 psi)(x/R) |u_m|^2,
-    with u_m = c_s (-Delta+m)^{-1} u quadratured node by node.
+    with u_m = c_s (-Delta+m)^{-1} u quadratured node by node.  The real
+    and imaginary parts of u are resolved separately on the real transform
+    pair (a real u has one part); each node costs N+1 inverse transforms
+    per part.  Raises ValueError when the grid's largest |xi|^2 exceeds
+    quad.b/10.
     """
     if not u.is_physical:
         raise ValueError("virial_rhs requires a physical-space field")
     if u.grid != phi.grid or u.grid != mult.grid:
         raise ValueError("field, cutoff, and multipliers must share one grid")
     grid = u.grid
+    quad.require_covers(grid)
+    shape = grid.shape
     hN = grid.h**grid.N
-    q = grid.xi_sq
-    hat = np.fft.fftn(u.values)
-    cs2 = np.sin(np.pi * p.s) / np.pi
-    ball = phi.ball_mask
-    main1 = main2 = main3 = 0.0
-    for m_k, w_k in zip(quad.nodes, quad.weights):
-        rhat = hat / (q + m_k)
-        grad_sq = np.zeros(grid.shape)
-        for xi in grid.xi_mesh:
-            d = np.fft.ifftn(1j * xi * rhat)
-            grad_sq += d.real**2 + d.imag**2
-        um = np.fft.ifftn(rhat)
-        um_sq = um.real**2 + um.imag**2
-        main1 += w_k * float(np.sum(grad_sq[ball]))
-        main2 += w_k * float(np.sum(phi.psi_pp_annulus * grad_sq))
-        main3 += w_k * float(np.sum(phi.lap2 * um_sq))
-    main = cs2 * hN * (8.0 * main1 + 4.0 * main2 - main3 / phi.R**2)
+    q = _half(grid.xi_sq)
+    ixi = [1j * _half(xi) for xi in grid.xi_mesh]
+    parts = [u.values.real]
+    if np.any(u.values.imag):
+        parts.append(u.values.imag)
+    hats = [_rfftn(f) for f in parts]
 
-    rho = u.values.real**2 + u.values.imag**2
-    rho_hat = np.fft.fftn(rho)
+    # |grad u_m|^2 weight: 8 on the ball, 4 psi'' on the annulus
+    grad_w = 8.0 * phi.ball_mask + 4.0 * phi.psi_pp_annulus
+    lap2 = phi.lap2 / phi.R**2
+    main = 0.0
+    for m_k, w_k in zip(quad.nodes, quad.weights):
+        inv = 1.0 / (q + m_k)
+        acc = 0.0
+        for hat in hats:
+            rhat = hat * inv
+            for ix in ixi:
+                d = _irfftn(ix * rhat, shape)
+                acc += _weighted_sum(grad_w, d, d)
+            um = _irfftn(rhat, shape)
+            acc -= _weighted_sum(lap2, um, um)
+        main += w_k * acc
+    main *= np.sin(np.pi * p.s) / np.pi * hN
+
+    rho = sum(f**2 for f in parts)
+    rho_hat = _rfftn(rho)
     interaction = 0.0
     for g, gk in zip(phi.grad, mult.grad_kernel_hat):
-        conv = np.fft.ifftn(gk * rho_hat).real
-        interaction += float(np.sum(g * conv * rho))
+        conv = _irfftn(_half(gk) * rho_hat, shape)
+        interaction += _weighted_sum(g, conv, rho)
     interaction *= 2.0 * hN
 
     out = phi.outside_mask
-    ds = np.fft.ifftn(q ** (0.5 * p.s) * hat)
-    ds_tail = hN * float(np.sum(ds.real[out] ** 2 + ds.imag[out] ** 2))
+    ds_s = q ** (0.5 * p.s)
+    ds_tail = 0.0
+    for hat in hats:
+        ds = _irfftn(ds_s * hat, shape)
+        ds_tail += hN * float(np.sum(ds[out] ** 2))
     l2_tail = hN * float(np.sum(rho[out])) / phi.R**2
-    pot = np.fft.ifftn(mult.hartree_kernel_hat * rho_hat).real
+    pot = _irfftn(_half(mult.hartree_kernel_hat) * rho_hat, shape)
     v_tail = hN * float(np.sum(pot[out] * rho[out]))
     return VirialRHS(main=main, interaction=interaction, a_r_bound=ds_tail + l2_tail + v_tail)
 

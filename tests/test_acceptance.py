@@ -189,8 +189,8 @@ def test_08_resolvent_identity(canonical):
 
     errs = [balakrishnan_check(gauss, p, build_quadrature(p.s, n_nodes=nn))[2]
             for nn in (25, 50, 100, 200)]
-    # each doubling at least halves the error until the m-range truncation
-    # floor (~2.4e-8 for the default tail target) takes over
+    # each doubling at least halves the error until it is below 5e-8 (the
+    # default 84-node rule reads 3.0e-13 on this Gaussian)
     halving = all(e2 < 0.5 * e1 or e2 < 5e-8 for e1, e2 in zip(errs, errs[1:]))
 
     ok = rel_gauss < 1e-4 and worst < 1e-4 and halving

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -65,6 +66,18 @@ def test_ground_state_command(tmp_path):
     assert (p.s, p.gamma) == (0.7, 1.6)
     assert side["kind"] == "ground-state"
     assert side["iterations"] == report["summary"]["iterations"]
+
+
+def test_ground_state_tail_advisory_is_a_note(tmp_path, capsys):
+    # the library warns API callers; the CLI prints one note: line instead
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["ground-state", "grid.n=64", "grid.L=8", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+    notes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("note: ground-state tail")]
+    assert len(notes) == 1
 
 
 def test_ground_state_nonconvergence_exit_code(tmp_path):

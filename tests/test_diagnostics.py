@@ -14,6 +14,7 @@ from fhartree.diagnostics import (
     bridge_coefficients,
     build_cutoff,
     build_quadrature,
+    gauss_jacobi,
     localized_virial,
     psi_derivatives,
     scattering_proxies,
@@ -47,19 +48,46 @@ def test_quadrature_validation():
     with pytest.raises(ValueError):
         build_quadrature(0.7, n_nodes=4)
     with pytest.raises(ValueError):
-        build_quadrature(0.7, m_min=1.0, m_max=0.5)
+        build_quadrature(0.7, a=1.0, b=0.5)
+    with pytest.raises(ValueError):
+        build_quadrature(0.7, a=0.0)
 
 
 def test_quadrature_structure(quad):
+    # 8 Gauss-Jacobi nodes below a, 8 panels of 8 on [a, b], 12 above b
     assert np.all(quad.nodes > 0.0)
     assert np.all(np.diff(quad.nodes) > 0.0)
     assert np.all(quad.weights > 0.0)
-    assert quad.n_nodes == 200
+    assert quad.n_nodes == 84
+    assert (quad.a, quad.b) == (1e-4, 1e6)
+    assert np.sum(quad.nodes < quad.a) == 8
+    assert np.sum(quad.nodes > quad.b) == 12
+    assert build_quadrature(0.7, n_nodes=200).n_nodes == 200
 
 
-def test_quadrature_truncation_grows_toward_s_one():
-    # the integrand tail decays like m^{s-2}, so larger s needs a larger cap
-    assert build_quadrature(0.9).m_max > build_quadrature(0.5).m_max
+@pytest.mark.parametrize("s", [0.55, 0.7, 0.9])
+def test_scalar_identity_without_truncation(s):
+    # no m-cutoff: the t = 1/m Gauss-Jacobi tail is exact in its t^{-s}
+    # factor, so the identity holds uniformly up to q = b/10 as s grows
+    rule = build_quadrature(s)
+    for q in np.logspace(-3.0, 5.0, 33):
+        got = float(np.sum(rule.weights * q / (q + rule.nodes) ** 2))
+        want = oracles.balakrishnan_scalar(q, s)
+        assert abs(got - want) / want <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+@pytest.mark.parametrize("beta", [-0.45, -0.3, -0.1, -0.55, -0.7, -0.9])
+def test_gauss_jacobi_matches_scipy(n, beta):
+    # beta = s - 1 (head) and -s (tail) for s in {0.55, 0.7, 0.9}; weights
+    # compared against their total, since scipy's own small weights drift
+    # by ~1e-13 relative at these sizes (40-digit Newton reference)
+    from scipy.special import roots_jacobi
+
+    x, w = gauss_jacobi(n, 0.0, beta)
+    x_ref, w_ref = roots_jacobi(n, 0.0, beta)
+    assert np.max(np.abs(x - x_ref)) <= 1e-13
+    assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.sum(w_ref)
 
 
 def test_scalar_resolvent_identity(quad, params):
@@ -187,9 +215,8 @@ def test_build_cutoff_geometry(canonical):
     i = c + 8  # x = 2 < R = 8
     assert np.isclose(phi.grad[0][i, c], 2.0 * g.x_axis[i], rtol=1e-12)
     assert np.isclose(phi.grad[0][c, c], 0.0, atol=1e-14)
-    # bilaplacian table vanishes off the annulus
-    ball_or_out = (g.r_mesh <= phi.R) | (g.r_mesh >= 2 * phi.R)
-    assert np.allclose(phi.lap2[ball_or_out], 0.0, atol=1e-12)
+    # the spectral bilaplacian table sums to zero, as in the continuum
+    assert abs(np.sum(phi.lap2)) <= 1e-14 * np.sum(np.abs(phi.lap2))
     assert phi.ball_mask[c, c]
     assert not phi.ball_mask[0, 0]
 
@@ -268,8 +295,52 @@ def test_virial_rhs_time_derivative_consistency(virial_fd, quad):
     dt = ts[1] - ts[0]
     fd4 = (-mr[k + 2] + 8 * mr[k + 1] - 8 * mr[k - 1] + mr[k - 2]) / (12 * dt)
     r = virial_rhs(rec.snapshots[k][1], phi, setup.p, setup.mult, quad)
-    assert abs(fd4 - r.total) / abs(fd4) < 1e-3
+    assert abs(fd4 - r.total) / abs(fd4) < 2e-5
     assert abs(fd4 - r.total) < r.a_r_bound
+
+
+def test_virial_rhs_head_seam_insensitive(virial_fd, quad):
+    """With the zero-sum bilaplacian the m-integrand has no 1/m^2 pole, so
+    moving the head seam from 1e-4 to 1e-6 leaves the total in place."""
+    setup, rec = virial_fd
+    phi = build_cutoff(setup.grid)
+    u = rec.snapshots[len(rec.snapshots) // 2][1]
+    base = virial_rhs(u, phi, setup.p, setup.mult, quad).total
+    moved = virial_rhs(u, phi, setup.p, setup.mult,
+                       build_quadrature(setup.p.s, a=1e-6)).total
+    assert abs(moved - base) <= 1e-8 * abs(base)
+
+
+def test_virial_rhs_default_rule_matches_fine_rule(virial_fd, quad):
+    setup, _ = virial_fd
+    phi = build_cutoff(setup.grid)
+    q = setup.gs.q
+    r = virial_rhs(q, phi, setup.p, setup.mult, quad)
+    fine = virial_rhs(q, phi, setup.p, setup.mult, build_quadrature(setup.p.s, n_nodes=200))
+    assert abs(r.main - fine.main) <= 1e-10 * abs(fine.main)
+
+
+def test_virial_rhs_phase_invariant(canonical, quad):
+    # a real Q takes the one-part path, e^{i theta} Q the two-part path
+    p, q = canonical.p, canonical.gs.q
+    phi = build_cutoff(canonical.grid)
+    assert not np.any(q.values.imag)
+    one = virial_rhs(q, phi, p, canonical.mult, quad)
+    two = virial_rhs(field_from_values(canonical.grid, np.exp(0.7j) * q.values),
+                     phi, p, canonical.mult, quad)
+    for a, b in ((one.main, two.main), (one.interaction, two.interaction),
+                 (one.a_r_bound, two.a_r_bound)):
+        assert abs(a - b) <= 1e-13 * abs(a)
+
+
+def test_rule_must_cover_the_grid(canonical):
+    # max |xi|^2 at 128^2, L=32 is 2 (pi/h)^2 = 316 > b/10 = 100
+    short = build_quadrature(canonical.p.s, b=1e3)
+    phi = build_cutoff(canonical.grid)
+    with pytest.raises(ValueError, match="b/10"):
+        virial_rhs(canonical.gs.q, phi, canonical.p, canonical.mult, short)
+    with pytest.raises(ValueError, match="b/10"):
+        balakrishnan_check(canonical.gs.q, canonical.p, short)
 
 
 def test_virial_rhs_positive_inside_k1(virial_fd, quad):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import solve_setup
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fhartree import evolution
 from fhartree.evolution import (
@@ -104,6 +106,34 @@ def test_strang_step_is_time_reversible(canonical):
     for _ in range(10):
         back = strang_step(back, canonical.mult, dt=-2e-3)
     assert np.max(np.abs(back.values - u.values)) < 1e-11 * np.max(np.abs(u.values))
+
+
+@pytest.fixture(scope="module")
+def small(params):
+    grid = make_grid(N=2, n=32, L=16.0)
+    return grid, make_multipliers(grid, params)
+
+
+# dt drawn from +-[1e-4, 5e-2]
+_signed_dt = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(1e-4, 5e-2)).map(
+    lambda pair: pair[0] * pair[1]
+)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dt=_signed_dt)
+def test_strang_step_keeps_mass_property(small, seed, dt):
+    grid, mult = small
+    u = _rng_field(grid, seed)
+    v = strang_step(u, mult, dt=dt)
+    assert abs(mass(v) - mass(u)) <= 1e-13 * mass(u)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dt=_signed_dt)
+def test_strang_step_reverses_property(small, seed, dt):
+    grid, mult = small
+    u = _rng_field(grid, seed)
+    back = strang_step(strang_step(u, mult, dt=dt), mult, dt=-dt)
+    assert np.max(np.abs(back.values - u.values)) <= 1e-12 * np.max(np.abs(u.values))
 
 
 def test_dealias_projection_breaks_mass_by_tail_only(canonical):
