@@ -38,6 +38,7 @@ from .diagnostics import (
     build_quadrature,
     virial_rhs,
     weighted_virial,
+    weighted_virial_of_gaussian,
 )
 from .evolution import (
     VERDICT_BLOWUP,
@@ -550,7 +551,7 @@ VERIFY_TOLERANCES = {
     "mass_drift": 1.0e-10,
     "energy_drift": 1.0e-6,
     "virial_surrogate": 1.0e-2,
-    "weighted_virial_min": 1.0e-12,
+    "weighted_virial_gaussian": 1.0e-4,
 }
 
 
@@ -626,10 +627,12 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         surrogate = 2.0 * p.gamma * ((4.0 * p.s / p.gamma) * g_q - gs.v_q)
         check("virial_surrogate",
               abs(rhs.main + rhs.interaction - surrogate) / (2.0 * p.gamma * g_q))
+        # weighted virial of exp(-r^2/2) against its closed form
         bump = field_from_values(
             grid, np.exp(-grid.r_mesh**2 / 2.0).astype(np.complex128)
         )
-        check("weighted_virial_min", -min(weighted_virial(gs.q, p), weighted_virial(bump, p)))
+        p_ref = weighted_virial_of_gaussian(p.s, grid.N)
+        check("weighted_virial_gaussian", abs(weighted_virial(bump, p) - p_ref) / p_ref)
 
     failures = 0
     lines = []

@@ -10,8 +10,9 @@ three-piece rule (build_quadrature): Gauss-Jacobi with weight m^{s-1} on
 [0, a], Gauss-Legendre panels on ln m over [a, b], and Gauss-Jacobi with
 weight t^{-s} in t = 1/m on [0, 1/b].  Nothing is truncated.  The
 integrands are sums over the grid's modes with poles at m = -|xi|^2, all on
-[-max |xi|^2, 0], so the rule is valid while max |xi|^2 stays well below b;
-the diagnostics refuse a grid with max |xi|^2 > b/10.  The bilaplacian
+[-max |xi|^2, 0], so the rule is valid while max |xi|^2 stays well below b
+and the smallest nonzero |xi|^2 stays above a; the diagnostics refuse a
+grid with max |xi|^2 > b/10 or (2 pi/L)^2 < a.  The bilaplacian
 table is the grid's own spectral Delta^2 of the cutoff, which sums to zero
 as in the continuum, so the m-integral has no 1/m^2 pole at m = 0 and
 converges.  The cutoff is radial: psi(r) = r^2 inside the unit ball, 0 outside
@@ -62,9 +63,11 @@ class QuadratureRule:
     [a, b], and Gauss-Jacobi with weight t^{-s} in t = 1/m on [0, 1/b].  The
     rule is built for integrands sum_q c_q/(q+m)^2 and c_q/((q+m)(q'+m)),
     whose poles lie on [-max q, 0]; it is valid while max q stays well below
-    b (the diagnostics require max q <= b/10) and the integrand has no
-    double pole at m = 0.  The default 84 nodes hold the scalar identity
-    int m^s q/(q+m)^2 dm = q^s pi s/sin(pi s) to ~1e-10 for q in [1e-3, 1e5].
+    b (the diagnostics require max q <= b/10), the smallest nonzero q stays
+    above a (the head piece assumes no pole inside [-a, 0) apart from
+    m = 0), and the integrand has no double pole at m = 0.  The default 84
+    nodes hold the scalar identity int m^s q/(q+m)^2 dm = q^s pi s/sin(pi s)
+    to ~1e-10 for q in [1e-3, 1e5].
     """
 
     s: float
@@ -78,12 +81,25 @@ class QuadratureRule:
         return int(self.nodes.size)
 
     def require_covers(self, grid: GridSpec) -> None:
-        """Raise ValueError unless the grid's largest |xi|^2 is <= b/10."""
+        """Raise ValueError unless the grid's largest |xi|^2 is <= b/10 and
+        its smallest nonzero |xi|^2 = (2 pi/L)^2 is >= a.
+
+        Below a the scalar identity degrades fast: at s = 0.55 it holds to
+        1e-10 down to q = 0.8 a, but only to 1e-8 at 0.5 a and 5e-4 at
+        0.1 a.  With the default a = 1e-4 the lower guard binds for
+        L > 2 pi/sqrt(a) ~ 628.
+        """
         q_max = grid.N * grid.xi_nyquist**2
         if q_max > 0.1 * self.b:
             raise ValueError(
                 f"the grid's largest |xi|^2 = {q_max:.3g} exceeds b/10 = {0.1 * self.b:.3g}; "
                 f"build the m-rule with b >= {10.0 * q_max:.3g}"
+            )
+        q_min = (2.0 * math.pi / grid.L) ** 2
+        if q_min < self.a:
+            raise ValueError(
+                f"the grid's smallest nonzero |xi|^2 = {q_min:.3g} is below a = {self.a:.3g}; "
+                f"build the m-rule with a <= {q_min:.3g}"
             )
 
 
@@ -212,7 +228,8 @@ def balakrishnan_check(
 
     Returns (lhs, rhs, rel_err); the identity is exact in the continuum and
     mode-by-mode on the grid, so rel_err is pure quadrature error.  Raises
-    ValueError when the grid's largest |xi|^2 exceeds quad.b/10.
+    ValueError when the grid's largest |xi|^2 exceeds quad.b/10 or its
+    smallest nonzero |xi|^2 falls below quad.a.
     """
     if not u.is_physical:
         raise ValueError("balakrishnan_check requires a physical-space field")
@@ -392,8 +409,10 @@ def virial_rhs(
     with u_m = c_s (-Delta+m)^{-1} u quadratured node by node.  The real
     and imaginary parts of u are resolved separately on the real transform
     pair (a real u has one part); each node costs N+1 inverse transforms
-    per part.  Raises ValueError when the grid's largest |xi|^2 exceeds
-    quad.b/10.
+    per part.  The node loop writes 1/(q+m), the resolvent spectrum, its
+    gradient components and their inverse transforms into arrays allocated
+    once per call.  Raises ValueError when the grid's largest |xi|^2
+    exceeds quad.b/10 or its smallest nonzero |xi|^2 falls below quad.a.
     """
     if not u.is_physical:
         raise ValueError("virial_rhs requires a physical-space field")
@@ -413,17 +432,21 @@ def virial_rhs(
     # |grad u_m|^2 weight: 8 on the ball, 4 psi'' on the annulus
     grad_w = 8.0 * phi.ball_mask + 4.0 * phi.psi_pp_annulus
     lap2 = phi.lap2 / phi.R**2
+    inv = np.empty(q.shape)
+    rhat = np.empty(q.shape, dtype=np.complex128)
+    dhat = np.empty_like(rhat)
+    d = np.empty(shape)  # d_j u_m, then u_m
     main = 0.0
     for m_k, w_k in zip(quad.nodes, quad.weights):
-        inv = 1.0 / (q + m_k)
+        np.divide(1.0, np.add(q, m_k, out=inv), out=inv)
         acc = 0.0
         for hat in hats:
-            rhat = hat * inv
+            np.multiply(hat, inv, out=rhat)
             for ix in ixi:
-                d = _irfftn(ix * rhat, shape)
+                _irfftn(np.multiply(ix, rhat, out=dhat), shape, out=d)
                 acc += _weighted_sum(grad_w, d, d)
-            um = _irfftn(rhat, shape)
-            acc -= _weighted_sum(lap2, um, um)
+            _irfftn(rhat, shape, out=d)
+            acc -= _weighted_sum(lap2, d, d)
         main += w_k * acc
     main *= np.sin(np.pi * p.s) / np.pi * hN
 
@@ -511,6 +534,16 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
         hat = np.fft.fftn(x * u.values)
         acc += float(np.sum(tab * (hat.real**2 + hat.imag**2)))
     return w * acc
+
+
+def weighted_virial_of_gaussian(s: float, N: int) -> float:
+    """Continuum value of weighted_virial for u = exp(-|x|^2/2) in N dimensions.
+
+    F[x_j u] = i d_j u_hat with u_hat = (2 pi)^{N/2} exp(-|xi|^2/2), so
+    P = int |xi|^{4-2s} exp(-|xi|^2) dxi
+      = pi^{N/2} Gamma(2 - s + N/2) / Gamma(N/2)   (pi Gamma(3 - s) for N=2).
+    """
+    return math.pi ** (0.5 * N) * math.gamma(2.0 - s + 0.5 * N) / math.gamma(0.5 * N)
 
 
 @dataclass(frozen=True)

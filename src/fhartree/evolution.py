@@ -18,6 +18,16 @@ space-time norm, the sample and the adaptive step.  The centering phases
 of the transform convention cancel for diagonal multipliers, so the raw
 FFT pair is used throughout.
 
+A run allocates its work arrays once (_StepWork) and writes every
+transform and elementwise pass of the loop into them with out=: the
+carried spectrum hat, the field vals, the rotated field rot, the density
+rho, the phase, the half spectrum of the real pair, and, in a sample,
+|u_hat|^2; the sample's products reuse the phase array and its soliton
+deviation the rot array.  At 256^2 each of these is 0.5-1 MiB, and a fresh
+array of that size costs page faults and zeroing on every call.  The
+values are those of the allocating loop, bit for bit.  Snapshots and the
+final state are copies, never views of a reused array.
+
 A run produces a RunRecord: sampled conserved quantities, scale-invariant
 threshold ratios, set membership, a running space-time norm, and a final
 verdict (Soliton / GlobalDispersing / BlowUp / Inconclusive).  Focusing runs
@@ -262,6 +272,27 @@ def _half_step_phase(frac_lap_s: np.ndarray, dt: float) -> np.ndarray:
     return np.exp(-0.5j * dt * frac_lap_s)
 
 
+class _StepWork:
+    """Work arrays of the step loop, allocated once per run: the field
+    vals, the rotated field rot, the densities rho and phase, and the half
+    spectrum rhat of the real pair."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.vals = np.empty(shape, dtype=np.complex128)
+        self.rot = np.empty(shape, dtype=np.complex128)
+        self.rho = np.empty(shape)
+        self.phase = np.empty(shape)
+        self.rhat = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
+
+
+def _abs_sq(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|z|^2 = z.real**2 + z.imag**2 into out, the second square in scratch."""
+    np.multiply(z.real, z.real, out=out)
+    np.multiply(z.imag, z.imag, out=scratch)
+    out += scratch
+    return out
+
+
 def strang_step(
     u: SpectralField,
     mult: MultiplierSet,
@@ -280,7 +311,8 @@ def strang_step(
         raise ValueError("strang_step requires a physical-space field")
     half = _half_step_phase(mult.frac_lap_s, dt)
     what_half = _half(mult.hartree_kernel_hat)
-    vals, _ = _strang(np.fft.fftn(u.values), half, what_half, dt, nonlinear, mask)
+    work = _StepWork(u.grid.shape)
+    vals = _strang(np.fft.fftn(u.values), half, what_half, dt, nonlinear, mask, work)
     return SpectralField(grid=u.grid, values=vals, space=u.space)
 
 
@@ -291,28 +323,38 @@ def _strang(
     dt: float,
     nonlinear: bool,
     mask: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Strang step on the raw spectrum hat = fftn(u), which it
-    overwrites.  Returns (vals, hat) at the end of the step, where hat is
-    the spectrum vals was made from, so the next step needs no forward
-    transform.  half is the half-step phase, what_half the half-spectrum
-    Hartree multiplier of the real density."""
+    work: _StepWork,
+) -> np.ndarray:
+    """One Strang step on the raw spectrum hat = fftn(u), in place.
+
+    On return hat is the spectrum at the end of the step, so the next step
+    needs no forward transform, and the field made from it is in
+    work.vals, which is returned.  Every transform and elementwise pass
+    writes into hat or work: the midpoint field into work.vals, its
+    density into work.rho, the Hartree phase into work.phase (through the
+    half spectrum work.rhat), the rotated field into work.rot.  half is
+    the half-step phase, what_half the half-spectrum Hartree multiplier of
+    the real density.
+    """
     hat *= half
     if mask is not None:
         hat *= mask
-    vals = np.fft.ifftn(hat)
+    vals = np.fft.ifftn(hat, out=work.vals)
     if nonlinear:
-        phase = dt * _real_multiply(what_half, vals.real**2 + vals.imag**2)
-        rot = np.empty_like(vals)  # exp(i phase) from real cos/sin
+        phase = _real_multiply(what_half, _abs_sq(vals, work.rho, work.phase),
+                               out=work.phase, hat=work.rhat)
+        phase *= dt
+        rot = work.rot  # exp(i phase) from real cos/sin
         np.cos(phase, out=rot.real)
         np.sin(phase, out=rot.imag)
         rot *= vals
-        vals = rot
-    hat = np.fft.fftn(vals)
+        np.fft.fftn(rot, out=hat)
+    else:
+        np.fft.fftn(vals, out=hat)
     hat *= half
     if mask is not None:
         hat *= mask
-    return np.fft.ifftn(hat), hat
+    return np.fft.ifftn(hat, out=vals)
 
 
 def evolve(
@@ -366,9 +408,15 @@ def evolve(
         q_ref = gs.q.values
         q_l2 = gs.l2
 
-    vals = u0.values.astype(np.complex128, copy=True)
+    work = _StepWork(grid.shape)
+    vals = work.vals
+    np.copyto(vals, u0.values)
     hat = np.fft.fftn(vals)  # carried from step to step: the spectrum of vals
-    rho = vals.real**2 + vals.imag**2  # |u|^2 at the current step boundary
+    # |u|^2 at the current step boundary (a step overwrites it with the
+    # midpoint density; the loop refills it after each step)
+    rho = _abs_sq(vals, work.rho, work.phase)
+    scratch = work.phase  # free between steps: the products of a sample
+    hat_sq = np.empty(grid.shape)  # |u_hat|^2 of a sample
     half = half_dt = None  # half-step phase and the dt it was built for
     t = 0.0
     n_steps = 0
@@ -396,17 +444,18 @@ def evolve(
     def sample(dt_eff: float) -> tuple[float, float, float, float]:
         """Record one diagnostic row; returns (mass, hs, grad_ratio, tail_fraction)."""
         m = hN * float(np.sum(rho))
-        hat_sq = hat.real**2 + hat.imag**2
-        grad_dens = xi2s * hat_sq
+        _abs_sq(hat, hat_sq, scratch)
+        grad_dens = np.multiply(xi2s, hat_sq, out=scratch)
         grad_total = float(np.sum(grad_dens))
         hs_sq = plancherel * grad_total
         hs = float(np.sqrt(hs_sq))
-        hsc = float(np.sqrt(plancherel * float(np.sum(xi2sc * hat_sq))))
         tail_frac = _dot(tail_w, grad_dens.ravel()) / grad_total if grad_total > 0 else 0.0
-        pot = _real_multiply(what_half, rho)
-        v = hN * float(np.sum(pot * rho))
+        hsc = float(np.sqrt(plancherel * float(np.sum(np.multiply(xi2sc, hat_sq, out=scratch)))))
+        pot = _real_multiply(what_half, rho, out=scratch, hat=work.rhat)
+        v = hN * float(np.sum(np.multiply(pot, rho, out=pot)))
         e = 0.5 * hs_sq - 0.25 * v
-        lpc = float((hN * float(np.sum(rho ** (0.5 * p.p_c)))) ** (1.0 / p.p_c))
+        lpc_sum = float(np.sum(np.power(rho, 0.5 * p.p_c, out=scratch)))
+        lpc = float((hN * lpc_sum) ** (1.0 / p.p_c))
         if gs is not None:
             factor = m**p.mass_power
             me_ratio = factor * e / gs.me_Q
@@ -416,7 +465,7 @@ def evolve(
             me_ratio = grad_ratio = float("nan")
             membership = "Unknown"
         if track_soliton:  # ||u e^{-it} - Q|| = ||u - Q e^{it}||
-            diff = q_ref * np.exp(1j * t)
+            diff = np.multiply(q_ref, np.exp(1j * t), out=work.rot)
             np.subtract(vals, diff, out=diff)
             flat = diff.view(np.float64).ravel()
             sol = math.sqrt(hN * _dot(flat, flat)) / q_l2
@@ -437,7 +486,7 @@ def evolve(
         sol_s.append(sol)
         dt_s.append(dt_eff)
         if cfg.snapshot_every > 0 and (len(times) - 1) % cfg.snapshot_every == 0:
-            snaps.append((t, field_from_values(grid, vals)))
+            snaps.append((t, field_from_values(grid, vals.copy())))
         return m, hs, grad_ratio, tail_frac
 
     def nonfinite(m: float, hs: float) -> bool:
@@ -471,11 +520,11 @@ def evolve(
         # rounding hair of the accumulated t, not a shorter step
         rest = cfg.t_end - t
         dt_step = dt_eff if rest >= dt_eff - slack else rest
-        accum_qc += dt_step * hN * float(np.sum(rho ** (0.5 * qc)))
+        accum_qc += dt_step * hN * float(np.sum(np.power(rho, 0.5 * qc, out=scratch)))
         if dt_step != half_dt:
             half, half_dt = _half_step_phase(xi2s, dt_step), dt_step
-        vals, hat = _strang(hat, half, what_half, dt_step, cfg.nonlinear, mask)
-        rho = vals.real**2 + vals.imag**2
+        _strang(hat, half, what_half, dt_step, cfg.nonlinear, mask, work)
+        _abs_sq(vals, rho, scratch)
         t += dt_step
         n_steps += 1
         at_end = t >= t_stop
@@ -531,7 +580,7 @@ def evolve(
         verdict=verdict,
         t_star=t_star,
         n_steps=n_steps,
-        final_state=field_from_values(grid, vals),
+        final_state=field_from_values(grid, vals.copy()),
         caveats=tuple(caveats),
         snapshots=tuple(snaps),
     )

@@ -180,22 +180,31 @@ def _half(table: np.ndarray) -> np.ndarray:
     return table[..., : table.shape[-1] // 2 + 1]
 
 
-def _rfftn(f: np.ndarray) -> np.ndarray:
-    """Raw real forward transform over every axis of f (no h^N weight)."""
-    return np.fft.rfftn(f, axes=tuple(range(f.ndim)))
+def _rfftn(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Raw real forward transform over every axis of f (no h^N weight),
+    into out when given."""
+    return np.fft.rfftn(f, axes=tuple(range(f.ndim)), out=out)
 
 
-def _irfftn(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of _rfftn back to a real array of the given shape."""
-    return np.fft.irfftn(hat, s=shape, axes=tuple(range(len(shape))))
+def _irfftn(hat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _rfftn back to a real array of the given shape, into out
+    when given; hat is left unchanged."""
+    return np.fft.irfftn(hat, s=shape, axes=tuple(range(len(shape))), out=out)
 
 
-def _real_multiply(table_half: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _real_multiply(
+    table_half: np.ndarray,
+    f: np.ndarray,
+    out: np.ndarray | None = None,
+    hat: np.ndarray | None = None,
+) -> np.ndarray:
     """Apply a real even multiplier, given on the half spectrum, to a real
-    array: irfftn(table_half * rfftn(f)) over every axis of f."""
-    hat = _rfftn(f)
+    array: irfftn(table_half * rfftn(f)) over every axis of f.  The result
+    goes into out and the half spectrum into hat when they are given (the
+    step loop reuses both)."""
+    hat = _rfftn(f, out=hat)
     hat *= table_half
-    return _irfftn(hat, f.shape)
+    return _irfftn(hat, f.shape, out=out)
 
 
 def _half_pairing(grid: GridSpec, table_half: np.ndarray) -> np.ndarray:

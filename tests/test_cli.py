@@ -388,7 +388,7 @@ def test_verify_passes_at_canonical(tmp_path):
         "euler_lagrange_residual", "pohozaev_r2", "cgn_two_route",
         "gn_ratio_ground_state", "threshold_me_two_route",
         "balakrishnan_gaussian", "mass_drift", "energy_drift",
-        "comparability_margins", "virial_surrogate", "weighted_virial_min",
+        "comparability_margins", "virial_surrogate", "weighted_virial_gaussian",
     } <= names
     assert all(c["passed"] for c in report["checks"])
 

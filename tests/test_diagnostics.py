@@ -21,8 +21,10 @@ from fhartree.diagnostics import (
     virial_lower_bound_audit,
     virial_rhs,
     weighted_virial,
+    weighted_virial_of_gaussian,
 )
 from fhartree.functionals import hartree_energy
+from fhartree.params import PhysParams
 from fhartree.spectral import (
     field_from_values,
     make_grid,
@@ -343,6 +345,14 @@ def test_rule_must_cover_the_grid(canonical):
         balakrishnan_check(canonical.gs.q, canonical.p, short)
 
 
+def test_rule_must_reach_the_lowest_mode():
+    # (2 pi/L)^2 against a = 1e-4: 8.1e-5 at L=700, 1.1e-4 at L=600
+    rule = build_quadrature(0.7)
+    with pytest.raises(ValueError, match="below a"):
+        rule.require_covers(make_grid(N=2, n=16, L=700.0))
+    rule.require_covers(make_grid(N=2, n=16, L=600.0))
+
+
 def test_virial_rhs_positive_inside_k1(virial_fd, quad):
     setup, rec = virial_fd
     phi = build_cutoff(setup.grid)
@@ -389,6 +399,23 @@ def test_weighted_virial_matches_continuum_oracle(canonical, params):
     got = weighted_virial(u, params)
     want = oracles.gaussian_weighted_virial(params.s, 1.0)
     assert abs(got - want) / want < 1e-5
+
+
+@pytest.mark.parametrize("s", [0.55, 0.7, 0.9])
+def test_gaussian_weighted_virial_closed_form(s):
+    # exp(-r^2/2) is the oracle's Gaussian of width sqrt(2)
+    want = oracles.gaussian_weighted_virial(s, np.sqrt(2.0))
+    assert abs(weighted_virial_of_gaussian(s, 2) - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("N, n, L, gamma, tol", [(2, 128, 32.0, 1.6, 1e-5),
+                                                 (3, 32, 16.0, 1.6, 1e-4)])
+def test_gaussian_weighted_virial_matches_grid(N, n, L, gamma, tol):
+    p = PhysParams(N=N, s=0.7, gamma=gamma)
+    g = make_grid(N=N, n=n, L=L)
+    u = field_from_values(g, np.exp(-g.r_mesh**2 / 2.0).astype(complex))
+    want = weighted_virial_of_gaussian(p.s, N)
+    assert abs(weighted_virial(u, p) - want) <= tol * want
 
 
 def test_weighted_virial_nonnegative_and_quadratic(canonical, params):

@@ -19,7 +19,9 @@ from fhartree.evolution import (
 )
 from fhartree.functionals import mass
 from fhartree.functionals import classify_from_ratios
+from fhartree.params import PhysParams
 from fhartree.spectral import (
+    _half,
     dealias_mask,
     field_from_values,
     linear_propagator,
@@ -331,6 +333,22 @@ def test_snapshot_cadence_and_content(virial_fd):
     assert np.array_equal(rec.snapshots[-1][1].values, rec.final_state.values)
 
 
+def test_snapshots_and_final_state_are_copies(coarse):
+    # the loop reuses its field array; every kept field must own its values
+    u0 = field_from_values(coarse.grid, 0.8 * coarse.gs.q.values)
+    cfg = StepperConfig(dt=1e-3, t_end=0.006, record_every=1, snapshot_every=1)
+    rec = evolve(u0, coarse.p, coarse.mult, cfg, gs=coarse.gs)
+    fields = [u.values for _, u in rec.snapshots] + [rec.final_state.values]
+    assert len(rec.snapshots) == 7
+    for i, a in enumerate(fields):
+        assert not np.shares_memory(a, u0.values)
+        for b in fields[i + 1:]:
+            assert not np.shares_memory(a, b)
+    for (_, a), (_, b) in zip(rec.snapshots, rec.snapshots[1:]):
+        assert not np.array_equal(a.values, b.values)
+    assert np.array_equal(rec.snapshots[-1][1].values, rec.final_state.values)
+
+
 def test_runs_are_deterministic(canonical, tmp_path):
     u0 = field_from_values(canonical.grid, 0.95 * canonical.gs.q.values)
     cfg = StepperConfig(dt=1e-3, t_end=0.05, record_every=5)
@@ -530,6 +548,58 @@ def test_evolve_matches_transform_per_step_loop(coarse, c, kw):
         assert np.all(np.abs(new - old) <= tol), name
 
 
+def _reference_strang(hat, half, what_half, dt, nonlinear, mask):
+    """The step as it was before the loop reused its arrays: every
+    transform and elementwise pass into a fresh array.  Returns (vals, hat)
+    at the end of the step."""
+    hat = hat * half
+    if mask is not None:
+        hat *= mask
+    vals = np.fft.ifftn(hat)
+    if nonlinear:
+        rho = vals.real**2 + vals.imag**2
+        phase = dt * np.fft.irfftn(what_half * np.fft.rfftn(rho), s=rho.shape,
+                                   axes=tuple(range(rho.ndim)))
+        rot = np.empty_like(vals)
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
+        rot *= vals
+        vals = rot
+    hat = np.fft.fftn(vals)
+    hat *= half
+    if mask is not None:
+        hat *= mask
+    return np.fft.ifftn(hat), hat
+
+
+@pytest.fixture(scope="module")
+def small_3d():
+    p = PhysParams(N=3, s=0.7, gamma=1.6)
+    grid = make_grid(N=3, n=16, L=8.0)
+    return grid, make_multipliers(grid, p, kernel_mode="sampled")
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("dim", ["2d", "3d"])
+def test_strang_with_work_arrays_matches_allocating_step(small, small_3d, dim, nonlinear,
+                                                         dealias):
+    grid, mult = small if dim == "2d" else small_3d
+    mask = dealias_mask(grid) if dealias else None
+    what_half = _half(mult.hartree_kernel_hat)
+    work = evolution._StepWork(grid.shape)
+    hat = np.fft.fftn(_rng_field(grid, 11).values)
+    hat_ref = hat.copy()
+    # consecutive steps with a changing dt, a negative one among them
+    for dt in (1e-3, 2.5e-3, 7e-4, -1.2e-3, 4e-3, 1e-3):
+        half = evolution._half_step_phase(mult.frac_lap_s, dt)
+        vals_ref, hat_ref = _reference_strang(hat_ref, half, what_half, dt, nonlinear, mask)
+        vals = evolution._strang(hat, half, what_half, dt, nonlinear, mask, work)
+        assert vals is work.vals
+        assert np.array_equal(vals, vals_ref)
+        assert np.array_equal(hat, hat_ref)
+
+
 def test_fixed_dt_run_builds_half_step_phase_once(canonical, monkeypatch):
     calls = []
     build = evolution._half_step_phase
@@ -606,10 +676,10 @@ def test_state_turning_non_finite_stops_at_next_sample(canonical, monkeypatch):
 
     def poisoned(hat, *args):
         count.append(1)
-        vals, hat = step(hat, *args)
+        vals = step(hat, *args)  # the loop reads vals and hat in place
         if len(count) == 3:
             vals[0, 0] = hat[0, 0] = np.nan
-        return vals, hat
+        return vals
 
     monkeypatch.setattr(evolution, "_strang", poisoned)
     u0 = field_from_values(canonical.grid, 0.9 * canonical.gs.q.values)
