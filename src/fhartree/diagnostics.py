@@ -411,8 +411,9 @@ def virial_rhs(
     pair (a real u has one part); each node costs N+1 inverse transforms
     per part.  The node loop writes 1/(q+m), the resolvent spectrum, its
     gradient components and their inverse transforms into arrays allocated
-    once per call.  Raises ValueError when the grid's largest |xi|^2
-    exceeds quad.b/10 or its smallest nonzero |xi|^2 falls below quad.a.
+    once per call; the interaction and tail terms reuse two of them.
+    Raises ValueError when the grid's largest |xi|^2 exceeds quad.b/10 or
+    its smallest nonzero |xi|^2 falls below quad.a.
     """
     if not u.is_physical:
         raise ValueError("virial_rhs requires a physical-space field")
@@ -435,7 +436,7 @@ def virial_rhs(
     inv = np.empty(q.shape)
     rhat = np.empty(q.shape, dtype=np.complex128)
     dhat = np.empty_like(rhat)
-    d = np.empty(shape)  # d_j u_m, then u_m
+    d = np.empty(shape)  # d_j u_m, then u_m; after the loop each real output
     main = 0.0
     for m_k, w_k in zip(quad.nodes, quad.weights):
         np.divide(1.0, np.add(q, m_k, out=inv), out=inv)
@@ -454,7 +455,7 @@ def virial_rhs(
     rho_hat = _rfftn(rho)
     interaction = 0.0
     for g, gk in zip(phi.grad, mult.grad_kernel_hat):
-        conv = _irfftn(_half(gk) * rho_hat, shape)
+        conv = _irfftn(np.multiply(_half(gk), rho_hat, out=dhat), shape, out=d)
         interaction += _weighted_sum(g, conv, rho)
     interaction *= 2.0 * hN
 
@@ -462,10 +463,10 @@ def virial_rhs(
     ds_s = q ** (0.5 * p.s)
     ds_tail = 0.0
     for hat in hats:
-        ds = _irfftn(ds_s * hat, shape)
+        ds = _irfftn(np.multiply(ds_s, hat, out=dhat), shape, out=d)
         ds_tail += hN * float(np.sum(ds[out] ** 2))
     l2_tail = hN * float(np.sum(rho[out])) / phi.R**2
-    pot = _irfftn(_half(mult.hartree_kernel_hat) * rho_hat, shape)
+    pot = _irfftn(np.multiply(_half(mult.hartree_kernel_hat), rho_hat, out=dhat), shape, out=d)
     v_tail = hN * float(np.sum(pot[out] * rho[out]))
     return VirialRHS(main=main, interaction=interaction, a_r_bound=ds_tail + l2_tail + v_tail)
 

@@ -332,9 +332,10 @@ def _strang(
     work.vals, which is returned.  Every transform and elementwise pass
     writes into hat or work: the midpoint field into work.vals, its
     density into work.rho, the Hartree phase into work.phase (through the
-    half spectrum work.rhat), the rotated field into work.rot.  half is
-    the half-step phase, what_half the half-spectrum Hartree multiplier of
-    the real density.
+    half spectrum work.rhat), the rotated field into work.rot.  The next
+    step overwrites all of them, so evolve() keeps copies of work.vals as
+    snapshots and final state.  half is the half-step phase, what_half the
+    half-spectrum Hartree multiplier of the real density.
     """
     hat *= half
     if mask is not None:
