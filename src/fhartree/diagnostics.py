@@ -528,12 +528,22 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
                 f"|x| = 0.4 L; the non-periodic weight x u is unreliable there",
                 stacklevel=2,
             )
+    del rho
     tab = grid.xi_sq ** (1.0 - p.s)
     w = parseval_weight(grid) * grid.h ** (2 * grid.N)
+    # one complex and two real work arrays serve every axis
+    hat = np.empty(grid.shape, dtype=np.complex128)
+    dens = np.empty(grid.shape)
+    imag_sq = np.empty(grid.shape)
     acc = 0.0
     for x in grid.x_mesh:
-        hat = np.fft.fftn(x * u.values)
-        acc += float(np.sum(tab * (hat.real**2 + hat.imag**2)))
+        np.multiply(x, u.values, out=hat)
+        np.fft.fftn(hat, out=hat)
+        np.square(hat.real, out=dens)
+        np.square(hat.imag, out=imag_sq)
+        dens += imag_sq
+        dens *= tab
+        acc += float(np.sum(dens))
     return w * acc
 
 

@@ -279,9 +279,10 @@ class _Anderson:
             self.gram[new, j] = self.gram[j, new] = self._pairing(f, self.f[j])
         return float(np.sqrt(self.gram[new, new]))
 
-    def step(self) -> np.ndarray:
-        """Half spectrum of the next iterate: the mixed one, or the newest
-        output itself when the history holds only that output."""
+    def step(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectrum of the next iterate, into out when given: the mixed
+        one, or the newest output itself when the history holds only that
+        output."""
         h = self.gram
         new = self.history[-1]
         if self.mixed and h[new, new] > h[self.history[-2], self.history[-2]]:
@@ -301,7 +302,8 @@ class _Anderson:
                 coef[old] = x
                 coef[new] = 1.0 - x.sum()
         self.mixed = len(self.history) > 1
-        return np.einsum("k,k...->...", coef, self.g.view(np.float64)).view(np.complex128)
+        view = None if out is None else out.view(np.float64)
+        return np.einsum("k,k...->...", coef, self.g.view(np.float64), out=view).view(np.complex128)
 
 
 def solve_ground_state(
@@ -357,7 +359,13 @@ def _iterate(
     opts: SolverOptions,
 ) -> tuple[np.ndarray, bool, list[float], list[float]]:
     """The loop of solve_ground_state: (half spectrum of the last map
-    output, converged, delta_k, gamma_k).  Its arrays, the mixing rings
+    output, converged, delta_k, gamma_k).
+
+    Each transform and N(q) write into arrays allocated once: the iterate q
+    (irfftn output), N(q) (q^2 first, then the convolution and the product
+    in place), the half spectrum of the real pair (rfftn of q^2 and of
+    N(q)) and the half spectrum of the mixed iterate.  q starts as a copy,
+    so a caller's seed is never written.  The arrays, the mixing rings
     among them, are freed on return."""
     hN = grid.h**grid.N
     lhat = 1.0 + _half(grid.xi_sq) ** p.s  # symbol of L = 1 + (-Delta)^s
@@ -374,28 +382,29 @@ def _iterate(
     if norm <= 0:
         raise ValueError("seed must be nonzero")
     qhat = _rfftn(q)
+    nq = np.empty_like(q)
+    hat = np.empty_like(qhat)
 
     deltas: list[float] = []
     gammas: list[float] = []
     for _ in range(opts.max_iter):
-        nq = _real_multiply(what, q * q)
+        np.multiply(q, q, out=nq)
+        _real_multiply(what, nq, out=nq, hat=hat)
         nq *= q
         num = np.sum(lpair * (qhat.real**2 + qhat.imag**2))
         den = hN * np.sum(q * nq)
         if den <= 0:
             raise CollapseToZeroError("nonlinear pairing lost positivity; iterate collapsing")
         gamma_k = num / den
-        # the map output G(q), written straight into its ring slot; N(q) is
-        # dropped before the next iteration forms its own
-        ghat = np.multiply(_rfftn(nq), gamma_k**1.5 * lhat_inv, out=mixer.output_slot())
-        del nq
+        # the map output G(q), written straight into its ring slot
+        ghat = np.multiply(_rfftn(nq, out=hat), gamma_k**1.5 * lhat_inv, out=mixer.output_slot())
         delta = mixer.residual(qhat) / norm
         deltas.append(float(delta))
         gammas.append(float(gamma_k))
         if delta < opts.tol:
             return ghat.copy(), True, deltas, gammas
-        qhat = mixer.step()
-        q = _irfftn(qhat, q.shape)
+        mixer.step(out=qhat)
+        _irfftn(qhat, q.shape, out=q)
         norm = _l2_norm(q, hN)
         if norm < 1e-10:
             raise CollapseToZeroError(f"iterate norm {norm:.3e} below 1e-10")

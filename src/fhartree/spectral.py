@@ -96,8 +96,8 @@ def make_grid(N: int, n: int, L: float) -> GridSpec:
         raise ValueError(f"N must be 2 or 3, got {N}")
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two >= 16, got {n}")
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
     return GridSpec(N=N, n=int(n), L=float(L))
 
 
@@ -306,6 +306,13 @@ def _origin_cell_oscillatory_series(grid: GridSpec, gamma: float, m_max: int) ->
     return P @ C @ P.T
 
 
+def _hermitian_full(half: np.ndarray) -> np.ndarray:
+    """The n x n transform of a real 2-D array from its n x (n/2+1) half
+    spectrum, through the Hermitian mirror hat[a, n-j] = conj(hat[-a, j])."""
+    n = half.shape[0]
+    return np.concatenate([half, np.conj(half[-np.arange(n), n // 2 - 1 : 0 : -1])], axis=1)
+
+
 def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarray:
     """Exact Fourier coefficients of the minimum-image kernel function.
 
@@ -328,9 +335,21 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarr
     the real FFT of the -t_k samples and the -t_k phase are therefore the
     conjugates of the t_k ones, and the pair adds up to w_k Re(P_k F_k);
     along axis 1 the -t_i term is again the conjugate of the t_i term.  So
-    the main pass runs over ceil(nodes/2)^2 node pairs with real
-    accumulators, pair weight w per axis, and w/2 for the self-paired
-    middle node (t = 0) of an odd rule.
+    the main pass runs over mirror pairs with real accumulators, pair
+    weight w per axis, and w/2 for the self-paired middle node (t = 0) of
+    an odd rule.
+
+    The grid is square, so the mirror pair (k, i) samples the transpose of
+    the (i, k) table, K_ki(p, q) = K_ik(q, p); weights and phases factor
+    by axis, so its contribution is the transpose of C_ik.  The main pass
+    therefore runs only over the P(P+1)/2 pairs i <= k of the P =
+    ceil(nodes/2) mirror pairs (55 at nodes = 20, 36 at 16) and accumulates
+    S = sum_{i<k} C_ik + 1/2 sum_i C_ii on the half spectrum; the
+    Hermitian mirror expands S to the full grid and the main part is
+    S + S^T, formed before the side passes and the origin series are
+    added (those carry their own axis pairing).  The pass writes into work
+    arrays allocated once per build: the n x n power table, its rfft, the
+    real accumulator and the complex axis-1 fft of the accumulator.
 
     The cells centered on the cut locus |y_j| = L/2 need care: the
     minimum-image distance has a derivative kink at the cell center there,
@@ -354,28 +373,37 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarr
         np.fft.ifftshift(((ax + half * ti + L / 2.0) % L - L / 2.0) ** 2) for ti in t
     ]
     phases = [np.exp(-1j * xi_ax * (half * ti)) for ti in t]
-    # main pass over the mirror pairs (t_k, -t_k), see above
+    # main pass over the unordered pairs i <= k of mirror pairs, see above
     pairs = (nodes + 1) // 2
     pair_w = w[:pairs].copy()
     if nodes % 2:
         pair_w[-1] *= 0.5
+    row_w = [pair_w[k] * phases[k][:m] for k in range(pairs)]
+    K = np.empty((n, n))  # power table of one node pair
+    f = np.empty((n, m), dtype=np.complex128)  # its rfft along axis 2
+    acc = np.empty((n, m))  # sum over k of the real parts
+    g = np.empty((n, m), dtype=np.complex128)  # fft of acc along axis 1
     hat = np.zeros((n, m))
     for i in range(pairs):
-        acc = np.zeros((n, m))
-        for k in range(pairs):
-            K = np.add.outer(shifted_sq[i], shifted_sq[k])
+        acc.fill(0.0)
+        for k in range(i, pairs):
+            np.add.outer(shifted_sq[i], shifted_sq[k], out=K)
             with np.errstate(divide="ignore"):  # 0^-gamma/2 when t_i = t_k = 0
                 np.power(K, -0.5 * gamma, out=K)
             K[0, 0] = 0.0  # origin cell: analytic series below
             K[c, :] = 0.0  # cut strips: folded side passes below
             K[:, c] = 0.0
-            f = np.fft.rfft(K, axis=1)
-            f *= pair_w[k] * phases[k][:m]
+            np.fft.rfft(K, axis=1, out=f)
+            f *= row_w[k] if k > i else 0.5 * row_w[k]
             acc += f.real
-        f = np.fft.fft(acc, axis=0)
-        f *= (pair_w[i] * phases[i])[:, None]
-        hat += f.real
+        np.fft.fft(acc, axis=0, out=g)
+        g *= (pair_w[i] * phases[i])[:, None]
+        hat += g.real
+    del K, f, acc, g
     hat *= h * h
+    # the pairs k > i are the transposes of the pairs i < k: hat becomes the
+    # half spectrum of S + S^T
+    hat += _hermitian_full(hat)[:m].T
 
     # folded Gauss rule on [0, h/2] against the cosine phase; the leading
     # factor 2 comes from folding the even integrand
@@ -402,7 +430,7 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarr
     hat += a_fold @ Kc @ a_fold[:m].T
 
     hat += _origin_cell_oscillatory_series(grid, gamma, m_max=26)[:, :m]
-    hat = np.concatenate([hat, np.conj(hat[-np.arange(n), c - 1 : 0 : -1])], axis=1)
+    hat = _hermitian_full(hat)
     scale = np.max(np.abs(hat))
     if np.max(np.abs(hat.imag)) > 1e-10 * scale:
         raise NonRealKernelError("Hartree kernel transform is unexpectedly non-real")

@@ -1,12 +1,17 @@
 """Configuration resolution (defaults / file / overrides) and snapshot I/O."""
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fhartree.config import ConfigError, RunConfig, SweepSpec, load_config
 from fhartree.params import PhysParams
 from fhartree.snapshots import (
+    _HEADER_SIZE,
     MAGIC,
     SnapshotFormatError,
     SnapshotMismatchError,
@@ -111,6 +116,8 @@ def test_unparseable_values_rejected(override, match):
         "physics.N=4",
         "grid.n=100",          # not a power of two
         "grid.L=-8",
+        "grid.L=nan",
+        "grid.L=inf",
         "stepper.dt=0",
         "stepper.phase_cap=-0.1",
         "solver.max_iter=0",
@@ -250,11 +257,52 @@ def test_snapshot_convention_tag_checked(tmp_path, params, small_field):
 
 def test_snapshot_header_parameters_validated(tmp_path, params, small_field):
     path = write_snapshot(tmp_path / "field.bin", small_field, params)
-    raw = bytearray(path.read_bytes())
+    good = path.read_bytes()
+    raw = bytearray(good)
     raw[8:12] = (9).to_bytes(4, "little")  # N = 9 is not a supported dimension
     path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotFormatError, match="invalid header"):
         read_snapshot(path)
+    for L in (float("nan"), float("inf")):  # the box length sits at bytes 16:24
+        raw = bytearray(good)
+        raw[16:24] = struct.pack("<d", L)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError, match="invalid header"):
+            read_snapshot(path)
+
+
+_SNAPSHOT_FUZZ = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_SNAPSHOT_FUZZ
+@given(data=st.data())
+def test_truncated_snapshot_is_a_format_error(tmp_path, params, small_field, data):
+    path = write_snapshot(tmp_path / "field.bin", small_field, params)
+    raw = path.read_bytes()
+    length = data.draw(st.integers(0, len(raw) - 1), label="length")
+    path.write_bytes(raw[:length])
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(path)
+
+
+@_SNAPSHOT_FUZZ
+@given(bit=st.integers(0, 8 * _HEADER_SIZE - 1))
+def test_header_bit_flip_is_caught_or_harmless(tmp_path, params, small_field, bit):
+    # a flipped header bit either stops the read with one of the snapshot
+    # errors or leaves a header that describes a valid grid and physics
+    path = write_snapshot(tmp_path / "field.bin", small_field, params)
+    raw = bytearray(path.read_bytes())
+    raw[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(raw))
+    try:
+        u, p, _ = read_snapshot(path, expect=params)
+    except (SnapshotFormatError, SnapshotMismatchError):
+        return
+    g = u.grid
+    assert all(math.isfinite(x) for x in (g.L, p.s, p.gamma))
+    assert make_grid(N=g.N, n=g.n, L=g.L) == g
+    assert PhysParams(N=p.N, s=p.s, gamma=p.gamma) == p
+    assert u.values.shape == g.shape
 
 
 def test_snapshot_params_mismatch(tmp_path, params, small_field):

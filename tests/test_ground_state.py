@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fhartree import ground_state
+from fhartree import ground_state, spectral
 from fhartree.functionals import energy, hartree_energy, mass
 from fhartree.ground_state import (
     NonConvergenceError,
@@ -23,6 +23,7 @@ from fhartree.spectral import (
     hartree_potential,
     make_grid,
     make_multipliers,
+    random_smooth_field,
     sobolev_norm,
 )
 
@@ -145,7 +146,7 @@ def test_summary_matches_public_functionals(canonical):
         assert abs(got[key] - value) <= 1e-12, key
 
 
-def _reference_iterate(p, grid, mult, opts=SolverOptions()):
+def _six_transform_iterate(p, grid, mult, opts=SolverOptions()):
     """The solver's iteration before the spectrum was carried: N(q), Lq and
     L^{-1} N(q) each through an rfftn/irfftn pair, 6 real transforms."""
     hN = grid.h**grid.N
@@ -173,7 +174,7 @@ def _reference_iterate(p, grid, mult, opts=SolverOptions()):
 def test_carried_spectrum_matches_six_transform_iteration(canonical, monkeypatch):
     # depth 0 is the plain iteration the reference runs
     monkeypatch.setattr(ground_state, "ANDERSON_DEPTH", 0)
-    want, iterations = _reference_iterate(canonical.p, canonical.grid, canonical.mult)
+    want, iterations = _six_transform_iterate(canonical.p, canonical.grid, canonical.mult)
     gs = solve_ground_state(canonical.p, canonical.grid, opts=SolverOptions(), mult=canonical.mult)
     got = gs.q.values.real
     assert gs.iterations == iterations
@@ -182,7 +183,7 @@ def test_carried_spectrum_matches_six_transform_iteration(canonical, monkeypatch
     p3 = PhysParams(N=3, s=0.7, gamma=1.6)
     grid = make_grid(N=3, n=16, L=12.0)
     mult = make_multipliers(grid, p3, kernel_mode="sampled")
-    want, iterations = _reference_iterate(p3, grid, mult)
+    want, iterations = _six_transform_iterate(p3, grid, mult)
     gs = solve_ground_state(p3, grid, opts=SolverOptions(), mult=mult)
     assert gs.iterations == iterations
     got = gs.q.values.real
@@ -212,6 +213,63 @@ def test_mixed_iteration_count(canonical, s, gamma):
     gs = solve_ground_state(p, canonical.grid, opts=SolverOptions(), mult=mult)
     assert gs.converged
     assert gs.iterations <= 30
+
+
+def _reference_iterate(p, grid, mult, seed, opts):
+    """ground_state._iterate as it was before its arrays were reused: a
+    fresh array for every transform, N(q) and mixed iterate."""
+    hN = grid.h**grid.N
+    lhat = 1.0 + spectral._half(grid.xi_sq) ** p.s
+    lpair = spectral._half_pairing(grid, lhat)
+    lhat_inv = np.reciprocal(lhat, out=lhat)
+    what = spectral._half(mult.hartree_kernel_hat)
+    mixer = ground_state._Anderson(grid, ground_state.ANDERSON_DEPTH)
+    if seed is None:
+        q = ground_state._seed_values(grid, opts.seed_width)
+    else:
+        q = seed.values.real.astype(np.float64)
+    norm = ground_state._l2_norm(q, hN)
+    qhat = spectral._rfftn(q)
+    deltas, gammas = [], []
+    for _ in range(opts.max_iter):
+        nq = spectral._real_multiply(what, q * q)
+        nq *= q
+        num = np.sum(lpair * (qhat.real**2 + qhat.imag**2))
+        den = hN * np.sum(q * nq)
+        gamma_k = num / den
+        ghat = np.multiply(spectral._rfftn(nq), gamma_k**1.5 * lhat_inv, out=mixer.output_slot())
+        del nq
+        delta = mixer.residual(qhat) / norm
+        deltas.append(float(delta))
+        gammas.append(float(gamma_k))
+        if delta < opts.tol:
+            return ghat.copy(), True, deltas, gammas
+        qhat = mixer.step()
+        q = spectral._irfftn(qhat, q.shape)
+        norm = ground_state._l2_norm(q, hN)
+    return ghat.copy(), False, deltas, gammas
+
+
+@pytest.mark.parametrize("N, n, L, kernel_mode", [(2, 64, 16.0, "exact"), (3, 16, 12.0, "sampled")])
+@pytest.mark.parametrize("explicit_seed", [False, True])
+def test_buffered_iteration_matches_allocating_loop(N, n, L, kernel_mode, explicit_seed):
+    p = PhysParams(N=N, s=0.7, gamma=1.6)
+    grid = make_grid(N=N, n=n, L=L)
+    mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
+    seed = None
+    if explicit_seed:
+        bump = random_smooth_field(grid, np.random.default_rng(5), n_bumps=2, span=1.0)
+        seed = field_from_values(grid, default_seed(grid, 1.3).values + 0.1 * bump)
+        seed_before = seed.values.copy()
+    opts = SolverOptions()
+    want = _reference_iterate(p, grid, mult, seed, opts)
+    got = ground_state._iterate(p, grid, mult, seed, opts)
+    assert got[1] == want[1] is True
+    np.testing.assert_array_equal(got[0], want[0])
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+    if explicit_seed:
+        # the loop writes its iterates into its own arrays, never the seed's
+        np.testing.assert_array_equal(seed.values, seed_before)
 
 
 def test_solver_history_covers_every_iteration(canonical):

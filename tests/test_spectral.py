@@ -309,10 +309,17 @@ def _reference_exact_kernel(grid, gamma, nodes=20):
     return hat
 
 
-def test_exact_kernel_matches_per_node_fft_loop():
-    g = make_grid(N=2, n=256, L=32.0)
-    want = _reference_exact_kernel(g, 1.6)
-    got = build_hartree_kernel(g, 1.6, mode="exact")
+# The main pass runs over the unordered pairs i <= k of mirror-node pairs,
+# the diagonal at weight 1/2: nodes = 1 and 3 have a self-paired middle node
+# t = 0, nodes = 2 and 16 do not, and nodes = 1 and 2 leave a single pair.
+@pytest.mark.parametrize(
+    "n, L, nodes", [(256, 32.0, 20), (32, 8.0, 1), (32, 8.0, 2), (32, 8.0, 3), (32, 8.0, 16)]
+)
+def test_exact_kernel_matches_per_node_fft_loop(n, L, nodes):
+    g = make_grid(N=2, n=n, L=L)
+    with np.errstate(divide="ignore"):  # the t = 0 node of an odd rule
+        want = _reference_exact_kernel(g, 1.6, nodes=nodes)
+    got = build_hartree_kernel(g, 1.6, mode="exact", nodes=nodes)
     assert np.max(np.abs(got - want.real)) / np.max(np.abs(want.real)) <= 1e-12
 
 
