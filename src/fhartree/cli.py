@@ -48,6 +48,7 @@ from .evolution import (
     evolve,
     invariance_audit,
     wrap_time,
+    write_csv,
 )
 from .functionals import (
     classify_membership,
@@ -98,8 +99,10 @@ _EXPECTED_OUTCOME = {
     "Boundary": VERDICT_SOLITON,
 }
 
+#: The columns of sweep.csv, in order (keys of the sweep.json rows).
 SWEEP_COLUMNS = (
-    "index,c,s,gamma,me_ratio,grad_ratio,membership,prediction,outcome,agreement"
+    "index", "c", "s", "gamma", "me_ratio", "grad_ratio", "membership", "prediction",
+    "outcome", "agreement",
 )
 
 
@@ -489,10 +492,6 @@ def run_sweep(
         return list(ex.map(_sweep_point, tasks))
 
 
-def _csv_cell(value) -> str:
-    return f"{value:.15e}" if isinstance(value, float) else str(value)
-
-
 def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     sg_pairs = []
     for item in args.sg:
@@ -513,11 +512,8 @@ def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         ).amplitudes
     rows = run_sweep(cfg, amplitudes, sg_pairs)
 
-    columns = SWEEP_COLUMNS.split(",")
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_COLUMNS + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row[name]) for name in columns) + "\n")
+    write_csv(out / "sweep.csv", SWEEP_COLUMNS,
+              ([row[name] for name in SWEEP_COLUMNS] for row in rows))
     _write_json(out / "sweep.json", {"config": cfg.resolved(), "rows": rows})
 
     applicable = [r for r in rows if r["agreement"] != "n/a"]

@@ -168,6 +168,8 @@ def load_config(
     )
     if io.snapshot_every < 0:
         raise ConfigError("io.snapshot_every must be >= 0")
+    if io.seed < 0:
+        raise ConfigError(f"io.seed must be >= 0, got {io.seed}")
     return RunConfig(
         physics=physics,
         grid=grid,

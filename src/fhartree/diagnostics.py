@@ -496,8 +496,8 @@ def virial_lower_bound_audit(rec, totals) -> VirialAudit:
     vals = np.asarray([float(v) for v in totals])
     if vals.size == 0:
         raise ValueError("no virial values supplied")
-    applicable = rec.membership_series[0] == "K1"
-    hs0_sq = float(rec.hs_series[0]) ** 2
+    applicable = rec.series["membership"][0] == "K1"
+    hs0_sq = float(rec.series["hs"][0]) ** 2
     min_total = float(np.min(vals))
     return VirialAudit(
         applicable=applicable,
@@ -575,10 +575,10 @@ class ScatteringReport:
 
 
 def scattering_proxies(rec) -> ScatteringReport:
-    t = rec.times
+    t = rec.series["time"]
     if t.size < 4:
         raise ValueError("need at least 4 samples for quarter-window rates")
-    stri = rec.strichartz_accum
+    stri = rec.series["strichartz_accum"]
     t_q1 = t[0] + 0.25 * (t[-1] - t[0])
     t_q3 = t[0] + 0.75 * (t[-1] - t[0])
     i1 = int(np.searchsorted(t, t_q1))
@@ -588,8 +588,8 @@ def scattering_proxies(rec) -> ScatteringReport:
     rate_initial = float((stri[i1] - stri[0]) / (t[i1] - t[0]))
     rate_final = float((stri[-1] - stri[i3]) / (t[-1] - t[i3]))
     return ScatteringReport(
-        v_ratio=float(rec.v_series[-1] / rec.v_series[0]),
-        lpc_ratio=float(rec.lpc_series[-1] / rec.lpc_series[0]),
+        v_ratio=rec.v_ratio_final,
+        lpc_ratio=rec.ratio("lpc"),
         strichartz_final=float(stri[-1]),
         rate_initial=rate_initial,
         rate_final=rate_final,

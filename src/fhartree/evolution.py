@@ -28,19 +28,20 @@ array of that size costs page faults and zeroing on every call.  The
 values are those of the allocating loop, bit for bit.  Snapshots and the
 final state are copies, never views of a reused array.
 
-A run produces a RunRecord: sampled conserved quantities, scale-invariant
-threshold ratios, set membership, a running space-time norm, and a final
-verdict (Soliton / GlobalDispersing / BlowUp / Inconclusive).  Focusing runs
-shrink the step so the nonlinear phase per step stays below a fixed cap, and
-refuse to continue once a fixed fraction of the gradient norm sits in the
-top third of the spectrum (the grid can no longer represent the state; the
-refusal is recorded in-band as a caveat, never an exception).
+A run produces a RunRecord: one column table (RUN_COLUMNS) of sampled
+conserved quantities, scale-invariant threshold ratios, set membership and
+a running space-time norm, and a final verdict (Soliton / GlobalDispersing
+/ BlowUp / Inconclusive).  Focusing runs shrink the step so the nonlinear
+phase per step stays below a fixed cap, and refuse to continue once a fixed
+fraction of the gradient norm sits in the top third of the spectrum (the
+grid can no longer represent the state; the refusal is recorded in-band as
+a caveat, never an exception).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -100,6 +101,10 @@ class StepperConfig:
     snapshot_every: int = 0  # keep the field at every k-th sample (0 = never)
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_end", "dt_min", "blowup_grad_factor", "tail_fraction_max",
+                     "phase_cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end <= 0.0:
@@ -116,34 +121,39 @@ class StepperConfig:
             raise ValueError("phase_cap must be positive")
 
 
+#: The columns of a run record, one value per sample each, in run.csv order.
+RUN_COLUMNS = (
+    "time", "mass", "energy", "hs", "hsc", "v", "lpc", "me_ratio", "grad_ratio",
+    "membership", "tail_fraction", "strichartz_accum", "soliton_deviation", "dt_eff",
+)
+
+
+def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and one line per row, floats as %.15e and anything
+    else as str, so identical runs produce byte-identical files."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.15e}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 @dataclass
 class RunRecord:
     """Sampled time series and the final verdict of one evolution run.
 
-    All series share the length of `times`.  Ratio and deviation entries are
-    NaN when no ground state was supplied (or its grid differs from the run
-    grid, for the deviation).  strichartz_accum[k] is the running value of
-    (sum over steps so far of dt * ||u||_{q_c}^{q_c})^{1/q_c}.  dt_series[k]
-    is dt_eff, the step in effect at sample k (adapted, when adaptive is
+    series maps each name of RUN_COLUMNS to its values, one per sample: a
+    float array, and a tuple of str for membership.  Ratio and deviation
+    entries are NaN when no ground state was supplied (or its grid differs
+    from the run grid, for the deviation).  strichartz_accum[k] is the
+    running value of (sum over steps so far of dt * ||u||_{q_c}^{q_c})^{1/q_c}.
+    dt_eff[k] is the step in effect at sample k (adapted, when adaptive is
     set) before clipping to t_end.
     """
 
     params: PhysParams
     config: StepperConfig
-    times: np.ndarray
-    mass_series: np.ndarray
-    energy_series: np.ndarray
-    hs_series: np.ndarray
-    hsc_series: np.ndarray
-    v_series: np.ndarray
-    lpc_series: np.ndarray
-    me_ratio_series: np.ndarray
-    grad_ratio_series: np.ndarray
-    membership_series: tuple[str, ...]
-    tail_fraction_series: np.ndarray
-    strichartz_accum: np.ndarray
-    soliton_deviation: np.ndarray
-    dt_series: np.ndarray
+    series: dict[str, np.ndarray | tuple[str, ...]]
     verdict: str
     t_star: float | None
     n_steps: int
@@ -152,67 +162,53 @@ class RunRecord:
     snapshots: tuple[tuple[float, SpectralField], ...] = field(default=(), repr=False)
 
     @property
+    def times(self) -> np.ndarray:
+        return self.series["time"]
+
+    def ratio(self, name: str) -> float:
+        """Final over initial value of a series."""
+        col = self.series[name]
+        return float(col[-1] / col[0])
+
+    @property
     def mass_drift(self) -> float:
-        m0 = self.mass_series[0]
-        return float(np.max(np.abs(self.mass_series - m0)) / m0)
+        mass = self.series["mass"]
+        return float(np.max(np.abs(mass - mass[0])) / mass[0])
 
     @property
     def energy_drift(self) -> float:
-        e0 = self.energy_series[0]
+        energy = self.series["energy"]
+        e0 = energy[0]
         scale = abs(e0) if e0 != 0.0 else 1.0
-        return float(np.max(np.abs(self.energy_series - e0)) / scale)
+        return float(np.max(np.abs(energy - e0)) / scale)
 
     @property
     def v_ratio_final(self) -> float:
-        return float(self.v_series[-1] / self.v_series[0])
+        return self.ratio("v")
 
     def summary(self) -> dict:
+        s = self.series
         return {
             "verdict": self.verdict,
             "t_star": self.t_star,
-            "t_final": float(self.times[-1]),
+            "t_final": float(s["time"][-1]),
             "n_steps": self.n_steps,
-            "n_samples": int(self.times.size),
+            "n_samples": int(s["time"].size),
             "mass_drift": self.mass_drift,
             "energy_drift": self.energy_drift,
-            "me_ratio_initial": float(self.me_ratio_series[0]),
-            "grad_ratio_initial": float(self.grad_ratio_series[0]),
-            "grad_ratio_final": float(self.grad_ratio_series[-1]),
+            "me_ratio_initial": float(s["me_ratio"][0]),
+            "grad_ratio_initial": float(s["grad_ratio"][0]),
+            "grad_ratio_final": float(s["grad_ratio"][-1]),
             "v_ratio_final": self.v_ratio_final,
-            "hs_growth": float(self.hs_series[-1] / self.hs_series[0]),
-            "strichartz_accum": float(self.strichartz_accum[-1]),
-            "membership_initial": self.membership_series[0],
+            "hs_growth": self.ratio("hs"),
+            "strichartz_accum": float(s["strichartz_accum"][-1]),
+            "membership_initial": s["membership"][0],
             "caveats": list(self.caveats),
         }
 
     def to_csv(self, path) -> None:
-        """Write the sampled series as CSV with fixed float formatting, so
-        identical runs produce byte-identical files."""
-        cols = (
-            "time,mass,energy,hs,hsc,v,lpc,me_ratio,grad_ratio,membership,"
-            "tail_fraction,strichartz_accum,soliton_deviation,dt_eff"
-        )
-        fmt = "%.15e"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(cols + "\n")
-            for k in range(self.times.size):
-                row = [
-                    fmt % self.times[k],
-                    fmt % self.mass_series[k],
-                    fmt % self.energy_series[k],
-                    fmt % self.hs_series[k],
-                    fmt % self.hsc_series[k],
-                    fmt % self.v_series[k],
-                    fmt % self.lpc_series[k],
-                    fmt % self.me_ratio_series[k],
-                    fmt % self.grad_ratio_series[k],
-                    self.membership_series[k],
-                    fmt % self.tail_fraction_series[k],
-                    fmt % self.strichartz_accum[k],
-                    fmt % self.soliton_deviation[k],
-                    fmt % self.dt_series[k],
-                ]
-                fh.write(",".join(row) + "\n")
+        """Write the series as run.csv, one row per sample."""
+        write_csv(path, RUN_COLUMNS, zip(*(self.series[name] for name in RUN_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -426,20 +422,7 @@ def evolve(
     verdict: str | None = None
     t_star: float | None = None
 
-    times: list[float] = []
-    mass_s: list[float] = []
-    energy_s: list[float] = []
-    hs_s: list[float] = []
-    hsc_s: list[float] = []
-    v_s: list[float] = []
-    lpc_s: list[float] = []
-    me_s: list[float] = []
-    gr_s: list[float] = []
-    member_s: list[str] = []
-    tailf_s: list[float] = []
-    stri_s: list[float] = []
-    sol_s: list[float] = []
-    dt_s: list[float] = []
+    rows: list[tuple] = []  # one per sample, in RUN_COLUMNS order
     snaps: list[tuple[float, SpectralField]] = []
 
     def sample(dt_eff: float) -> tuple[float, float, float, float]:
@@ -472,21 +455,9 @@ def evolve(
             sol = math.sqrt(hN * _dot(flat, flat)) / q_l2
         else:
             sol = float("nan")
-        times.append(t)
-        mass_s.append(m)
-        energy_s.append(e)
-        hs_s.append(hs)
-        hsc_s.append(hsc)
-        v_s.append(v)
-        lpc_s.append(lpc)
-        me_s.append(me_ratio)
-        gr_s.append(grad_ratio)
-        member_s.append(membership)
-        tailf_s.append(tail_frac)
-        stri_s.append(accum_qc ** (1.0 / qc))
-        sol_s.append(sol)
-        dt_s.append(dt_eff)
-        if cfg.snapshot_every > 0 and (len(times) - 1) % cfg.snapshot_every == 0:
+        rows.append((t, m, e, hs, hsc, v, lpc, me_ratio, grad_ratio, membership,
+                     tail_frac, accum_qc ** (1.0 / qc), sol, dt_eff))
+        if cfg.snapshot_every > 0 and (len(rows) - 1) % cfg.snapshot_every == 0:
             snaps.append((t, field_from_values(grid, vals.copy())))
         return m, hs, grad_ratio, tail_frac
 
@@ -547,15 +518,16 @@ def evolve(
                 else:
                     verdict = VERDICT_INCONCLUSIVE
 
+    series = {name: tuple(col) if name == "membership" else np.array(col)
+              for name, col in zip(RUN_COLUMNS, zip(*rows))}
     if verdict is None:
-        sol_arr = np.asarray(sol_s)
-        gr_arr = np.asarray(gr_s)
-        if track_soliton and bool(np.all(sol_arr < SOLITON_DEVIATION_TOL)):
+        v_col = series["v"]
+        if track_soliton and bool(np.all(series["soliton_deviation"] < SOLITON_DEVIATION_TOL)):
             verdict = VERDICT_SOLITON
         elif (
             gs is not None
-            and bool(np.all(gr_arr < 1.0))
-            and v_s[-1] < DISPERSAL_V_FRACTION * v_s[0]
+            and bool(np.all(series["grad_ratio"] < 1.0))
+            and v_col[-1] < DISPERSAL_V_FRACTION * v_col[0]
         ):
             verdict = VERDICT_DISPERSING
         else:
@@ -564,20 +536,7 @@ def evolve(
     return RunRecord(
         params=p,
         config=cfg,
-        times=np.asarray(times),
-        mass_series=np.asarray(mass_s),
-        energy_series=np.asarray(energy_s),
-        hs_series=np.asarray(hs_s),
-        hsc_series=np.asarray(hsc_s),
-        v_series=np.asarray(v_s),
-        lpc_series=np.asarray(lpc_s),
-        me_ratio_series=np.asarray(me_s),
-        grad_ratio_series=np.asarray(gr_s),
-        membership_series=tuple(member_s),
-        tail_fraction_series=np.asarray(tailf_s),
-        strichartz_accum=np.asarray(stri_s),
-        soliton_deviation=np.asarray(sol_s),
-        dt_series=np.asarray(dt_s),
+        series=series,
         verdict=verdict,
         t_star=t_star,
         n_steps=n_steps,
@@ -590,13 +549,9 @@ def evolve(
 def invariance_audit(rec: RunRecord) -> InvarianceReport:
     """Check that a run with me_ratio(0) < 1 never switched between K1 and
     K2, and report the margin by which grad_ratio stayed on its side of 1."""
-    initial = rec.membership_series[0]
-    applicable = (
-        not np.isnan(rec.me_ratio_series[0])
-        and rec.me_ratio_series[0] < 1.0
-        and initial in ("K1", "K2")
-    )
-    if not applicable:
+    members, grad_ratio = rec.series["membership"], rec.series["grad_ratio"]
+    initial = members[0]
+    if not (rec.series["me_ratio"][0] < 1.0 and initial in ("K1", "K2")):  # False for NaN
         return InvarianceReport(
             initial_membership=initial,
             applicable=False,
@@ -605,19 +560,12 @@ def invariance_audit(rec: RunRecord) -> InvarianceReport:
             grad_gap=float("nan"),
         )
     opposite = "K2" if initial == "K1" else "K1"
-    flip_index = None
-    for k, label in enumerate(rec.membership_series):
-        if label == opposite:
-            flip_index = k
-            break
-    if initial == "K1":
-        grad_gap = float(np.min(1.0 - rec.grad_ratio_series))
-    else:
-        grad_gap = float(np.min(rec.grad_ratio_series - 1.0))
+    flip_index = next((k for k, label in enumerate(members) if label == opposite), None)
+    gap = 1.0 - grad_ratio if initial == "K1" else grad_ratio - 1.0
     return InvarianceReport(
         initial_membership=initial,
         applicable=True,
         flipped=flip_index is not None,
         flip_index=flip_index,
-        grad_gap=grad_gap,
+        grad_gap=float(np.min(gap)),
     )

@@ -25,6 +25,7 @@ dichotomy classification.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -74,10 +75,10 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.seed_width <= 0.0:
-            raise ValueError(f"seed_width must be positive, got {self.seed_width}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (math.isfinite(self.seed_width) and self.seed_width > 0.0):
+            raise ValueError(f"seed_width must be positive and finite, got {self.seed_width}")
 
 
 @dataclass(frozen=True)
@@ -515,4 +516,4 @@ def soliton_orbit_check(
         return 0.0
     cfg = StepperConfig(dt=dt, t_end=T, record_every=record_every, adaptive=False)
     rec = evolve(gs.q, gs.params, mult, cfg, gs=gs)
-    return float(np.max(rec.soliton_deviation))
+    return float(np.max(rec.series["soliton_deviation"]))

@@ -1,16 +1,18 @@
 """Binary field snapshots with a validating header and a JSON sidecar.
 
-Layout: an 8-byte magic, a fixed-size header (N, n, L, s, gamma and the
-zero-padded Fourier-convention tag), then the field values as raw
-little-endian complex doubles in row-major order.  A JSON sidecar written
-next to the binary carries whatever validation scalars the producer wants
-to persist (solver residuals, thresholds, run summaries).  Readers check
-the magic, the convention tag, and the payload size; loading never guesses.
+Layout: an 8-byte magic, a fixed-size header (N, n, L, s, gamma, the
+CRC32 of the payload and the zero-padded Fourier-convention tag), then the
+field values as raw little-endian complex doubles in row-major order.  A
+JSON sidecar written next to the binary carries whatever validation scalars
+the producer wants to persist (solver residuals, thresholds, run
+summaries).  Readers check the magic, the convention tag, the payload size
+and its checksum; loading never guesses.
 """
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +20,14 @@ import numpy as np
 from .params import PhysParams
 from .spectral import CONVENTION_TAG, SpectralField, field_from_values, make_grid
 
-MAGIC = b"FHSNAP01"
-_HEADER_FMT = "<8sii3d64s"
+MAGIC = b"FHSNAP02"
+_OLD_MAGIC = b"FHSNAP01"  # the previous format, without the payload checksum
+_HEADER_FMT = "<8sii3dI64s"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 
 class SnapshotFormatError(RuntimeError):
-    """The file is not a readable snapshot (bad magic, tag, or size)."""
+    """The file is not a readable snapshot (bad magic, tag, size, or checksum)."""
 
 
 class SnapshotMismatchError(RuntimeError):
@@ -46,6 +49,7 @@ def write_snapshot(
         raise ValueError("snapshots store physical-space fields")
     path = Path(path)
     grid = u.grid
+    payload = np.ascontiguousarray(u.values, dtype="<c16")
     header = struct.pack(
         _HEADER_FMT,
         MAGIC,
@@ -54,9 +58,9 @@ def write_snapshot(
         grid.L,
         p.s,
         p.gamma,
+        zlib.crc32(payload),
         CONVENTION_TAG.encode("utf-8").ljust(64, b"\0"),
     )
-    payload = np.ascontiguousarray(u.values, dtype="<c16")
     path.write_bytes(header + payload.tobytes())
     meta = {
         "N": grid.N,
@@ -85,7 +89,12 @@ def read_snapshot(
     raw = path.read_bytes()
     if len(raw) < _HEADER_SIZE:
         raise SnapshotFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, N, n, L, s, gamma, tag = struct.unpack(_HEADER_FMT, raw[:_HEADER_SIZE])
+    magic, N, n, L, s, gamma, crc, tag = struct.unpack(_HEADER_FMT, raw[:_HEADER_SIZE])
+    if magic == _OLD_MAGIC:
+        raise SnapshotFormatError(
+            f"{path}: format {_OLD_MAGIC.decode()} carries no payload checksum and is "
+            f"no longer read; write the snapshot again ({MAGIC.decode()})"
+        )
     if magic != MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
     tag_str = tag.rstrip(b"\0").decode("utf-8", errors="replace")
@@ -103,6 +112,11 @@ def read_snapshot(
         raise SnapshotFormatError(
             f"{path}: payload size {len(raw) - _HEADER_SIZE} does not match "
             f"{n}^{N} complex doubles"
+        )
+    actual = zlib.crc32(memoryview(raw)[_HEADER_SIZE:])
+    if actual != crc:
+        raise SnapshotFormatError(
+            f"{path}: payload checksum {actual:08x} does not match the header's {crc:08x}"
         )
     if expect is not None and (expect.N != N or expect.s != s or expect.gamma != gamma):
         raise SnapshotMismatchError(

@@ -109,14 +109,14 @@ def test_04_conservation_and_drift_order(canonical, soliton_run):
 
 
 def test_05_soliton_orbit(canonical, soliton_run):
-    dev = float(np.max(soliton_run.soliton_deviation))
+    dev = float(np.max(soliton_run.series["soliton_deviation"]))
     devs = []
     for dt in (2e-3, 1e-3):
         rec = evolve(canonical.gs.q, canonical.p, canonical.mult,
                      StepperConfig(dt=dt, t_end=0.2, record_every=20,
                                    adaptive=False),
                      gs=canonical.gs)
-        devs.append(float(np.max(rec.soliton_deviation)))
+        devs.append(float(np.max(rec.series["soliton_deviation"])))
     ratio = devs[0] / devs[1]
     ok = dev < 1e-4 and 3.5 <= ratio <= 4.5
     _check(5, "soliton orbit", ok,
@@ -127,15 +127,15 @@ def test_06_dichotomy_end_to_end(dispersal_run, blowup_run, blowup_showcase):
     d_ok = (
         dispersal_run.verdict == "GlobalDispersing"
         and dispersal_run.v_ratio_final < 0.5
-        and all(m == "K1" for m in dispersal_run.membership_series)
+        and all(m == "K1" for m in dispersal_run.series["membership"])
     )
     b_ok = (
         blowup_run.verdict == "BlowUp"
         and blowup_run.t_star is not None and 0.0 < blowup_run.t_star < 2.0
-        and all(m == "K2" for m in blowup_run.membership_series)
+        and all(m == "K2" for m in blowup_run.series["membership"])
     )
     _, show = blowup_showcase
-    hs_growth = float(show.hs_series[-1] / show.hs_series[0])
+    hs_growth = show.ratio("hs")
     s_ok = show.verdict == "BlowUp" and hs_growth > 10.0 and show.caveats == ()
 
     cfg = load_config(overrides=["stepper.t_end=4.0"])
@@ -158,9 +158,9 @@ def test_07_invariant_sets_and_coercivity(canonical, dispersal_run, blowup_run):
                and a_k2.applicable and not a_k2.flipped)
 
     p = canonical.p
-    g_sq = np.asarray(dispersal_run.hs_series) ** 2
-    e = np.asarray(dispersal_run.energy_series)
-    v = np.asarray(dispersal_run.v_series)
+    g_sq = dispersal_run.series["hs"] ** 2
+    e = dispersal_run.series["energy"]
+    v = dispersal_run.series["v"]
     lower = e - (p.gamma - 2.0 * p.s) / (2.0 * p.gamma) * g_sq
     upper = 0.5 * g_sq - e
     gap = g_sq - (p.gamma / (4.0 * p.s)) * v

@@ -263,7 +263,7 @@ def test_sweep_artifacts(tmp_path):
     assert rc == EXIT_OK
 
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == SWEEP_COLUMNS
+    assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == 3  # header + two amplitudes
     first = lines[1].split(",")
     assert first[0] == "0"

@@ -128,6 +128,25 @@ def test_broken_invariants_surface_as_config_errors(override):
         load_config(overrides=[override])
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "stepper.t_end=nan",   # evolve would take no step and return a verdict
+        "stepper.t_end=inf",
+        "stepper.dt=inf",
+        "stepper.phase_cap=nan",
+        "stepper.blowup_grad_factor=inf",
+        "solver.tol=nan",
+        "solver.seed_width=nan",
+        "solver.seed_width=inf",
+        "io.seed=-1",          # np.random.default_rng would reject it mid-run
+    ],
+)
+def test_non_finite_settings_are_config_errors(override):
+    with pytest.raises(ConfigError):
+        load_config(overrides=[override])
+
+
 def test_exact_kernel_restricted_to_planar_case():
     with pytest.raises(ConfigError, match="sampled"):
         load_config(overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=16"])
@@ -161,6 +180,116 @@ def test_resolved_view_replays_to_the_same_config():
               for section, settings in view.items() if isinstance(settings, dict)
               for key, value in settings.items()]
     assert load_config(overrides=replay) == cfg
+
+
+def _text(x: float) -> str:
+    return repr(float(x))
+
+
+_BOOL_TEXT = st.sampled_from(["yes", "no", "true", "false", "on", "off", "1", "0"])
+
+
+@st.composite
+def _valid_overrides(draw) -> list[tuple[str, str, object]]:
+    """A valid override list as (dotted key, text, parsed value) triples:
+    every key at most once, N=2 and grid.n a small power of two."""
+    s = draw(st.floats(0.05, 0.95))
+    gamma = draw(st.floats(2.0 * s, min(2.0, 4.0 * s), exclude_min=True, exclude_max=True))
+    dt = draw(st.floats(1e-5, 1e-2))
+    dt_min = dt * draw(st.floats(1e-3, 1.0))
+    floats = {
+        "physics.s": s, "physics.gamma": gamma,
+        "grid.L": draw(st.floats(1.0, 100.0)),
+        "solver.tol": draw(st.floats(1e-15, 1e-3)),
+        "solver.seed_width": draw(st.floats(0.1, 10.0)),
+        "stepper.dt": dt, "stepper.dt_min": dt_min,
+        "stepper.t_end": draw(st.floats(1e-3, 10.0)),
+        "stepper.blowup_grad_factor": draw(st.floats(1.01, 100.0)),
+        "stepper.tail_fraction_max": draw(st.floats(0.01, 0.99)),
+        "stepper.phase_cap": draw(st.floats(1e-3, 1.0)),
+    }
+    ints = {
+        "physics.N": 2,
+        "grid.n": draw(st.sampled_from([16, 32, 64])),
+        "solver.max_iter": draw(st.integers(1, 10_000)),
+        "stepper.record_every": draw(st.integers(1, 100)),
+        "io.snapshot_every": draw(st.integers(0, 50)),
+        "io.seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    items = {k: (_text(v), v) for k, v in floats.items()}
+    items.update({k: (str(v), v) for k, v in ints.items()})
+    for key in ("stepper.adaptive", "stepper.nonlinear", "stepper.dealias"):
+        text = draw(_BOOL_TEXT)
+        items[key] = (text, text in ("yes", "true", "on", "1"))
+    mode = draw(st.sampled_from(["exact", "sampled"]))
+    items["grid.kernel_mode"] = (mode, mode)
+    out_dir = draw(st.text("abcxyz_-/", min_size=1, max_size=12))
+    items["io.out_dir"] = (out_dir, out_dir)
+    keys = set(draw(st.lists(st.sampled_from(sorted(items)), unique=True)))
+    # s and gamma are drawn as a pair, dt_min under the drawn dt
+    if keys & {"physics.s", "physics.gamma"}:
+        keys |= {"physics.s", "physics.gamma"}
+    if "stepper.dt_min" in keys:
+        keys.add("stepper.dt")
+    return [(key, *items[key]) for key in draw(st.permutations(sorted(keys)))]
+
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
+_FLOAT_KEYS = ("physics.s", "physics.gamma", "grid.L", "solver.tol", "solver.seed_width",
+               "stepper.dt", "stepper.t_end", "stepper.dt_min", "stepper.blowup_grad_factor",
+               "stepper.tail_fraction_max", "stepper.phase_cap")
+_OUT_OF_RANGE = (
+    "physics.N=1", "physics.N=4", "physics.s=0", "physics.s=1", "physics.s=-0.5",
+    "physics.gamma=0", "physics.gamma=2", "grid.n=8", "grid.n=48", "grid.n=0",
+    "grid.L=0", "grid.L=-1", "grid.kernel_mode=fast", "solver.max_iter=0",
+    "solver.tol=0", "solver.tol=-1e-12", "solver.seed_width=0", "stepper.dt=0",
+    "stepper.dt=-1e-3", "stepper.t_end=0", "stepper.record_every=0", "stepper.dt_min=0",
+    "stepper.dt_min=1.0", "stepper.blowup_grad_factor=1", "stepper.tail_fraction_max=0",
+    "stepper.tail_fraction_max=1", "stepper.phase_cap=0", "io.snapshot_every=-1",
+    "io.seed=-1",
+)
+_UNPARSABLE = (
+    "grid.n=64.0", "grid.n=sixty", "physics.s=0.7.1", "physics.N=two", "stepper.dt=",
+    "stepper.adaptive=maybe", "stepper.dealias=2", "io.seed=1e3", "solver.max_iter=1_0_",
+)
+
+
+_KEYS = {section: set(settings) for section, settings in load_config().resolved().items()
+         if isinstance(settings, dict)}
+
+
+def _invalid_override():
+    word = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10)
+    return st.one_of(
+        st.tuples(st.sampled_from(_FLOAT_KEYS), _NON_FINITE).map("=".join),
+        st.sampled_from(_OUT_OF_RANGE),
+        st.sampled_from(_UNPARSABLE),
+        word.filter(lambda sec: sec not in _KEYS).map(lambda sec: f"{sec}.dt=1e-3"),
+        st.sampled_from(sorted(_KEYS)).flatmap(
+            lambda sec: word.filter(lambda key: key not in _KEYS[sec])
+            .map(lambda key: f"{sec}.{key}=1")),
+        st.sampled_from(["stepper.dt", "dt=1e-3", "stepper.dt:1e-3", "=1", "."]),
+    )
+
+
+@given(items=_valid_overrides())
+def test_valid_overrides_are_applied_and_replay(items):
+    cfg = load_config(overrides=[f"{key}={text}" for key, text, _ in items])
+    view = cfg.resolved()
+    for key, _, value in items:
+        section, name = key.split(".")
+        assert view[section][name] == value, key
+    replay = [f"{section}.{key}={value}"
+              for section, settings in view.items() if isinstance(settings, dict)
+              for key, value in settings.items()]
+    assert load_config(overrides=replay) == cfg
+
+
+@given(items=_valid_overrides(), bad=_invalid_override())
+def test_invalid_override_is_a_config_error(items, bad):
+    # the bad item comes last, so no valid item can override it
+    with pytest.raises(ConfigError):
+        load_config(overrides=[f"{key}={text}" for key, text, _ in items] + [bad])
 
 
 def test_sweep_spec_amplitude_grid():
@@ -303,6 +432,29 @@ def test_header_bit_flip_is_caught_or_harmless(tmp_path, params, small_field, bi
     assert make_grid(N=g.N, n=g.n, L=g.L) == g
     assert PhysParams(N=p.N, s=p.s, gamma=p.gamma) == p
     assert u.values.shape == g.shape
+
+
+@_SNAPSHOT_FUZZ
+@given(data=st.data())
+def test_payload_bit_flip_is_a_format_error(tmp_path, params, small_field, data):
+    path = write_snapshot(tmp_path / "field.bin", small_field, params)
+    raw = bytearray(path.read_bytes())
+    bit = data.draw(st.integers(8 * _HEADER_SIZE, 8 * len(raw) - 1), label="bit")
+    raw[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="checksum"):
+        read_snapshot(path)
+
+
+def test_previous_format_is_rejected_by_name(tmp_path, params, small_field):
+    path = write_snapshot(tmp_path / "field.bin", small_field, params)
+    raw = path.read_bytes()
+    assert raw[:8] == MAGIC == b"FHSNAP02"
+    # the previous layout: no checksum field between gamma and the tag
+    old = b"FHSNAP01" + raw[8:40] + raw[44:]
+    path.write_bytes(old)
+    with pytest.raises(SnapshotFormatError, match="FHSNAP01"):
+        read_snapshot(path)
 
 
 def test_snapshot_params_mismatch(tmp_path, params, small_field):

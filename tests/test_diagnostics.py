@@ -455,8 +455,8 @@ def test_scattering_proxies_on_dispersing_run(dispersal_run):
 
 
 def test_scattering_proxies_need_enough_samples():
-    rec = SimpleNamespace(times=np.array([0.0, 0.1, 0.2]),
-                          strichartz_accum=np.zeros(3),
-                          v_series=np.ones(3), lpc_series=np.ones(3))
+    rec = SimpleNamespace(series={"time": np.array([0.0, 0.1, 0.2]),
+                                  "strichartz_accum": np.zeros(3),
+                                  "v": np.ones(3), "lpc": np.ones(3)})
     with pytest.raises(ValueError):
         scattering_proxies(rec)

@@ -172,7 +172,7 @@ def test_soliton_deviation_is_second_order(canonical):
     for dt in (2e-3, 1e-3):
         cfg = StepperConfig(dt=dt, t_end=0.2, record_every=20, adaptive=False)
         rec = evolve(canonical.gs.q, canonical.p, canonical.mult, cfg, gs=canonical.gs)
-        devs.append(float(np.max(rec.soliton_deviation)))
+        devs.append(float(np.max(rec.series["soliton_deviation"])))
     assert 3.5 < devs[0] / devs[1] < 4.5
 
 
@@ -197,17 +197,17 @@ def test_dispersal_run_conserves_invariants(dispersal_run):
 
 def test_soliton_orbit_verdict(soliton_run):
     assert soliton_run.verdict == "Soliton"
-    assert float(np.max(soliton_run.soliton_deviation)) < 1e-4
+    assert float(np.max(soliton_run.series["soliton_deviation"])) < 1e-4
     assert soliton_run.t_star is None
-    assert soliton_run.membership_series[0] == "Boundary"
+    assert soliton_run.series["membership"][0] == "Boundary"
 
 
 def test_dispersal_verdict(dispersal_run):
     rec = dispersal_run
     assert rec.verdict == "GlobalDispersing"
     assert rec.v_ratio_final < 0.5
-    assert np.all(rec.grad_ratio_series < 1.0)
-    assert all(m == "K1" for m in rec.membership_series)
+    assert np.all(rec.series["grad_ratio"] < 1.0)
+    assert all(m == "K1" for m in rec.series["membership"])
     assert rec.t_star is None
 
 
@@ -217,16 +217,16 @@ def test_blowup_verdict_canonical(blowup_run):
     assert rec.t_star is not None and 0.9 < rec.t_star < 1.3
     # the canonical grid refuses on spectral-tail growth with grad_ratio > 1
     assert any("tail fraction" in c for c in rec.caveats)
-    assert all(m == "K2" for m in rec.membership_series)
+    assert all(m == "K2" for m in rec.series["membership"])
 
 
 def test_blowup_showcase_hits_gradient_trigger(blowup_showcase):
     _, rec = blowup_showcase
     assert rec.verdict == "BlowUp"
     assert rec.t_star is not None and 1.3 < rec.t_star < 1.5
-    assert float(rec.hs_series[-1] / rec.hs_series[0]) > 10.0
+    assert float(rec.series["hs"][-1] / rec.series["hs"][0]) > 10.0
     assert rec.caveats == ()  # genuine trigger, no resolution refusal
-    assert all(m == "K2" for m in rec.membership_series)
+    assert all(m == "K2" for m in rec.series["membership"])
 
 
 def test_under_resolved_k1_run_is_inconclusive(canonical):
@@ -248,9 +248,9 @@ def test_blowup_without_ground_state(canonical):
     cfg = StepperConfig(dt=1e-3, t_end=2.0, record_every=10)
     rec = evolve(u0, canonical.p, canonical.mult, cfg)
     assert rec.verdict == "BlowUp"
-    assert np.all(np.isnan(rec.me_ratio_series))
-    assert np.all(np.isnan(rec.soliton_deviation))
-    assert all(m == "Unknown" for m in rec.membership_series)
+    assert np.all(np.isnan(rec.series["me_ratio"]))
+    assert np.all(np.isnan(rec.series["soliton_deviation"]))
+    assert all(m == "Unknown" for m in rec.series["membership"])
 
 
 # --------------------------------------------------------------------------
@@ -368,9 +368,9 @@ def test_csv_round_trip(soliton_run, tmp_path):
     data = np.genfromtxt(path, delimiter=",", skip_header=1,
                          usecols=(0, 1, 2, 3))
     assert np.allclose(data[:, 0], soliton_run.times, atol=1e-14)
-    assert np.allclose(data[:, 1], soliton_run.mass_series, rtol=1e-14)
-    assert np.allclose(data[:, 2], soliton_run.energy_series, rtol=1e-14)
-    assert np.allclose(data[:, 3], soliton_run.hs_series, rtol=1e-14)
+    assert np.allclose(data[:, 1], soliton_run.series["mass"], rtol=1e-14)
+    assert np.allclose(data[:, 2], soliton_run.series["energy"], rtol=1e-14)
+    assert np.allclose(data[:, 3], soliton_run.series["hs"], rtol=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -419,10 +419,8 @@ def test_wrap_time_scales_with_box(canonical, params):
 # --------------------------------------------------------------------------
 # the step loop against the transform-per-step loop it replaced
 
-_SERIES = ("times", "mass_series", "energy_series", "hs_series", "hsc_series",
-           "v_series", "lpc_series", "me_ratio_series", "grad_ratio_series",
-           "tail_fraction_series", "strichartz_accum", "soliton_deviation",
-           "dt_series")
+_SERIES = ("time", "mass", "energy", "hs", "hsc", "v", "lpc", "me_ratio", "grad_ratio",
+           "tail_fraction", "strichartz_accum", "soliton_deviation", "dt_eff")
 
 
 def _reference_evolve(u0, p, mult, cfg, gs):
@@ -534,14 +532,14 @@ def test_evolve_matches_transform_per_step_loop(coarse, c, kw):
     series, members, verdict, n_steps = _reference_evolve(u0, s.p, s.mult, cfg, s.gs)
     assert rec.verdict == verdict
     assert rec.n_steps == n_steps
-    assert rec.membership_series == members
+    assert rec.series["membership"] == members
     assert members[0] == ("K1" if c < 1.0 else "K2")
-    assert (len(set(rec.dt_series)) > 1) == cfg.adaptive
+    assert (len(set(rec.series["dt_eff"])) > 1) == cfg.adaptive
     for name in _SERIES:
-        new, old = getattr(rec, name), series[name]
+        new, old = rec.series[name], series[name]
         assert new.shape == old.shape, name
         tol = 1e-10 * np.abs(old)
-        if name == "tail_fraction_series" and cfg.dealias:
+        if name == "tail_fraction" and cfg.dealias:
             # the carried spectrum is exactly 0 on the masked modes, where
             # fftn(vals) holds rounding noise (~1e-30 of the gradient norm)
             tol = np.maximum(tol, 1e-20)
