@@ -216,9 +216,7 @@ def auxiliary_field(u: SpectralField, m: float, p: PhysParams) -> SpectralField:
     """Resolvent smoothing u_m = c_s (-Delta + m)^{-1} u."""
     if m <= 0.0:
         raise ValueError(f"resolvent parameter m must be positive, got {m}")
-    hat = to_fourier(u)
-    vals = _c_s(p.s) * hat.values / (u.grid.xi_sq + m)
-    return to_physical(SpectralField(grid=u.grid, values=vals, space="fourier"))
+    return to_physical(u.grid, _c_s(p.s) * to_fourier(u) / (u.grid.xi_sq + m))
 
 
 def balakrishnan_check(
@@ -231,8 +229,6 @@ def balakrishnan_check(
     ValueError when the grid's largest |xi|^2 exceeds quad.b/10 or its
     smallest nonzero |xi|^2 falls below quad.a.
     """
-    if not u.is_physical:
-        raise ValueError("balakrishnan_check requires a physical-space field")
     grid = u.grid
     quad.require_covers(grid)
     hat = np.fft.fftn(u.values)
@@ -354,8 +350,6 @@ def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
 
 def localized_virial(u: SpectralField, phi: CutoffPhi) -> float:
     """M_R = 2 Im int conj(u) grad(phi_R) . grad(u) dx (zero for real u)."""
-    if not u.is_physical:
-        raise ValueError("localized_virial requires a physical-space field")
     if u.grid != phi.grid:
         raise ValueError("field and cutoff live on different grids")
     grid = u.grid
@@ -415,8 +409,6 @@ def virial_rhs(
     Raises ValueError when the grid's largest |xi|^2 exceeds quad.b/10 or
     its smallest nonzero |xi|^2 falls below quad.a.
     """
-    if not u.is_physical:
-        raise ValueError("virial_rhs requires a physical-space field")
     if u.grid != phi.grid or u.grid != mult.grid:
         raise ValueError("field, cutoff, and multipliers must share one grid")
     grid = u.grid
@@ -515,8 +507,6 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
     non-periodic, so a warning fires when more than 1e-6 of the mass sits at
     radius |x| > 0.4 L, where the weight's sawtooth jump corrupts the spectrum.
     """
-    if not u.is_physical:
-        raise ValueError("weighted_virial requires a physical-space field")
     grid = u.grid
     rho = u.values.real**2 + u.values.imag**2
     total = float(np.sum(rho))

@@ -303,13 +303,11 @@ def strang_step(
     substeps project onto the retained modes (this breaks exact mass
     conservation).
     """
-    if not u.is_physical:
-        raise ValueError("strang_step requires a physical-space field")
     half = _half_step_phase(mult.frac_lap_s, dt)
     what_half = _half(mult.hartree_kernel_hat)
     work = _StepWork(u.grid.shape)
     vals = _strang(np.fft.fftn(u.values), half, what_half, dt, nonlinear, mask, work)
-    return SpectralField(grid=u.grid, values=vals, space=u.space)
+    return SpectralField(grid=u.grid, values=vals)
 
 
 def _strang(
@@ -380,8 +378,6 @@ def evolve(
                    finite, which stops the run; either stop is recorded as
                    a caveat).
     """
-    if not u0.is_physical:
-        raise ValueError("evolve requires a physical-space initial state")
     if u0.grid != mult.grid:
         raise ValueError("initial state and multiplier set live on different grids")
     if mult.s != p.s or mult.gamma != p.gamma:

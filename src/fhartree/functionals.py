@@ -16,12 +16,10 @@ import numpy as np
 
 from .params import PhysParams
 from .spectral import (
-    FOURIER,
     MultiplierSet,
     SpectralField,
     hartree_potential,
     lp_norm,
-    parseval_weight,
     sobolev_norm,
     to_fourier,
 )
@@ -71,14 +69,12 @@ class ComparabilityReport:
 
 
 def mass(u: SpectralField) -> float:
-    if u.space == FOURIER:
-        return float(parseval_weight(u.grid) * np.sum(u.values.real**2 + u.values.imag**2))
     return float(u.grid.h**u.grid.N * np.sum(u.values.real**2 + u.values.imag**2))
 
 
 def hartree_energy(u: SpectralField, mult: MultiplierSet) -> float:
     """V(u) = int (W * |u|^2)|u|^2 dx; nonnegative since W_hat >= 0."""
-    pot = hartree_potential(u, mult).values.real
+    pot = hartree_potential(u, mult)
     rho = u.values.real**2 + u.values.imag**2
     return float(u.grid.h**u.grid.N * np.sum(pot * rho))
 
@@ -145,7 +141,7 @@ def scale_solution(u: SpectralField, lam: float, p: PhysParams) -> SpectralField
     if not 0.25 <= lam <= 4.0:
         raise ValueError(f"lambda must lie in [1/4, 4], got {lam}")
     grid = u.grid
-    hat = to_fourier(u).values
+    hat = to_fourier(u)
     # synthesis matrix E[j, k] = exp(i lam x_j xi_k), one axis at a time.
     # The interpolant is L-periodic, so for lam > 1 the points lam*x_j that
     # leave [-L/2, L/2) would wrap onto ghost copies of the compressed
@@ -157,7 +153,7 @@ def scale_solution(u: SpectralField, lam: float, p: PhysParams) -> SpectralField
     for axis in range(grid.N):
         out = np.moveaxis(np.tensordot(E, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
     out = out * (grid.L ** (-grid.N) * lam ** (0.5 * (grid.N - p.gamma + 2.0 * p.s)))
-    scaled = SpectralField(grid=grid, values=out, space="physical")
+    scaled = SpectralField(grid=grid, values=out)
     _warn_if_support_wraps(scaled)
     return scaled
 

@@ -44,9 +44,7 @@ def write_snapshot(
     p: PhysParams,
     sidecar: dict | None = None,
 ) -> Path:
-    """Persist a physical-space field and its JSON sidecar; returns the path."""
-    if not u.is_physical:
-        raise ValueError("snapshots store physical-space fields")
+    """Persist a field and its JSON sidecar; returns the path."""
     path = Path(path)
     grid = u.grid
     payload = np.ascontiguousarray(u.values, dtype="<c16")

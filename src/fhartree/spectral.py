@@ -34,8 +34,9 @@ from .params import PhysParams
 #: Identifies the transform/weight convention in snapshots and JSON artifacts.
 CONVENTION_TAG = "fwd:h^N inv:L^-N centered v1"
 
-PHYSICAL = "physical"
-FOURIER = "fourier"
+#: Most grid points a grid may have, n**N: 4096^2 or 256^3.  A complex field
+#: on the largest grid takes 256 MiB.
+MAX_GRID_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,8 @@ def make_grid(N: int, n: int, L: float) -> GridSpec:
         raise ValueError(f"N must be 2 or 3, got {N}")
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two >= 16, got {n}")
+    if n**N > MAX_GRID_POINTS:
+        raise ValueError(f"n^N = {n}^{N} exceeds the {MAX_GRID_POINTS} grid points supported")
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L}")
     return GridSpec(N=N, n=int(n), L=float(L))
@@ -108,27 +111,24 @@ def parseval_weight(grid: GridSpec) -> float:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex state on a grid, tagged with the space its values live in."""
+    """Complex state on a grid: its physical values u(x_j), in centered order.
+
+    A spectrum is not a field: to_fourier returns it as a plain array, and
+    to_physical turns it back into a field.
+    """
 
     grid: GridSpec
     values: np.ndarray
-    space: str = PHYSICAL
 
     def __post_init__(self) -> None:
-        if self.space not in (PHYSICAL, FOURIER):
-            raise ValueError(f"space must be physical or fourier, got {self.space!r}")
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
-    @property
-    def is_physical(self) -> bool:
-        return self.space == PHYSICAL
 
-
-def field_from_values(grid: GridSpec, values: np.ndarray, space: str = PHYSICAL) -> SpectralField:
-    return SpectralField(grid=grid, values=np.asarray(values, dtype=np.complex128), space=space)
+def field_from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
+    return SpectralField(grid=grid, values=np.asarray(values, dtype=np.complex128))
 
 
 def random_smooth_field(grid: GridSpec, rng: np.random.Generator, n_bumps: int = 3,
@@ -144,34 +144,27 @@ def random_smooth_field(grid: GridSpec, rng: np.random.Generator, n_bumps: int =
     return vals
 
 
-def _require_physical(u: SpectralField) -> None:
-    if not u.is_physical:
-        raise ValueError("operation requires a physical-space field")
+def to_fourier(u: SpectralField) -> np.ndarray:
+    """The spectrum u_hat(xi_k) of the forward convention, taken on the
+    centered coordinates, as a plain array in FFT (numpy standard) order,
+    the order of grid.xi_mesh."""
+    return u.grid.h**u.grid.N * np.fft.fftn(np.fft.ifftshift(u.values))
 
 
-def to_fourier(u: SpectralField) -> SpectralField:
-    if not u.is_physical:
-        return u
-    hat = u.grid.h**u.grid.N * np.fft.fftn(np.fft.ifftshift(u.values))
-    return SpectralField(grid=u.grid, values=hat, space=FOURIER)
-
-
-def to_physical(u: SpectralField) -> SpectralField:
-    if u.is_physical:
-        return u
-    vals = np.fft.fftshift(np.fft.ifftn(u.values)) * (u.grid.n / u.grid.L) ** u.grid.N
-    return SpectralField(grid=u.grid, values=vals, space=PHYSICAL)
+def to_physical(grid: GridSpec, hat: np.ndarray) -> SpectralField:
+    """The field on grid whose spectrum is hat: the inverse of to_fourier."""
+    vals = np.fft.fftshift(np.fft.ifftn(hat)) * (grid.n / grid.L) ** grid.N
+    return SpectralField(grid=grid, values=vals)
 
 
 def apply_multiplier(u: SpectralField, table: np.ndarray) -> SpectralField:
-    """Apply a diagonal Fourier multiplier to a physical-space field.
+    """Apply a diagonal Fourier multiplier, given in FFT order, to a field.
 
-    Exactly equivalent to to_physical(table * to_fourier(u)); the centering
-    phases cancel for diagonal tables, so the raw FFT pair is used.
+    Exactly equivalent to to_physical(u.grid, table * to_fourier(u)); the
+    centering phases cancel for diagonal tables, so the raw FFT pair is used.
     """
-    _require_physical(u)
     vals = np.fft.ifftn(table * np.fft.fftn(u.values))
-    return SpectralField(grid=u.grid, values=vals, space=PHYSICAL)
+    return SpectralField(grid=u.grid, values=vals)
 
 
 def _half(table: np.ndarray) -> np.ndarray:
@@ -483,21 +476,12 @@ class MultiplierSet:
     gamma: float
     frac_lap_s: np.ndarray
     hartree_kernel_hat: np.ndarray
-    kernel_mode: str = "sampled"
 
     @functools.cached_property
     def grad_kernel_hat(self) -> tuple[np.ndarray, ...]:
         """Tables i xi_a W_hat(xi), one per axis; built on first use (only the
         virial diagnostics read them)."""
         return tuple(1j * xi * self.hartree_kernel_hat for xi in self.grid.xi_mesh)
-
-    def frac_lap_alpha(self, alpha: float) -> np.ndarray:
-        """Table |xi|^{2 alpha}; vanishes at xi=0 for alpha > 0."""
-        if not 0.0 <= alpha <= 2.0:
-            raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
-        if alpha == 0.0:
-            return np.ones(self.grid.shape)
-        return self.grid.xi_sq**alpha
 
     @property
     def kernel_zero_mode(self) -> float:
@@ -516,7 +500,6 @@ def make_multipliers(
         gamma=p.gamma,
         frac_lap_s=grid.xi_sq**p.s,
         hartree_kernel_hat=what,
-        kernel_mode=kernel_mode,
     )
 
 
@@ -538,17 +521,16 @@ def linear_propagator(u: SpectralField, t: float, s: float) -> SpectralField:
     return apply_multiplier(u, np.exp(-1j * t * u.grid.xi_sq**s))
 
 
-def hartree_potential(u: SpectralField, mult: MultiplierSet) -> SpectralField:
-    """The convolution factor W * |u|^2, real-valued on real-kernel grids."""
-    _require_physical(u)
+def hartree_potential(u: SpectralField, mult: MultiplierSet) -> np.ndarray:
+    """The convolution factor W * |u|^2 on u's grid, a real array (the kernel
+    table is real and even)."""
     rho = u.values.real**2 + u.values.imag**2
-    conv = _real_multiply(_half(mult.hartree_kernel_hat), rho)
-    return SpectralField(grid=u.grid, values=conv.astype(np.complex128), space=PHYSICAL)
+    return _real_multiply(_half(mult.hartree_kernel_hat), rho)
 
 
 def sobolev_norm(u: SpectralField, alpha: float) -> float:
     """Homogeneous Sobolev seminorm ||u||_{H^alpha-dot}; alpha=0 gives ||u||_2."""
-    hat = to_fourier(u).values
+    hat = to_fourier(u)
     w = parseval_weight(u.grid)
     if alpha == 0.0:
         return float(np.sqrt(w * np.sum(hat.real**2 + hat.imag**2)))
@@ -558,7 +540,6 @@ def sobolev_norm(u: SpectralField, alpha: float) -> float:
 
 def lp_norm(u: SpectralField, p: float) -> float:
     """Discrete (h^N-weighted) Lebesgue norm; p=inf gives the max modulus."""
-    _require_physical(u)
     mod = np.abs(u.values)
     if np.isinf(p):
         return float(np.max(mod))

@@ -62,7 +62,7 @@ def test_ground_state_command(tmp_path):
     assert history["delta"][-1] < 1e-12  # the default solver.tol
 
     q, p, side = read_snapshot(tmp_path / "q.bin")
-    assert q.is_physical and q.grid.n == 128
+    assert q.grid.n == 128
     assert (p.s, p.gamma) == (0.7, 1.6)
     assert side["kind"] == "ground-state"
     assert side["iterations"] == report["summary"]["iterations"]
@@ -195,7 +195,7 @@ def test_evolve_soliton_artifacts(tmp_path):
     snaps = sorted(tmp_path.glob("snap_*.bin"))
     assert [s.name for s in snaps] == ["snap_0000.bin", "snap_0001.bin", "snap_0002.bin"]
     u, _, side = read_snapshot(snaps[0])
-    assert u.is_physical and side["time"] == 0.0
+    assert u.grid.n == 128 and side["time"] == 0.0
     _, _, side_last = read_snapshot(snaps[-1])
     assert abs(side_last["time"] - 0.05) < 1e-12  # final state is the last kept sample
 

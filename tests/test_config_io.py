@@ -19,7 +19,7 @@ from fhartree.snapshots import (
     sidecar_path,
     write_snapshot,
 )
-from fhartree.spectral import CONVENTION_TAG, field_from_values, make_grid, to_fourier
+from fhartree.spectral import CONVENTION_TAG, MAX_GRID_POINTS, field_from_values, make_grid
 
 
 # ---------------------------------------------------------------- config
@@ -145,6 +145,27 @@ def test_broken_invariants_surface_as_config_errors(override):
 def test_non_finite_settings_are_config_errors(override):
     with pytest.raises(ConfigError):
         load_config(overrides=[override])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["grid.n=1048576"],  # 2^40 points: 16 TiB per complex field
+        ["grid.n=8192"],
+        ["physics.N=3", "physics.gamma=2.0", "grid.n=512", "grid.kernel_mode=sampled"],
+    ],
+)
+def test_oversized_grid_is_a_config_error(overrides):
+    with pytest.raises(ConfigError, match="grid points"):
+        load_config(overrides=overrides)
+
+
+def test_largest_grids_are_accepted():
+    assert load_config(overrides=["grid.n=4096"]).grid.npoints == MAX_GRID_POINTS
+    cfg = load_config(
+        overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=256", "grid.kernel_mode=sampled"]
+    )
+    assert cfg.grid.npoints == MAX_GRID_POINTS
 
 
 def test_exact_kernel_restricted_to_planar_case():
@@ -330,7 +351,6 @@ def test_snapshot_round_trip_is_exact(tmp_path, params, small_field):
     out = write_snapshot(path, small_field, params, sidecar={"note": "test", "value": 1.25})
     assert out == path
     u, p, side = read_snapshot(path, expect=params)
-    assert u.is_physical
     assert u.grid.n == 16 and u.grid.L == 8.0
     assert np.array_equal(u.values, small_field.values)  # byte-exact, no tolerance
     assert (p.N, p.s, p.gamma) == (params.N, params.s, params.gamma)
@@ -343,11 +363,6 @@ def test_snapshot_sidecar_optional(tmp_path, params, small_field):
     sidecar_path(path).unlink()
     _, _, side = read_snapshot(path)
     assert side == {}
-
-
-def test_snapshot_rejects_fourier_input(tmp_path, params, small_field):
-    with pytest.raises(ValueError, match="physical"):
-        write_snapshot(tmp_path / "f.bin", to_fourier(small_field), params)
 
 
 def test_snapshot_bad_magic(tmp_path, params, small_field):
@@ -391,6 +406,11 @@ def test_snapshot_header_parameters_validated(tmp_path, params, small_field):
     raw[8:12] = (9).to_bytes(4, "little")  # N = 9 is not a supported dimension
     path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotFormatError, match="invalid header"):
+        read_snapshot(path)
+    raw = bytearray(good)
+    raw[12:16] = (2**20).to_bytes(4, "little")  # n = 2^20 is over the grid-size cap
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="invalid header.*grid points"):
         read_snapshot(path)
     for L in (float("nan"), float("inf")):  # the box length sits at bytes 16:24
         raw = bytearray(good)

@@ -30,7 +30,6 @@ from fhartree.spectral import (
     make_grid,
     random_smooth_field,
     sobolev_norm,
-    to_fourier,
 )
 
 
@@ -142,13 +141,6 @@ def test_norm_identity_zero_field(canonical, quad):
     assert lhs == rhs == rel == 0.0
 
 
-def test_norm_identity_requires_physical(canonical, quad):
-    u = field_from_values(canonical.grid,
-                          np.exp(-canonical.grid.r_mesh**2).astype(complex))
-    with pytest.raises(ValueError):
-        balakrishnan_check(to_fourier(u), canonical.p, quad)
-
-
 def test_auxiliary_field_smooths(canonical, params):
     u = field_from_values(canonical.grid,
                           np.exp(-canonical.grid.r_mesh**2).astype(complex))
@@ -258,8 +250,6 @@ def test_virial_validation(canonical):
     phi = build_cutoff(canonical.grid)
     u = field_from_values(canonical.grid,
                           np.exp(-canonical.grid.r_mesh**2).astype(complex))
-    with pytest.raises(ValueError):
-        localized_virial(to_fourier(u), phi)
     other = make_grid(N=2, n=64, L=16.0)
     phi_other = build_cutoff(other)
     with pytest.raises(ValueError):
@@ -382,8 +372,6 @@ def test_virial_rhs_validation(canonical, quad):
     phi = build_cutoff(canonical.grid)
     u = field_from_values(canonical.grid,
                           np.exp(-canonical.grid.r_mesh**2).astype(complex))
-    with pytest.raises(ValueError):
-        virial_rhs(to_fourier(u), phi, canonical.p, canonical.mult, quad)
     other = make_grid(N=2, n=64, L=16.0)
     with pytest.raises(ValueError):
         virial_rhs(u, build_cutoff(other), canonical.p, canonical.mult, quad)
@@ -433,13 +421,6 @@ def test_weighted_virial_warns_on_boundary_mass(canonical, params):
                              np.exp(-canonical.grid.r_mesh**2 / 12.0**2).astype(complex))
     with pytest.warns(UserWarning, match="0.4 L"):
         weighted_virial(wide, params)
-
-
-def test_weighted_virial_requires_physical(canonical, params):
-    u = field_from_values(canonical.grid,
-                          np.exp(-canonical.grid.r_mesh**2).astype(complex))
-    with pytest.raises(ValueError):
-        weighted_virial(to_fourier(u), params)
 
 
 # --------------------------------------------------------------------------

@@ -17,18 +17,26 @@ from fhartree.evolution import (
     strang_step,
     wrap_time,
 )
-from fhartree.functionals import mass
-from fhartree.functionals import classify_from_ratios
+from fhartree.functionals import (
+    classify_from_ratios,
+    classify_membership,
+    energy,
+    hartree_energy,
+    invariant_pair,
+    mass,
+)
 from fhartree.params import PhysParams
 from fhartree.spectral import (
     _half,
     dealias_mask,
     field_from_values,
     linear_propagator,
+    lp_norm,
     make_grid,
     make_multipliers,
     parseval_weight,
     random_smooth_field,
+    sobolev_norm,
     to_fourier,
 )
 
@@ -64,8 +72,6 @@ def test_stepper_config_rejects_bad_values(kw):
 
 def test_evolve_rejects_mismatched_inputs(canonical, params):
     u0 = _rng_field(canonical.grid, 5)
-    with pytest.raises(ValueError):
-        evolve(to_fourier(u0), params, canonical.mult, StepperConfig(t_end=0.01))
     other_grid = make_grid(N=2, n=64, L=16.0)
     with pytest.raises(ValueError):
         evolve(u0, params, make_multipliers(other_grid, params), StepperConfig(t_end=0.01))
@@ -84,12 +90,6 @@ def test_strang_step_is_unitary(canonical):
     u = _rng_field(canonical.grid, 11)
     v = strang_step(u, canonical.mult, dt=2e-3)
     assert np.isclose(mass(v), mass(u), rtol=1e-13)
-
-
-def test_strang_step_requires_physical_space(canonical):
-    u = _rng_field(canonical.grid, 11)
-    with pytest.raises(ValueError):
-        strang_step(to_fourier(u), canonical.mult, dt=1e-3)
 
 
 def test_strang_step_linear_part_matches_propagator(canonical):
@@ -328,7 +328,6 @@ def test_snapshot_cadence_and_content(virial_fd):
     assert len(rec.snapshots) == rec.times.size
     for (ts, u), t in zip(rec.snapshots, rec.times):
         assert ts == t
-        assert u.is_physical
     # the final snapshot is the final state
     assert np.array_equal(rec.snapshots[-1][1].values, rec.final_state.values)
 
@@ -392,7 +391,7 @@ def test_wave_packet_moves_at_group_velocity(params):
     vals = 0.01 * np.exp(-g.r_mesh**2 / 9.0) * np.exp(1j * k0 * g.x_mesh[0])
     u0 = field_from_values(g, vals.astype(complex))
 
-    hat2 = np.abs(to_fourier(u0).values) ** 2
+    hat2 = np.abs(to_fourier(u0)) ** 2
     xin = np.sqrt(g.xi_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         vg1 = np.where(xin > 0, 2.0 * params.s * xin ** (2.0 * params.s - 2.0) * g.xi_mesh[0], 0.0)
@@ -649,6 +648,34 @@ def test_fixed_dt_run_clips_a_short_remainder(coarse, monkeypatch):
     assert abs(calls[1] - 5e-4) <= 1e-12
     assert rec.n_steps == 51
     assert abs(rec.times[-1] - cfg.t_end) <= 1e-12 * cfg.t_end
+
+
+@pytest.mark.parametrize("start", ["random", "ground_state"])
+def test_first_sample_matches_public_functionals(coarse, start):
+    # evolve's sample() computes each column from the carried spectrum on
+    # its own; row 0 must agree with the public definitions of the same
+    # quantities evaluated on u0
+    s = coarse
+    if start == "random":  # scaled to a mass near that of Q
+        u0 = field_from_values(s.grid, 0.1 * _rng_field(s.grid, 17).values)
+    else:
+        u0 = field_from_values(s.grid, 0.9 * s.gs.q.values)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, record_every=1, adaptive=False)
+    row = {name: col[0] for name, col in evolve(u0, s.p, s.mult, cfg, gs=s.gs).series.items()}
+    pair = invariant_pair(u0, s.p, s.mult)
+    want = {
+        "mass": mass(u0),
+        "energy": energy(u0, s.mult),
+        "hs": sobolev_norm(u0, s.p.s),
+        "hsc": sobolev_norm(u0, s.p.s_c),
+        "v": hartree_energy(u0, s.mult),
+        "lpc": lp_norm(u0, s.p.p_c),
+        "me_ratio": pair.me / s.gs.me_Q,
+        "grad_ratio": pair.grad / s.gs.grad_Q,
+    }
+    for name, value in want.items():
+        assert abs(row[name] - value) <= 1e-12 * abs(value), name
+    assert row["membership"] == classify_membership(pair, s.gs).verdict
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from fhartree.spectral import (
     make_multipliers,
     random_smooth_field,
     sobolev_norm,
-    to_fourier,
 )
 
 
@@ -46,13 +45,6 @@ def test_mass_gaussian_closed_form(canonical):
     u = _gaussian(canonical.grid, amp=1.3, w=1.7)
     want = 1.3**2 * np.pi * 1.7**2 / 2.0
     assert abs(mass(u) - want) / want < 1e-13
-
-
-def test_mass_agrees_between_spaces(canonical):
-    rng = np.random.default_rng(3)
-    u = field_from_values(canonical.grid,
-                          random_smooth_field(canonical.grid, rng))
-    assert np.isclose(mass(u), mass(to_fourier(u)), rtol=1e-13)
 
 
 def test_mass_carrier_invariant(canonical):

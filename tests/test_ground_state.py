@@ -111,7 +111,7 @@ def test_summary_matches_public_functionals(canonical):
     hs = sobolev_norm(q, p.s)
     e_q = energy(q, mult)
     lhs = (fractional_laplacian(q, p.s).values.real + vals
-           - hartree_potential(q, mult).values.real * vals)
+           - hartree_potential(q, mult) * vals)
     r1, r2 = pohozaev_residuals(q, p, mult)
     cgn_a, cgn_b = _cgn_values(l2, hs, p)
     factor = mass(q) ** p.mass_power
