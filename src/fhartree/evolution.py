@@ -8,15 +8,26 @@ nonlinear step applies the exact phase for frozen modulus.  Each substep is
 unitary on the grid, so discrete mass is conserved to rounding for any dt,
 the map is time-reversible, and the composition is second order in dt.
 
-The step loop carries the raw spectrum fftn(u) from one step to the next:
-a step is ifftn, the nonlinear phase, fftn, ifftn (3 complex transforms),
-and the Hartree potential of the real density |u|^2 goes through the real
-pair rfftn/irfftn.  Samples read the carried spectrum, so they need no
-complex transform.  The half-step phase table is rebuilt only when the
-step size changes, and |u|^2 is formed once per step boundary for the
-space-time norm, the sample and the adaptive step.  The centering phases
-of the transform convention cancel for diagonal multipliers, so the raw
-FFT pair is used throughout.
+The step loop carries the raw spectrum fftn(u) from one step to the next.
+A step is the free half-step on the spectrum, ifftn, the nonlinear phase,
+fftn, and the trailing free half-step; the Hartree potential of the real
+density |u|^2 goes through the real pair rfftn/irfftn.  Only a step that
+is sampled, the last step and every step of a linear run return to the
+step boundary with a third complex transform (ifftn).  Any other step
+stops after its fftn and leaves the trailing half-step (and the dealias
+mask) owed: the next step applies it just before its own leading
+half-step, the same multiplies on the spectrum in the same order, so at
+equal dt the spectrum is bit for bit the one of a loop that returns to
+the boundary every step.  An unsampled step thus makes 2 complex
+transforms plus a real pair, a sampled one 3 complex transforms plus a
+real pair, plus one rfftn for V.  Samples read the carried spectrum, so
+they need no further complex transform.  The half-step phase table is
+rebuilt only when the step size changes.  The adaptive step and the
+space-time norm read the density |u|^2 a step leaves behind: the boundary
+density after a step that returned to the boundary, and otherwise the
+midpoint density, which the Hartree phase forms anyway.  The centering
+phases of the transform convention cancel for diagonal multipliers, so
+the raw FFT pair is used throughout.
 
 A run allocates its work arrays once (_StepWork) and writes every
 transform and elementwise pass of the loop into them with out=: the
@@ -51,6 +62,8 @@ from .spectral import (
     MultiplierSet,
     SpectralField,
     _half,
+    _pairing_weights,
+    _quadratic_form,
     _real_multiply,
     dealias_mask,
     field_from_values,
@@ -148,7 +161,11 @@ class RunRecord:
     from the run grid, for the deviation).  strichartz_accum[k] is the
     running value of (sum over steps so far of dt * ||u||_{q_c}^{q_c})^{1/q_c}.
     dt_eff[k] is the step in effect at sample k (adapted, when adaptive is
-    set) before clipping to t_end.
+    set) before clipping to t_end.  Each step's term of the space-time sum
+    and its adapted dt read the density the step before it left: |u|^2 at
+    the step boundary after a sampled step, at t=0 and in a linear run,
+    and the midpoint density of that step after an unsampled one (see the
+    module docstring).
     """
 
     params: PhysParams
@@ -310,6 +327,14 @@ def strang_step(
     return SpectralField(grid=u.grid, values=vals)
 
 
+def _free_half_step(hat: np.ndarray, half: np.ndarray, mask: np.ndarray | None) -> None:
+    """The free half-step on the spectrum hat, in place: the phase table
+    half, then the dealias mask when one is given."""
+    hat *= half
+    if mask is not None:
+        hat *= mask
+
+
 def _strang(
     hat: np.ndarray,
     half: np.ndarray,
@@ -318,22 +343,25 @@ def _strang(
     nonlinear: bool,
     mask: np.ndarray | None,
     work: _StepWork,
-) -> np.ndarray:
+    finish: bool = True,
+) -> np.ndarray | None:
     """One Strang step on the raw spectrum hat = fftn(u), in place.
 
-    On return hat is the spectrum at the end of the step, so the next step
-    needs no forward transform, and the field made from it is in
-    work.vals, which is returned.  Every transform and elementwise pass
-    writes into hat or work: the midpoint field into work.vals, its
-    density into work.rho, the Hartree phase into work.phase (through the
-    half spectrum work.rhat), the rotated field into work.rot.  The next
-    step overwrites all of them, so evolve() keeps copies of work.vals as
-    snapshots and final state.  half is the half-step phase, what_half the
-    half-spectrum Hartree multiplier of the real density.
+    With finish set, on return hat is the spectrum at the end of the step,
+    so the next step needs no forward transform, and the field made from
+    it is in work.vals, which is returned.  Without it the step stops after
+    its forward transform and returns None: hat still owes the trailing
+    _free_half_step(hat, half, mask), which the caller applies before the
+    next step, and work.rho holds the midpoint density.  Every transform
+    and elementwise pass writes into hat or work: the midpoint field into
+    work.vals, its density into work.rho, the Hartree phase into
+    work.phase (through the half spectrum work.rhat), the rotated field
+    into work.rot.  The next step overwrites all of them, so evolve() keeps
+    copies of work.vals as snapshots and final state.  half is the
+    half-step phase, what_half the half-spectrum Hartree multiplier of the
+    real density.
     """
-    hat *= half
-    if mask is not None:
-        hat *= mask
+    _free_half_step(hat, half, mask)
     vals = np.fft.ifftn(hat, out=work.vals)
     if nonlinear:
         phase = _real_multiply(what_half, _abs_sq(vals, work.rho, work.phase),
@@ -346,9 +374,9 @@ def _strang(
         np.fft.fftn(rot, out=hat)
     else:
         np.fft.fftn(vals, out=hat)
-    hat *= half
-    if mask is not None:
-        hat *= mask
+    if not finish:
+        return None
+    _free_half_step(hat, half, mask)
     return np.fft.ifftn(hat, out=vals)
 
 
@@ -405,12 +433,14 @@ def evolve(
     vals = work.vals
     np.copyto(vals, u0.values)
     hat = np.fft.fftn(vals)  # carried from step to step: the spectrum of vals
-    # |u|^2 at the current step boundary (a step overwrites it with the
-    # midpoint density; the loop refills it after each step)
+    # the density the last step left: |u|^2 at the step boundary, or the
+    # midpoint density of a step that stopped short of it
     rho = _abs_sq(vals, work.rho, work.phase)
     scratch = work.phase  # free between steps: the products of a sample
     hat_sq = np.empty(grid.shape)  # |u_hat|^2 of a sample
+    v_weights = _pairing_weights(grid, what_half)  # V = <rho, W * rho> by Parseval
     half = half_dt = None  # half-step phase and the dt it was built for
+    owed = None  # the half-step phase a step that stopped short still owes hat
     t = 0.0
     n_steps = 0
     accum_qc = 0.0  # running sum of dt * ||u||_{q_c}^{q_c}
@@ -431,8 +461,7 @@ def evolve(
         hs = float(np.sqrt(hs_sq))
         tail_frac = _dot(tail_w, grad_dens.ravel()) / grad_total if grad_total > 0 else 0.0
         hsc = float(np.sqrt(plancherel * float(np.sum(np.multiply(xi2sc, hat_sq, out=scratch)))))
-        pot = _real_multiply(what_half, rho, out=scratch, hat=work.rhat)
-        v = hN * float(np.sum(np.multiply(pot, rho, out=pot)))
+        v = _quadratic_form(v_weights, rho, hat=work.rhat)
         e = 0.5 * hs_sq - 0.25 * v
         lpc_sum = float(np.sum(np.power(rho, 0.5 * p.p_c, out=scratch)))
         lpc = float((hN * lpc_sum) ** (1.0 / p.p_c))
@@ -489,14 +518,20 @@ def evolve(
         rest = cfg.t_end - t
         dt_step = dt_eff if rest >= dt_eff - slack else rest
         accum_qc += dt_step * hN * float(np.sum(np.power(rho, 0.5 * qc, out=scratch)))
+        if owed is not None:
+            _free_half_step(hat, owed, mask)
         if dt_step != half_dt:
             half, half_dt = _half_step_phase(xi2s, dt_step), dt_step
-        _strang(hat, half, what_half, dt_step, cfg.nonlinear, mask, work)
-        _abs_sq(vals, rho, scratch)
         t += dt_step
         n_steps += 1
-        at_end = t >= t_stop
-        if n_steps % cfg.record_every == 0 or at_end:
+        sampled = n_steps % cfg.record_every == 0 or t >= t_stop
+        # a linear step forms no midpoint density, so it always finishes
+        finish = sampled or not cfg.nonlinear
+        _strang(hat, half, what_half, dt_step, cfg.nonlinear, mask, work, finish)
+        if finish:
+            _abs_sq(vals, rho, scratch)
+        owed = None if finish else half  # else rho is the midpoint density
+        if sampled:
             m_k, hs_k, grad_ratio_k, tail_k = sample(dt_eff)
             if nonfinite(m_k, hs_k):
                 verdict = VERDICT_INCONCLUSIVE

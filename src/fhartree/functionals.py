@@ -18,7 +18,9 @@ from .params import PhysParams
 from .spectral import (
     MultiplierSet,
     SpectralField,
-    hartree_potential,
+    _half,
+    _pairing_weights,
+    _quadratic_form,
     lp_norm,
     sobolev_norm,
     to_fourier,
@@ -73,10 +75,12 @@ def mass(u: SpectralField) -> float:
 
 
 def hartree_energy(u: SpectralField, mult: MultiplierSet) -> float:
-    """V(u) = int (W * |u|^2)|u|^2 dx; nonnegative since W_hat >= 0."""
-    pot = hartree_potential(u, mult)
+    """V(u) = int (W * |u|^2)|u|^2 dx; nonnegative since W_hat >= 0.
+
+    Summed by Parseval on the half spectrum of |u|^2, the code by which
+    evolve's samples take V."""
     rho = u.values.real**2 + u.values.imag**2
-    return float(u.grid.h**u.grid.N * np.sum(pot * rho))
+    return _quadratic_form(_pairing_weights(u.grid, _half(mult.hartree_kernel_hat)), rho)
 
 
 def energy(u: SpectralField, mult: MultiplierSet) -> float:

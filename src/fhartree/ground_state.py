@@ -40,6 +40,7 @@ from .spectral import (
     _half,
     _half_pairing,
     _irfftn,
+    _pairing_weights,
     _real_multiply,
     _rfftn,
     field_from_values,
@@ -244,14 +245,14 @@ class _Anderson:
     which spans the same space as the consecutive differences.
 
     Inner products are Parseval sums with the column weights of
-    _half_pairing over the float view of the half spectra, through einsum:
+    _pairing_weights over the float view of the half spectra, through einsum:
     BLAS would start its own threads in every worker of the sweep pool.
     """
 
     def __init__(self, grid: GridSpec, depth: int):
         half = grid.shape[:-1] + (grid.n // 2 + 1,)
         # the weight of each column, once for its real and once for its imaginary part
-        self.weights = np.repeat(_half_pairing(grid, np.ones(grid.n // 2 + 1)), 2)
+        self.weights = _pairing_weights(grid, np.ones(grid.n // 2 + 1))
         self.g = np.zeros((depth + 1,) + half, dtype=np.complex128)
         self.f = np.zeros_like(self.g)
         self.gram = np.zeros((depth + 1, depth + 1))

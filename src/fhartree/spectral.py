@@ -18,7 +18,8 @@ centering phases cancel), which is what the hot paths use.  A real even
 table applied to a real array (the Hartree kernel on a density, the
 solver's symbols on its real iterate) goes through the real pair instead:
 ``_real_multiply(_half(T), f)``; a quadratic form <f, T f> of a real array
-is summed on its half spectrum with the weights of ``_half_pairing``.
+is summed on its half spectrum with the weights of ``_half_pairing``
+(``_quadratic_form`` takes one forward transform for it).
 """
 from __future__ import annotations
 
@@ -133,14 +134,20 @@ def field_from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
 
 def random_smooth_field(grid: GridSpec, rng: np.random.Generator, n_bumps: int = 3,
                         span: float = 4.0, widths=(0.8, 2.5)) -> np.ndarray:
-    """Superposition of a few random complex Gaussians well inside the box."""
+    """Superposition of a few random complex Gaussians well inside the box.
+
+    Each bump exp(-|x - x0|^2 / w^2) is the outer product of one 1-D
+    Gaussian per axis, so the exponential is taken on n points per axis,
+    not on the whole mesh."""
     vals = np.zeros(grid.shape, dtype=np.complex128)
     for _ in range(n_bumps):
         x0 = rng.uniform(-span, span, size=grid.N)
         w = rng.uniform(*widths)
         amp = rng.normal() + 1j * rng.normal()
-        r_sq = sum((grid.x_mesh[j] - x0[j]) ** 2 for j in range(grid.N))
-        vals += amp * np.exp(-r_sq / w**2)
+        bump = amp * np.exp(-((grid.x_axis - x0[0]) ** 2) / w**2)
+        for j in range(1, grid.N):
+            bump = np.multiply.outer(bump, np.exp(-((grid.x_axis - x0[j]) ** 2) / w**2))
+        vals += bump
     return vals
 
 
@@ -213,6 +220,25 @@ def _half_pairing(grid: GridSpec, table_half: np.ndarray) -> np.ndarray:
     cols[0] *= 0.5
     cols[-1] *= 0.5
     return table_half * cols
+
+
+def _pairing_weights(grid: GridSpec, table_half: np.ndarray) -> np.ndarray:
+    """The weights P of _half_pairing, each repeated for the real and the
+    imaginary part of its mode: the weights of _quadratic_form, which sums
+    on the float view of a half spectrum."""
+    return np.repeat(_half_pairing(grid, table_half), 2, axis=-1)
+
+
+def _quadratic_form(weights: np.ndarray, f: np.ndarray, hat: np.ndarray | None = None) -> float:
+    """<f, T f> = sum P |rfftn(f)|^2 of a real array f, for the weights
+    _pairing_weights(grid, T_half); the half spectrum goes into hat when
+    given.  One forward transform and one einsum pass: no inverse
+    transform, no product temporary, and no BLAS (whose threads would
+    contend for the cores in the sweep's worker processes).  The float
+    view needs a C-ordered half spectrum, which a strided f (a rescaled
+    field) does not give."""
+    flat = np.ascontiguousarray(_rfftn(f, out=hat)).view(np.float64)
+    return float(np.einsum("i,i,i->", weights.ravel(), flat.ravel(), flat.ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -426,9 +426,11 @@ def _reference_evolve(u0, p, mult, cfg, gs):
     """The step loop as it was before the spectrum was carried: fftn at the
     start of every step, the Hartree convolution through the complex pair,
     exp(-0.5i dt |xi|^{2s}) rebuilt every step, and fftn(vals) in every
-    sample.  Returns the series of _SERIES, the membership series, the
-    verdict and the step count; snapshots and the non-finite stop are left
-    out."""
+    sample.  Each step's adapted dt and space-time term read the density
+    the step before left: |u|^2 at the boundary after a sampled step, the
+    midpoint density after an unsampled one.  Returns the series of
+    _SERIES, the membership series, the verdict and the step count;
+    snapshots and the non-finite stop are left out."""
     grid = u0.grid
     hN = grid.h**grid.N
     plancherel = parseval_weight(grid) * hN * hN
@@ -439,17 +441,18 @@ def _reference_evolve(u0, p, mult, cfg, gs):
     qc = p.q_c
 
     def kernel(vals, half, dt):
+        """(field at the end of the step, midpoint density)"""
         hat = np.fft.fftn(vals) * half
         if mask is not None:
             hat *= mask
         vals = np.fft.ifftn(hat)
+        rho = vals.real**2 + vals.imag**2
         if cfg.nonlinear:
-            rho = vals.real**2 + vals.imag**2
             vals = vals * np.exp(1j * dt * np.fft.ifftn(what * np.fft.fftn(rho)).real)
         hat = np.fft.fftn(vals) * half
         if mask is not None:
             hat *= mask
-        return np.fft.ifftn(hat)
+        return np.fft.ifftn(hat), rho
 
     vals = u0.values.astype(np.complex128, copy=True)
     t, n_steps, accum = 0.0, 0, 0.0
@@ -476,8 +479,10 @@ def _reference_evolve(u0, p, mult, cfg, gs):
         members.append(classify_from_ratios(me_ratio, grad_ratio).verdict)
         return float(np.sqrt(hs_sq)), grad_ratio, tail_frac
 
+    dens = vals.real**2 + vals.imag**2  # the density the last step left
+
     def dt_now():
-        return adapt_dt(field_from_values(grid, vals), cfg, mult) if cfg.adaptive else cfg.dt
+        return evolution._adapted_dt(float(np.max(dens)), cfg, mult) if cfg.adaptive else cfg.dt
 
     dt_eff = dt_now()
     hs_limit = cfg.blowup_grad_factor * sample(dt_eff)[0]
@@ -486,11 +491,13 @@ def _reference_evolve(u0, p, mult, cfg, gs):
     while t < t_stop and verdict is None:
         dt_eff = dt_now()
         dt_step = min(dt_eff, cfg.t_end - t)
-        accum += dt_step * hN * float(np.sum(np.abs(vals) ** qc))
-        vals = kernel(vals, np.exp(-0.5j * dt_step * xi2s), dt_step)
+        accum += dt_step * hN * float(np.sum(dens ** (0.5 * qc)))
+        vals, mid = kernel(vals, np.exp(-0.5j * dt_step * xi2s), dt_step)
         t += dt_step
         n_steps += 1
-        if n_steps % cfg.record_every == 0 or t >= t_stop:
+        sampled = n_steps % cfg.record_every == 0 or t >= t_stop
+        dens = vals.real**2 + vals.imag**2 if sampled or not cfg.nonlinear else mid
+        if sampled:
             hs_k, grad_ratio_k, tail_k = sample(dt_eff)
             if hs_k > hs_limit:
                 verdict = "BlowUp"
@@ -653,29 +660,107 @@ def test_fixed_dt_run_clips_a_short_remainder(coarse, monkeypatch):
 @pytest.mark.parametrize("start", ["random", "ground_state"])
 def test_first_sample_matches_public_functionals(coarse, start):
     # evolve's sample() computes each column from the carried spectrum on
-    # its own; row 0 must agree with the public definitions of the same
-    # quantities evaluated on u0
+    # its own; the first row must agree with the public definitions of the
+    # same quantities evaluated on u0, and the last row with them on the
+    # final state, which follows an unsampled step (11 steps, a sample
+    # every 3)
     s = coarse
     if start == "random":  # scaled to a mass near that of Q
         u0 = field_from_values(s.grid, 0.1 * _rng_field(s.grid, 17).values)
     else:
         u0 = field_from_values(s.grid, 0.9 * s.gs.q.values)
-    cfg = StepperConfig(dt=1e-3, t_end=1e-3, record_every=1, adaptive=False)
-    row = {name: col[0] for name, col in evolve(u0, s.p, s.mult, cfg, gs=s.gs).series.items()}
-    pair = invariant_pair(u0, s.p, s.mult)
-    want = {
-        "mass": mass(u0),
-        "energy": energy(u0, s.mult),
-        "hs": sobolev_norm(u0, s.p.s),
-        "hsc": sobolev_norm(u0, s.p.s_c),
-        "v": hartree_energy(u0, s.mult),
-        "lpc": lp_norm(u0, s.p.p_c),
-        "me_ratio": pair.me / s.gs.me_Q,
-        "grad_ratio": pair.grad / s.gs.grad_Q,
-    }
-    for name, value in want.items():
-        assert abs(row[name] - value) <= 1e-12 * abs(value), name
-    assert row["membership"] == classify_membership(pair, s.gs).verdict
+    cfg = StepperConfig(dt=1e-3, t_end=0.011, record_every=3, adaptive=False)
+    rec = evolve(u0, s.p, s.mult, cfg, gs=s.gs)
+    assert rec.n_steps == 11 and rec.times.size == 5
+    for k, u in ((0, u0), (-1, rec.final_state)):
+        row = {name: col[k] for name, col in rec.series.items()}
+        pair = invariant_pair(u, s.p, s.mult)
+        want = {
+            "mass": mass(u),
+            "energy": energy(u, s.mult),
+            "hs": sobolev_norm(u, s.p.s),
+            "hsc": sobolev_norm(u, s.p.s_c),
+            "v": hartree_energy(u, s.mult),
+            "lpc": lp_norm(u, s.p.p_c),
+            "me_ratio": pair.me / s.gs.me_Q,
+            "grad_ratio": pair.grad / s.gs.grad_Q,
+        }
+        for name, value in want.items():
+            assert abs(row[name] - value) <= 1e-12 * abs(value), (k, name)
+        assert row["membership"] == classify_membership(pair, s.gs).verdict
+
+
+@pytest.mark.parametrize("case", ["default", "dealias", "3d"])
+def test_sampling_cadence_keeps_the_trajectory(coarse, small_3d, case):
+    # an unsampled step stops at its midpoint and the next step applies the
+    # owed half-step: at a fixed dt the spectrum, every sampled state and
+    # the final state are bit for bit those of a run sampled every step
+    if case == "3d":
+        grid, mult = small_3d
+        p, gs = PhysParams(N=3, s=0.7, gamma=1.6), None
+        u0 = field_from_values(grid, 0.3 * _rng_field(grid, 19).values)
+    else:
+        grid, mult, p, gs = coarse.grid, coarse.mult, coarse.p, coarse.gs
+        u0 = field_from_values(grid, 0.8 * gs.q.values)
+    recs = [evolve(u0, p, mult, StepperConfig(t_end=0.05, record_every=k,
+                                              dealias=case == "dealias"), gs=gs)
+            for k in (1, 7)]
+    every, sparse = recs
+    assert every.n_steps == sparse.n_steps == 50 and sparse.times.size == 9
+    # the default adaptive step never shrinks here: dt is fixed in effect
+    assert np.all(every.series["dt_eff"] == 1e-3) and np.all(sparse.series["dt_eff"] == 1e-3)
+    assert np.array_equal(every.final_state.values, sparse.final_state.values)
+    kept = np.isin(every.times, sparse.times)
+    assert np.count_nonzero(kept) == sparse.times.size
+    for name in evolution.RUN_COLUMNS:
+        if name == "strichartz_accum":  # summed over midpoint densities when sparse
+            continue
+        if name == "membership":
+            assert [m for m, k in zip(every.series[name], kept) if k] == list(sparse.series[name])
+        else:
+            assert np.array_equal(every.series[name][kept], sparse.series[name],
+                                  equal_nan=True), name
+
+
+def test_linear_run_matches_free_propagator(coarse):
+    # a linear run forms no midpoint density, so every step returns to the
+    # boundary: the space-time sum reads the boundary density at each step
+    s = coarse
+    u0 = _rng_field(s.grid, 23)
+    dt, qc, hN = 1e-3, s.p.q_c, s.grid.h**s.grid.N
+    cfg = StepperConfig(dt=dt, t_end=0.05, record_every=5, adaptive=False, nonlinear=False)
+    rec = evolve(u0, s.p, s.mult, cfg)
+    assert rec.n_steps == 50
+    want = linear_propagator(u0, cfg.t_end, s.p.s).values
+    assert np.max(np.abs(rec.final_state.values - want)) <= 1e-12 * np.max(np.abs(want))
+    sums = [dt * hN * np.sum(np.abs(linear_propagator(u0, j * dt, s.p.s).values) ** qc)
+            for j in range(50)]
+    accum = np.concatenate(([0.0], np.cumsum(sums)[4::5])) ** (1.0 / qc)
+    assert np.allclose(rec.series["strichartz_accum"], accum, rtol=1e-10, atol=0.0)
+
+
+def test_run_sampled_every_step_reads_boundary_density(coarse):
+    # with a sample every step, every step returns to the boundary, and dt_eff
+    # and strichartz_accum are those of the boundary densities, bit for bit:
+    # recomputed here from the snapshots, one per step
+    s = coarse
+    u0 = field_from_values(s.grid, 1.2 * s.gs.q.values)
+    # max|u0|^2 W_hat(0) = 24.5: phase_cap=0.02 takes dt below 1e-3 from t=0
+    cfg = StepperConfig(dt=1e-3, t_end=0.05, record_every=1, phase_cap=0.02,
+                        snapshot_every=1)
+    rec = evolve(u0, s.p, s.mult, cfg, gs=s.gs)
+    dt_eff = rec.series["dt_eff"]
+    assert np.all(dt_eff < cfg.dt) and len(set(dt_eff)) > 1
+    hN, qc = s.grid.h**s.grid.N, s.p.q_c
+    slack = cfg.t_end - cfg.t_end * (1.0 - 1e-12)
+    accum = 0.0
+    for k, (t, u) in enumerate(rec.snapshots[:-1]):
+        assert dt_eff[k + 1] == adapt_dt(u, cfg, s.mult)
+        rest = cfg.t_end - t
+        dt_step = dt_eff[k + 1] if rest >= dt_eff[k + 1] - slack else rest
+        rho = u.values.real**2 + u.values.imag**2
+        accum += dt_step * hN * float(np.sum(np.power(rho, 0.5 * qc)))
+        assert rec.series["strichartz_accum"][k + 1] == accum ** (1.0 / qc)
 
 
 # --------------------------------------------------------------------------
@@ -701,9 +786,10 @@ def test_state_turning_non_finite_stops_at_next_sample(canonical, monkeypatch):
 
     def poisoned(hat, *args):
         count.append(1)
-        vals = step(hat, *args)  # the loop reads vals and hat in place
-        if len(count) == 3:
-            vals[0, 0] = hat[0, 0] = np.nan
+        vals = step(hat, *args)  # the loop reads hat in place
+        if len(count) == 3:  # unsampled: the step stopped at its midpoint
+            assert vals is None
+            hat[0, 0] = np.nan
         return vals
 
     monkeypatch.setattr(evolution, "_strang", poisoned)

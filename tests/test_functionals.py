@@ -19,6 +19,7 @@ from fhartree.functionals import (
     mass,
     scale_solution,
 )
+from fhartree.params import PhysParams
 from fhartree.spectral import (
     field_from_values,
     lp_norm,
@@ -62,6 +63,21 @@ def test_quartic_matches_direct_double_sum(params):
     K = oracles.sampled_kernel(32, 8.0, params.gamma)
     direct = oracles.direct_quartic(np.abs(u.values) ** 2, K, g.h)
     assert abs(hartree_energy(u, m) - direct) / direct < 1e-12
+
+
+@pytest.mark.parametrize("N, n, L", [(2, 64, 16.0), (3, 16, 8.0)])
+def test_parseval_v_matches_physical_sum(N, n, L):
+    # V summed on the half spectrum of rho = |u|^2 against h^N sum (W * rho) rho,
+    # the convolution through the complex pair; white noise fills every mode
+    g = make_grid(N=N, n=n, L=L)
+    m = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6), kernel_mode="sampled")
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        rho = vals.real**2 + vals.imag**2
+        conv = np.fft.ifftn(m.hartree_kernel_hat * np.fft.fftn(rho)).real
+        want = g.h**N * np.sum(conv * rho)
+        assert abs(hartree_energy(field_from_values(g, vals), m) - want) <= 1e-13 * want
 
 
 def test_quartic_nonnegative_on_random_fields(canonical):

@@ -344,6 +344,21 @@ def test_half_pairing_matches_physical_sum(N):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("N, n, L", [(2, 64, 16.0), (3, 16, 8.0)])
+def test_random_smooth_field_matches_dense_bumps(N, n, L):
+    # the same draws, each bump evaluated on the whole mesh
+    g = make_grid(N=N, n=n, L=L)
+    rng = np.random.default_rng(31)
+    want = np.zeros(g.shape, dtype=np.complex128)
+    for _ in range(3):
+        x0 = rng.uniform(-4.0, 4.0, size=N)
+        w = rng.uniform(0.8, 2.5)
+        amp = rng.normal() + 1j * rng.normal()
+        want += amp * np.exp(-sum((g.x_mesh[j] - x0[j]) ** 2 for j in range(N)) / w**2)
+    got = random_smooth_field(g, np.random.default_rng(31))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_origin_series_matches_term_by_term():
     g = make_grid(N=2, n=64, L=16.0)
     want = _reference_origin_series(g, 1.6)
