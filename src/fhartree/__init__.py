@@ -5,6 +5,14 @@ evolution with blow-up/dispersal classification, and virial diagnostics,
 all on a periodic box.
 """
 
+import os
+
+# OpenBLAS reads its thread count once, when numpy loads it, so this must
+# precede the submodule imports below.  fhartree's BLAS products are small
+# (at most 512 x 20 x 512) and the sweep already runs one process per core,
+# so a BLAS thread pool only spins; an explicit user value still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import ConfigError, RunConfig, SweepSpec, load_config
 from .evolution import RunRecord, StepperConfig, evolve, invariance_audit
 from .functionals import (

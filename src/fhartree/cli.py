@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -487,6 +486,9 @@ def run_sweep(
             return [_sweep_point(t) for t in tasks]
         finally:
             _init_sweep_worker(cfg.stepper, ())
+    # imported here: the other commands do not pay for loading the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
                              initargs=(cfg.stepper, pairs)) as ex:
         return list(ex.map(_sweep_point, tasks))

@@ -71,6 +71,7 @@ from .spectral import (
 )
 
 SOLITON_DEVIATION_TOL = 1e-3
+ENERGY_DRIFT_TOL = 1e-2  # |E(t) - E(0)| / |E(0)| past which a run gets a caveat
 DISPERSAL_V_FRACTION = 0.5
 
 VERDICT_SOLITON = "Soliton"
@@ -405,6 +406,9 @@ def evolve(
                    growth, and a sample whose mass or H^s-dot norm is not
                    finite, which stops the run; either stop is recorded as
                    a caveat).
+
+    The first sample whose energy has moved more than ENERGY_DRIFT_TOL of
+    |E(0)| adds a caveat; it does not change the verdict.
     """
     if u0.grid != mult.grid:
         raise ValueError("initial state and multiplier set live on different grids")
@@ -445,6 +449,7 @@ def evolve(
     n_steps = 0
     accum_qc = 0.0  # running sum of dt * ||u||_{q_c}^{q_c}
     caveats: list[str] = []
+    drifted = False  # whether the energy-drift caveat has been recorded
     verdict: str | None = None
     t_star: float | None = None
 
@@ -453,6 +458,7 @@ def evolve(
 
     def sample(dt_eff: float) -> tuple[float, float, float, float]:
         """Record one diagnostic row; returns (mass, hs, grad_ratio, tail_fraction)."""
+        nonlocal drifted
         m = hN * float(np.sum(rho))
         _abs_sq(hat, hat_sq, scratch)
         grad_dens = np.multiply(xi2s, hat_sq, out=scratch)
@@ -463,6 +469,13 @@ def evolve(
         hsc = float(np.sqrt(plancherel * float(np.sum(np.multiply(xi2sc, hat_sq, out=scratch)))))
         v = _quadratic_form(v_weights, rho, hat=work.rhat)
         e = 0.5 * hs_sq - 0.25 * v
+        if rows and not drifted:  # scaled as in RunRecord.energy_drift
+            e0 = rows[0][2]
+            drift = abs(e - e0) / (abs(e0) if e0 != 0.0 else 1.0)
+            if drift > ENERGY_DRIFT_TOL:
+                drifted = True
+                caveats.append(f"energy drift {drift:.3g} of |E(0)| exceeds "
+                               f"{ENERGY_DRIFT_TOL:g} from t={t:.6g}")
         lpc_sum = float(np.sum(np.power(rho, 0.5 * p.p_c, out=scratch)))
         lpc = float((hN * lpc_sum) ** (1.0 / p.p_c))
         if gs is not None:

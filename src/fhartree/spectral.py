@@ -332,7 +332,7 @@ def _hermitian_full(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, np.conj(half[-np.arange(n), n // 2 - 1 : 0 : -1])], axis=1)
 
 
-def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarray:
+def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 16) -> np.ndarray:
     """Exact Fourier coefficients of the minimum-image kernel function.
 
     Integrates W_hat(xi) = int_box d(y)^{-gamma} e^{-i xi.y} dy cell by cell:
@@ -362,8 +362,8 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 20) -> np.ndarr
     the (i, k) table, K_ki(p, q) = K_ik(q, p); weights and phases factor
     by axis, so its contribution is the transpose of C_ik.  The main pass
     therefore runs only over the P(P+1)/2 pairs i <= k of the P =
-    ceil(nodes/2) mirror pairs (55 at nodes = 20, 36 at 16) and accumulates
-    S = sum_{i<k} C_ik + 1/2 sum_i C_ii on the half spectrum; the
+    ceil(nodes/2) mirror pairs (36 at the default 16 nodes, 55 at 20) and
+    accumulates S = sum_{i<k} C_ik + 1/2 sum_i C_ii on the half spectrum; the
     Hermitian mirror expands S to the full grid and the main part is
     S + S^T, formed before the side passes and the origin series are
     added (those carry their own axis pairing).  The pass writes into work
@@ -460,7 +460,7 @@ KERNEL_MODES = ("sampled", "exact")
 
 
 def build_hartree_kernel(
-    grid: GridSpec, gamma: float, mode: str = "sampled", nodes: int = 20
+    grid: GridSpec, gamma: float, mode: str = "sampled", nodes: int = 16
 ) -> np.ndarray:
     """Fourier table W_hat(xi) of the periodic Riesz-type kernel.
 
@@ -473,9 +473,11 @@ def build_hartree_kernel(
     mode="exact": exact transform of the same minimum-image kernel function
     (oscillatory cell quadrature + analytic origin cell).  Removes the
     sampling bias entirely; used where integral identities are certified at
-    tight tolerance.  N=2 only.  `nodes` sets the per-cell quadrature order
-    (build cost grows with nodes^2; 16 and 20 agree to 4.7e-16 relative at
-    n=2048, L=256).
+    tight tolerance.  N=2 only.  `nodes` sets the per-cell quadrature order;
+    the build cost grows with nodes^2.  The default 16 agrees with 20 to
+    within 1.6e-15 relative at 128^2 and 256^2 (L=32) and at 512^2 (L=64
+    and L=8), and to 4.7e-16 at n=2048, L=256; 14 nodes are off by 3e-14 to
+    6e-14 over the same grids, beyond rounding.
 
     Both tables are real because the kernel is even on the torus.
     """
@@ -517,9 +519,9 @@ class MultiplierSet:
 
 
 def make_multipliers(
-    grid: GridSpec, p: PhysParams, kernel_mode: str = "sampled", nodes: int = 20
+    grid: GridSpec, p: PhysParams, kernel_mode: str = "sampled"
 ) -> MultiplierSet:
-    what = build_hartree_kernel(grid, p.gamma, mode=kernel_mode, nodes=nodes)
+    what = build_hartree_kernel(grid, p.gamma, mode=kernel_mode)
     return MultiplierSet(
         grid=grid,
         s=p.s,

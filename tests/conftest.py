@@ -43,10 +43,9 @@ class Setup:
     gs: GroundState
 
 
-def solve_setup(p: PhysParams, n: int, L: float, kernel_mode: str = "exact",
-                nodes: int = 20) -> Setup:
+def solve_setup(p: PhysParams, n: int, L: float, kernel_mode: str = "exact") -> Setup:
     grid = make_grid(N=p.N, n=n, L=L)
-    mult = make_multipliers(grid, p, kernel_mode=kernel_mode, nodes=nodes)
+    mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # box-truncation advisory at L=32
         gs = solve_ground_state(p, grid, opts=SolverOptions(), mult=mult)
@@ -121,8 +120,9 @@ def fine(params) -> Setup:
 @pytest.fixture(scope="session")
 def xfine(params) -> Setup:
     """n=2048, L=256: certification grid for the two-route threshold
-    identities (GL16 kernel quadrature; 16 vs 20 nodes agree to 4e-15)."""
-    return solve_setup(params, 2048, 256.0, nodes=16)
+    identities (the default 16-node kernel rule, within 4.7e-16 of 20
+    nodes at this grid)."""
+    return solve_setup(params, 2048, 256.0)
 
 
 @pytest.fixture(scope="session")

@@ -415,10 +415,16 @@ def test_verify_coarse_dt_fails(tmp_path):
 # ------------------------------------------------------------ entry point
 
 
-def _run(argv):
+def _run(argv, env_vars=None):
     """Run ``argv`` in a child process that imports the same fhartree sources
-    as this suite, whatever the working directory."""
+    as this suite, whatever the working directory.  ``env_vars`` sets
+    variables of the child's environment, or removes those mapped to None."""
     env = dict(os.environ)
+    for key, value in (env_vars or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     src = str(Path(fhartree.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
@@ -452,3 +458,13 @@ def test_module_entry_point_propagates_exit_code(tmp_path):
                 "--out", str(tmp_path)])
     assert out.returncode == EXIT_VALIDATION
     assert any(line.startswith("error:") for line in out.stderr.splitlines())
+
+
+# importing fhartree (here, this suite) sets the variable in this process too,
+# so the unset case removes it from the child's environment
+@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")])
+def test_import_runs_blas_single_threaded_unless_set(given, want):
+    code = "import fhartree, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = _run([sys.executable, "-c", code], {"OPENBLAS_NUM_THREADS": given})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == want

@@ -189,6 +189,7 @@ def test_soliton_run_conserves_invariants(soliton_run):
 def test_dispersal_run_conserves_invariants(dispersal_run):
     assert dispersal_run.mass_drift < 5e-12
     assert dispersal_run.energy_drift < 1e-5
+    assert not any(c.startswith("energy drift") for c in dispersal_run.caveats)
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +226,9 @@ def test_blowup_showcase_hits_gradient_trigger(blowup_showcase):
     assert rec.verdict == "BlowUp"
     assert rec.t_star is not None and 1.3 < rec.t_star < 1.5
     assert float(rec.series["hs"][-1] / rec.series["hs"][0]) > 10.0
-    assert rec.caveats == ()  # genuine trigger, no resolution refusal
+    # genuine trigger: no tail or dt-floor caveat, and one energy-drift caveat
+    # (E moves 8% of |E(0)| in the collapse)
+    assert len(rec.caveats) == 1 and rec.caveats[0].startswith("energy drift ")
     assert all(m == "K2" for m in rec.series["membership"])
 
 
@@ -655,6 +658,28 @@ def test_fixed_dt_run_clips_a_short_remainder(coarse, monkeypatch):
     assert abs(calls[1] - 5e-4) <= 1e-12
     assert rec.n_steps == 51
     assert abs(rec.times[-1] - cfg.t_end) <= 1e-12 * cfg.t_end
+
+
+def test_energy_drift_caveat_names_the_first_sample_past_tol(coarse, monkeypatch):
+    # with the tolerance lowered to half the largest drift of a short run,
+    # the rerun gets one caveat, at the first sample past it, and the same
+    # verdict and series
+    u0 = field_from_values(coarse.grid, 0.8 * coarse.gs.q.values)
+    cfg = StepperConfig(dt=1e-3, t_end=0.05, record_every=5, adaptive=False)
+    rec = evolve(u0, coarse.p, coarse.mult, cfg, gs=coarse.gs)
+    assert rec.caveats == ()
+    energy = rec.series["energy"]
+    drift = np.abs(energy - energy[0]) / abs(energy[0])
+    tol = 0.5 * float(drift.max())
+    assert tol > 0.0
+    monkeypatch.setattr(evolution, "ENERGY_DRIFT_TOL", tol)
+    again = evolve(u0, coarse.p, coarse.mult, cfg, gs=coarse.gs)
+    k = int(np.argmax(drift > tol))
+    assert again.caveats == (
+        f"energy drift {drift[k]:.3g} of |E(0)| exceeds {tol:g} from t={rec.times[k]:.6g}",
+    )
+    assert again.verdict == rec.verdict
+    assert np.array_equal(again.series["energy"], energy)
 
 
 @pytest.mark.parametrize("start", ["random", "ground_state"])

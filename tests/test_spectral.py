@@ -219,11 +219,14 @@ def test_exact_kernel_matches_quadrature_oracle():
         assert abs(hat[a, b] - want) / abs(want) < 1e-10
 
 
-def test_exact_kernel_node_insensitive():
-    g = make_grid(N=2, n=16, L=4.0)
-    h16 = build_hartree_kernel(g, 1.6, mode="exact", nodes=16)
+# the default 16-node rule is converged to rounding against 20 nodes on the
+# grids the suite and the benchmark certify on
+@pytest.mark.parametrize("n, L", [(16, 4.0), (128, 32.0), (256, 32.0), (512, 64.0)])
+def test_exact_kernel_node_insensitive(n, L):
+    g = make_grid(N=2, n=n, L=L)
+    h16 = build_hartree_kernel(g, 1.6, mode="exact")
     h20 = build_hartree_kernel(g, 1.6, mode="exact", nodes=20)
-    assert np.max(np.abs(h16 - h20)) / np.max(np.abs(h20)) < 1e-12
+    assert np.max(np.abs(h16 - h20)) / np.max(np.abs(h20)) < 1e-14
 
 
 def test_exact_kernel_only_2d():
