@@ -159,8 +159,6 @@ def load_config(
     kernel_mode = str(values["grid"]["kernel_mode"])
     if kernel_mode not in KERNEL_MODES:
         raise ConfigError(f"kernel_mode must be one of {KERNEL_MODES}, got {kernel_mode!r}")
-    if kernel_mode == "exact" and physics.N != 2:
-        raise ConfigError("kernel_mode=exact is implemented for N=2 only; use sampled")
     io = IOOptions(
         out_dir=str(values["io"]["out_dir"]),
         snapshot_every=int(values["io"]["snapshot_every"]),

@@ -37,6 +37,7 @@ from .spectral import (
     _half,
     _irfftn,
     _rfftn,
+    gauss_jacobi,
     parseval_weight,
     to_fourier,
     to_physical,
@@ -101,44 +102,6 @@ class QuadratureRule:
                 f"the grid's smallest nonzero |xi|^2 = {q_min:.3g} is below a = {self.a:.3g}; "
                 f"build the m-rule with a <= {q_min:.3g}"
             )
-
-
-def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
-
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix of the Jacobi recurrence; the weights are the Christoffel
-    numbers of the same recurrence at those nodes (equal to mu_0 times the
-    squared first eigenvector components, mu_0 = int (1-x)^alpha (1+x)^beta
-    dx).  Same convention as scipy.special.roots_jacobi; alpha, beta > -1.
-    """
-    if n < 1 or not (alpha > -1.0 and beta > -1.0):
-        raise ValueError(f"need n >= 1 and alpha, beta > -1, got {n}, {alpha}, {beta}")
-    ab = alpha + beta
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    off = np.empty(n - 1)
-    if n > 1:
-        k = np.arange(1, n, dtype=float)
-        t = 2.0 * k + ab
-        diag[1:] = (beta**2 - alpha**2) / (t * (t + 2.0))
-        # k = 1 with the factor (1 + alpha + beta) cancelled, so that
-        # alpha + beta = -1 does not divide zero by zero
-        off[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))
-        k, t = k[1:], t[1:]
-        off[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (t**2 * (t + 1.0) * (t - 1.0))
-        np.sqrt(off, out=off)
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    mu0 = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
-    # Christoffel numbers 1/sum_k p_k(x)^2 of the orthonormal polynomials, a
-    # sum of positive terms: the small weights keep their relative accuracy,
-    # which the squared eigenvector components lose
-    p_prev, p = np.zeros(n), np.full(n, 1.0 / math.sqrt(mu0))
-    total = p**2
-    for j in range(n - 1):
-        p_prev, p = p, ((x - diag[j]) * p - (off[j - 1] * p_prev if j else 0.0)) / off[j]
-        total += p**2
-    return x, 1.0 / total
 
 
 def build_quadrature(

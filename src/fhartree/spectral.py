@@ -249,8 +249,9 @@ class NonRealKernelError(RuntimeError):
     """A kernel table that must be real came out with a significant imaginary part."""
 
 
-def _riesz_cell_integral(gamma: float, h: float, N: int) -> float:
-    """int over the cell [-h/2, h/2]^N of |x|^{-gamma} dx, gamma < N.
+def riesz_cell_average(gamma: float, h: float, N: int) -> float:
+    """Cell-averaged value of |x|^{-gamma} over the origin cell [-h/2, h/2]^N,
+    gamma < N.
 
     The radial integral is taken exactly, reducing to a smooth surface
     integral over one face of the cell:
@@ -270,12 +271,7 @@ def _riesz_cell_integral(gamma: float, h: float, N: int) -> float:
         yy, zz = np.meshgrid(y, y, indexing="ij")
         ww = np.outer(w, w)
         inner = np.sum(ww * (a**2 + yy**2 + zz**2) ** (-0.5 * gamma))
-    return (2.0 * N / (N - gamma)) * a * inner
-
-
-def riesz_cell_average(gamma: float, h: float, N: int) -> float:
-    """Cell-averaged value of |x|^{-gamma} over the origin cell."""
-    return _riesz_cell_integral(gamma, h, N) / h**N
+    return (2.0 * N / (N - gamma)) * a * inner / h**N
 
 
 def sample_riesz_kernel(grid: GridSpec, gamma: float) -> np.ndarray:
@@ -293,175 +289,162 @@ def sample_riesz_kernel(grid: GridSpec, gamma: float) -> np.ndarray:
     return K
 
 
-def _origin_cell_oscillatory_series(grid: GridSpec, gamma: float, m_max: int) -> np.ndarray:
-    """F0(xi) = int over the origin cell of |d|^{-gamma} e^{-i xi.d} dd.
+def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
 
-    Expanded as an even power series in xi (odd moments vanish by symmetry);
-    each moment reduces to an analytic radial integral over the eight
-    triangles of the cell, leaving a smooth angular quadrature.  With
-    |xi.d| <= pi on the grid, truncation at m_max=26 is below 1e-13.
-
-    The series is separable: with P[a, b] = (xi_a h/2)^{2b} along one axis
-    and C[b1, b2] the moment of order (2 b1, 2 b2) over its factorials (zero
-    beyond total order m_max), F0 = P @ C @ P.T.
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the Jacobi recurrence; the weights are the Christoffel
+    numbers of the same recurrence at those nodes (equal to mu_0 times the
+    squared first eigenvector components, mu_0 = int (1-x)^alpha (1+x)^beta
+    dx).  Same convention as scipy.special.roots_jacobi; alpha, beta > -1.
     """
-    half = grid.h / 2.0
-    t, w = np.polynomial.legendre.leggauss(48)
-    th = (t + 1.0) * (np.pi / 8.0)
-    wth = w * (np.pi / 8.0)
-    cos_th, sin_th = np.cos(th), np.sin(th)
-    orders = np.arange(0, m_max + 1, 2)
-    C = np.zeros((orders.size, orders.size))
-    for i, b1 in enumerate(orders):
-        for j, b2 in enumerate(orders[: orders.size - i]):  # b1 + b2 <= m_max
-            q = b1 + b2 + 2 - gamma
-            radial = (half / cos_th) ** q / q
-            mu = 4.0 * np.sum(
-                wth * (cos_th**b1 * sin_th**b2 + cos_th**b2 * sin_th**b1) * radial
-            ) / half ** (b1 + b2)
-            sign = (-1.0) ** ((b1 + b2) // 2)  # (-i)^m for even m
-            C[i, j] = sign * mu / (math.factorial(b1) * math.factorial(b2))
-    P = (grid.xi_axis[:, None] * half) ** orders[None, :]
-    return P @ C @ P.T
+    if n < 1 or not (alpha > -1.0 and beta > -1.0):
+        raise ValueError(f"need n >= 1 and alpha, beta > -1, got {n}, {alpha}, {beta}")
+    ab = alpha + beta
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    off = np.empty(n - 1)
+    if n > 1:
+        k = np.arange(1, n, dtype=float)
+        t = 2.0 * k + ab
+        diag[1:] = (beta**2 - alpha**2) / (t * (t + 2.0))
+        # k = 1 with the factor (1 + alpha + beta) cancelled, so that
+        # alpha + beta = -1 does not divide zero by zero
+        off[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))
+        k, t = k[1:], t[1:]
+        off[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (t**2 * (t + 1.0) * (t - 1.0))
+        np.sqrt(off, out=off)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
+    # Christoffel numbers 1/sum_k p_k(x)^2 of the orthonormal polynomials, a
+    # sum of positive terms: the small weights keep their relative accuracy,
+    # which the squared eigenvector components lose
+    p_prev, p = np.zeros(n), np.full(n, 1.0 / math.sqrt(mu0))
+    total = p**2
+    for j in range(n - 1):
+        p_prev, p = p, ((x - diag[j]) * p - (off[j - 1] * p_prev if j else 0.0)) / off[j]
+        total += p**2
+    return x, 1.0 / total
 
 
-def _hermitian_full(half: np.ndarray) -> np.ndarray:
-    """The n x n transform of a real 2-D array from its n x (n/2+1) half
-    spectrum, through the Hermitian mirror hat[a, n-j] = conj(hat[-a, j])."""
-    n = half.shape[0]
-    return np.concatenate([half, np.conj(half[-np.arange(n), n // 2 - 1 : 0 : -1])], axis=1)
+#: The t-integral of the exact kernel splits at t_c = _T_SPLIT / L^2, where
+#: the box cuts the per-axis Gaussian e^{-t y^2} at e^{-t_c L^2/4} = e^{-40}.
+_T_SPLIT = 160.0
+#: The t-rule below t_c, edges in fractions of t_c: Gauss-Jacobi in the weight
+#: t^{gamma/2-1} on the first piece, Gauss-Legendre on the others, _T_NODES
+#: each; the y-integral takes _CELL_NODES Gauss-Legendre nodes per grid cell.
+_T_EDGES = (0.0, 1.0 / 16.0, 0.25, 1.0)
+_T_NODES = 16
+_CELL_NODES = 8
 
 
-def _exact_kernel_hat(grid: GridSpec, gamma: float, nodes: int = 16) -> np.ndarray:
-    """Exact Fourier coefficients of the minimum-image kernel function.
+def _lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """Lower incomplete gamma function int_0^x u^{a-1} e^{-u} du, a > 0, of
+    each x > 0: the power series x^a e^{-x} sum_k x^k / (a (a+1)...(a+k))
+    below x = a + 1, and above it Gamma(a) minus the continued fraction of
+    the upper function, by the modified Lentz method."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    low = x < a + 1.0
+    xs = x[low]
+    term = np.full_like(xs, 1.0 / a)
+    total = term.copy()
+    for k in range(1, 100):
+        term *= xs / (a + k)
+        total += term
+        if np.all(term <= 1e-17 * total):
+            break
+    out[low] = total * np.exp(a * np.log(xs) - xs)
+    xs = x[~low]
+    b = xs + 1.0 - a
+    c = np.full_like(xs, 1e300)
+    d = 1.0 / b
+    frac = d.copy()
+    for k in range(1, 300):
+        b += 2.0
+        d = 1.0 / (b - k * (k - a) * d)
+        c = b - k * (k - a) / c
+        frac *= c * d
+        if np.all(np.abs(c * d - 1.0) <= 4e-16):
+            break
+    out[~low] = math.gamma(a) - np.exp(a * np.log(xs) - xs) * frac
+    return out
 
-    Integrates W_hat(xi) = int_box d(y)^{-gamma} e^{-i xi.y} dy cell by cell:
-    per-cell Gauss-Legendre with the oscillatory phase carried exactly
-    (at most one oscillation per cell, so the quadrature is spectrally
-    accurate), plus the analytic series for the singular origin cell.
 
-    The tensor rule over the cells factors by axis.  For each axis-1 node i
-    the axis-2 nodes k are summed after a real FFT along axis 2, each
-    weighted by its axis-2 phase; one complex FFT along axis 1 per node i
-    then finishes the transform.  Because the kernel samples are real, only
-    the n x (n/2+1) half spectrum is accumulated, and the full table is
-    rebuilt from the Hermitian mirror hat[a, n-j] = conj(hat[-a, j]).
-    Memory stays at a few n^N arrays.
+def _t_rule(gamma: float, t_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights in t on [0, t_c] for the weight t^{gamma/2-1}."""
+    beta = 0.5 * gamma - 1.0
+    x, lam = gauss_jacobi(_T_NODES, 0.0, beta)
+    half = 0.5 * _T_EDGES[1] * t_c
+    t, w = [half * (x + 1.0)], [lam * half ** (beta + 1.0)]
+    u, wu = leggauss(_T_NODES)
+    for lo, hi in zip(_T_EDGES[1:-1], _T_EDGES[2:]):
+        half = 0.5 * (hi - lo) * t_c
+        panel = lo * t_c + half * (u + 1.0)
+        t.append(panel)
+        w.append(half * wu * panel**beta)
+    return np.concatenate(t), np.concatenate(w)
 
-    The Gauss-Legendre nodes come in mirror pairs t_{nodes-1-k} = -t_k
-    with equal weights, and the -t table of squared distances is the t
-    table with its index reversed, S_{-t}(p) = S_t(-p mod n).  Along axis 2
-    the real FFT of the -t_k samples and the -t_k phase are therefore the
-    conjugates of the t_k ones, and the pair adds up to w_k Re(P_k F_k);
-    along axis 1 the -t_i term is again the conjugate of the t_i term.  So
-    the main pass runs over mirror pairs with real accumulators, pair
-    weight w per axis, and w/2 for the self-paired middle node (t = 0) of
-    an odd rule.
 
-    The grid is square, so the mirror pair (k, i) samples the transpose of
-    the (i, k) table, K_ki(p, q) = K_ik(q, p); weights and phases factor
-    by axis, so its contribution is the transpose of C_ik.  The main pass
-    therefore runs only over the P(P+1)/2 pairs i <= k of the P =
-    ceil(nodes/2) mirror pairs (36 at the default 16 nodes, 55 at 20) and
-    accumulates S = sum_{i<k} C_ik + 1/2 sum_i C_ii on the half spectrum; the
-    Hermitian mirror expands S to the full grid and the main part is
-    S + S^T, formed before the side passes and the origin series are
-    added (those carry their own axis pairing).  The pass writes into work
-    arrays allocated once per build: the n x n power table, its rfft, the
-    real accumulator and the complex axis-1 fft of the accumulator.
+def _exact_kernel_hat(grid: GridSpec, gamma: float) -> np.ndarray:
+    """Exact Fourier coefficients W_hat(xi) = int_box |y|^{-gamma} e^{-i xi.y} dy
+    of the minimum-image kernel function, in N = 2 or 3.
 
-    The cells centered on the cut locus |y_j| = L/2 need care: the
-    minimum-image distance has a derivative kink at the cell center there,
-    which would degrade the Gauss rule to algebraic accuracy.  On those
-    cells the per-axis distance is L/2 - |v|, even in the offset v, so the
-    integral folds onto the smooth half-cell [0, h/2] with a cosine phase;
-    the main pass skips the cut strips and three side passes add them back
-    (column strip, row strip, corner cell).
+    Subordination writes |y|^{-gamma} as a Gaussian sum,
+    Gamma(gamma/2)^{-1} int_0^inf t^{gamma/2-1} e^{-t|y|^2} dt, and the
+    Gaussian factors by axis over the box [-L/2, L/2]^N:
+
+        W_hat(xi) = Gamma(gamma/2)^{-1} int_0^inf t^{gamma/2-1} prod_a g(t, xi_a) dt,
+        g(t, xi) = 2 int_0^{L/2} e^{-t y^2} cos(xi y) dy.
+
+    Above t_c = 160/L^2 the box no longer cuts the Gaussian, g is
+    sqrt(pi/t) e^{-xi^2/4t} to rounding, and the t-integral is closed:
+    pi^{N/2} (4/|xi|^2)^alpha gamma(alpha, |xi|^2/4t_c), alpha = (N-gamma)/2,
+    and pi^{N/2} t_c^{-alpha}/alpha at xi = 0; gamma(alpha, x) = Gamma(alpha)
+    to rounding from x = 60 + alpha on.  Below t_c the three-piece _t_rule
+    takes the integral, and g is summed by Gauss-Legendre over the grid
+    cells of [0, L/2], each at most half an oscillation of the cosine, one
+    cell node at a time: no (n/2+1) x 4n cosine table is held.  The table is
+    sum_j w_j g_j x g_j (x g_j) on the orthant k >= 0, expanded to the whole
+    grid by its symmetry in each |k_a|, so it is real and even by
+    construction.  Gaussian sums of this kind for nonlocal potentials: Exl,
+    Mauser & Zhang, J. Comput. Phys. 327 (2016); Beylkin & Monzon, Appl.
+    Comput. Harmon. Anal. 28 (2010).
     """
-    if grid.N != 2:
-        raise NotImplementedError("exact kernel transform is implemented for N=2 only")
-    n, L, h = grid.n, grid.L, grid.h
-    ax = grid.x_axis
-    half = h / 2.0
-    c = n // 2  # FFT-order index of the cut cell; the origin cell is index 0
-    m = c + 1  # columns of the half spectrum
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    xi_ax = grid.xi_axis
-    # per-node squared distances along one axis, in FFT order
-    shifted_sq = [
-        np.fft.ifftshift(((ax + half * ti + L / 2.0) % L - L / 2.0) ** 2) for ti in t
-    ]
-    phases = [np.exp(-1j * xi_ax * (half * ti)) for ti in t]
-    # main pass over the unordered pairs i <= k of mirror pairs, see above
-    pairs = (nodes + 1) // 2
-    pair_w = w[:pairs].copy()
-    if nodes % 2:
-        pair_w[-1] *= 0.5
-    row_w = [pair_w[k] * phases[k][:m] for k in range(pairs)]
-    K = np.empty((n, n))  # power table of one node pair
-    f = np.empty((n, m), dtype=np.complex128)  # its rfft along axis 2
-    acc = np.empty((n, m))  # sum over k of the real parts
-    g = np.empty((n, m), dtype=np.complex128)  # fft of acc along axis 1
-    hat = np.zeros((n, m))
-    for i in range(pairs):
-        acc.fill(0.0)
-        for k in range(i, pairs):
-            np.add.outer(shifted_sq[i], shifted_sq[k], out=K)
-            with np.errstate(divide="ignore"):  # 0^-gamma/2 when t_i = t_k = 0
-                np.power(K, -0.5 * gamma, out=K)
-            K[0, 0] = 0.0  # origin cell: analytic series below
-            K[c, :] = 0.0  # cut strips: folded side passes below
-            K[:, c] = 0.0
-            np.fft.rfft(K, axis=1, out=f)
-            f *= row_w[k] if k > i else 0.5 * row_w[k]
-            acc += f.real
-        np.fft.fft(acc, axis=0, out=g)
-        g *= (pair_w[i] * phases[i])[:, None]
-        hat += g.real
-    del K, f, acc, g
-    hat *= h * h
-    # the pairs k > i are the transposes of the pairs i < k: hat becomes the
-    # half spectrum of S + S^T
-    hat += _hermitian_full(hat)[:m].T
+    N, n, h = grid.N, grid.n, grid.h
+    m = n // 2 + 1
+    t_c = _T_SPLIT / grid.L**2
+    t, w = _t_rule(gamma, t_c)
+    xi = 2.0 * np.pi / grid.L * np.arange(m)
+    g = np.zeros((t.size, m))
+    for u, wu in zip(*leggauss(_CELL_NODES)):
+        y = h * (np.arange(n // 2) + 0.5 * (u + 1.0))
+        g += (wu * h) * (np.exp(-np.outer(t, y * y)) @ np.cos(np.outer(y, xi)))
+    head = w[:, None] * g
+    for _ in range(N - 2):
+        head = (head[:, :, None] * g[:, None, :]).reshape(t.size, -1)
+    table = (head.T @ g).reshape((m,) * N)
 
-    # folded Gauss rule on [0, h/2] against the cosine phase; the leading
-    # factor 2 comes from folding the even integrand
-    u = half * (t + 1.0) / 2.0
-    wu = w * (half / 2.0)
-    cos1 = 2.0 * np.cos(np.outer(xi_ax, u)) * wu  # (xi, node)
-    # the cut-cell center sits at -L/2, contributing the exact sign (-1)^m
-    sgn = np.where(np.rint(xi_ax * L / (2.0 * np.pi)).astype(int) % 2 == 0, 1.0, -1.0)
-    a_fold = sgn[:, None] * cos1  # (xi, node): phase x folded weights
-    d_cut_sq = (L / 2.0 - u) ** 2
-
-    # column strip (cut cell in axis 1, regular cells in axis 2)
-    strip = np.zeros((nodes, n), dtype=np.complex128)
-    for k in range(nodes):
-        Ks = (d_cut_sq[:, None] + shifted_sq[k][None, :]) ** (-0.5 * gamma)
-        Ks[:, c] = 0.0  # corner cell handled separately
-        strip += (w[k] * half) * phases[k][None, :] * np.fft.fft(Ks, axis=1)
-    hat = hat + a_fold @ strip[:, :m]
-    # row strip: the integrand is symmetric under axis swap
-    hat += (a_fold[:m] @ strip).T
-
-    # corner cell (cut in both axes), folded in both coordinates
-    Kc = (d_cut_sq[:, None] + d_cut_sq[None, :]) ** (-0.5 * gamma)
-    hat += a_fold @ Kc @ a_fold[:m].T
-
-    hat += _origin_cell_oscillatory_series(grid, gamma, m_max=26)[:, :m]
-    hat = _hermitian_full(hat)
-    scale = np.max(np.abs(hat))
-    if np.max(np.abs(hat.imag)) > 1e-10 * scale:
-        raise NonRealKernelError("Hartree kernel transform is unexpectedly non-real")
-    return np.ascontiguousarray(hat.real)
+    alpha = 0.5 * (N - gamma)
+    origin = (0,) * N
+    q = sum(np.meshgrid(*([xi**2] * N), indexing="ij", sparse=True))
+    q[origin] = 1.0  # placeholder, overwritten below
+    x = q / (4.0 * t_c)
+    lower = np.full(table.shape, math.gamma(alpha))
+    near = x < 60.0 + alpha
+    lower[near] = _lower_gamma(alpha, x[near])
+    upper = np.pi ** (0.5 * N) * (4.0 / q) ** alpha * lower
+    upper[origin] = np.pi ** (0.5 * N) * t_c ** (-alpha) / alpha
+    table += upper
+    table /= math.gamma(0.5 * gamma)
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)
+    return table[np.ix_(*([k] * N))]
 
 
 KERNEL_MODES = ("sampled", "exact")
 
 
-def build_hartree_kernel(
-    grid: GridSpec, gamma: float, mode: str = "sampled", nodes: int = 16
-) -> np.ndarray:
+def build_hartree_kernel(grid: GridSpec, gamma: float, mode: str = "sampled") -> np.ndarray:
     """Fourier table W_hat(xi) of the periodic Riesz-type kernel.
 
     mode="sampled": forward transform (h^N weight) of the grid-sampled
@@ -471,20 +454,16 @@ def build_hartree_kernel(
     h=1/4, gamma=1.6).
 
     mode="exact": exact transform of the same minimum-image kernel function
-    (oscillatory cell quadrature + analytic origin cell).  Removes the
+    (a Gaussian sum, see _exact_kernel_hat), in N=2 and N=3.  Removes the
     sampling bias entirely; used where integral identities are certified at
-    tight tolerance.  N=2 only.  `nodes` sets the per-cell quadrature order;
-    the build cost grows with nodes^2.  The default 16 agrees with 20 to
-    within 1.6e-15 relative at 128^2 and 256^2 (L=32) and at 512^2 (L=64
-    and L=8), and to 4.7e-16 at n=2048, L=256; 14 nodes are off by 3e-14 to
-    6e-14 over the same grids, beyond rounding.
+    tight tolerance.
 
     Both tables are real because the kernel is even on the torus.
     """
     if mode == "exact":
         if gamma >= grid.N or gamma <= 0:
             raise ValueError(f"gamma must lie in (0, N), got {gamma}")
-        return _exact_kernel_hat(grid, gamma, nodes=nodes)
+        return _exact_kernel_hat(grid, gamma)
     if mode != "sampled":
         raise ValueError(f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}")
     K = sample_riesz_kernel(grid, gamma)

@@ -120,8 +120,7 @@ def fine(params) -> Setup:
 @pytest.fixture(scope="session")
 def xfine(params) -> Setup:
     """n=2048, L=256: certification grid for the two-route threshold
-    identities (the default 16-node kernel rule, within 4.7e-16 of 20
-    nodes at this grid)."""
+    identities."""
     return solve_setup(params, 2048, 256.0)
 
 

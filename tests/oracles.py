@@ -81,6 +81,40 @@ def exact_kernel_coefficient(L: float, gamma: float, k1: float, k2: float) -> fl
     return 4.0 * val
 
 
+def exact_kernel_coefficient_3d(L: float, gamma: float, k: tuple[float, float, float]) -> float:
+    """Fourier coefficient int_box |x|^{-gamma} e^{-i k.x} dx of the 3-D
+    minimum-image kernel, by spherical quadrature over one octant (an eighth
+    of the whole, the odd parts cancelling).  The radial factor r^{2-gamma}
+    goes in as a QUADPACK algebraic weight; the polar and azimuthal
+    integrals are split where the cube's radius a/max(sin th cos ph,
+    sin th sin ph, cos th) has its kinks, at ph = pi/4 and at
+    tan th = 1/max(cos ph, sin ph)."""
+    a = L / 2.0
+    k1, k2, k3 = k
+
+    def radial(th: float, ph: float) -> float:
+        d1, d2, d3 = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+        val, _ = quad(
+            lambda r: np.cos(k1 * r * d1) * np.cos(k2 * r * d2) * np.cos(k3 * r * d3),
+            0.0,
+            a / max(d1, d2, d3),
+            weight="alg",
+            wvar=(2.0 - gamma, 0.0),
+            limit=200,
+        )
+        return val * np.sin(th)
+
+    def polar(ph: float) -> float:
+        kink = np.arctan(1.0 / max(np.cos(ph), np.sin(ph)))
+        tol = dict(limit=200, epsabs=1e-13, epsrel=1e-13)
+        return (quad(radial, 0.0, kink, args=(ph,), **tol)[0]
+                + quad(radial, kink, np.pi / 2.0, args=(ph,), **tol)[0])
+
+    tol = dict(limit=200, epsabs=1e-12, epsrel=1e-12)
+    val = quad(polar, 0.0, np.pi / 4.0, **tol)[0] + quad(polar, np.pi / 4.0, np.pi / 2.0, **tol)[0]
+    return 8.0 * val
+
+
 # ---------------------------------------------------------------------------
 # continuum references on Gaussians (2-D, radial quadrature)
 

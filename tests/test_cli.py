@@ -102,14 +102,26 @@ def test_ground_state_collapse_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_non_real_kernel_exit_code(tmp_path, monkeypatch, capsys):
-    # a spurious imaginary part in the origin-cell series trips the
-    # realness check of the exact-kernel build
-    monkeypatch.setattr(spectral, "_origin_cell_oscillatory_series",
-                        lambda grid, gamma, m_max: np.full(grid.shape, 1j))
-    rc = main(["ground-state", "--out", str(tmp_path), "grid.n=16", "grid.L=4"])
+    # kernel samples that are not even give a transform with an imaginary
+    # part, which trips the realness check of the sampled-kernel build
+    monkeypatch.setattr(spectral, "sample_riesz_kernel",
+                        lambda grid, gamma: np.random.default_rng(0).random(grid.shape))
+    rc = main(["ground-state", "--out", str(tmp_path), "grid.n=16", "grid.L=4",
+               "grid.kernel_mode=sampled"])
     assert rc == EXIT_NONCONVERGENCE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unexpectedly non-real" in err
+
+
+def test_ground_state_3d_certificate_on_default_kernel(tmp_path):
+    # the exact kernel serves N=3; the sampled one reads 1.84e-2 and 8.8e-3
+    rc = main(["ground-state", "--out", str(tmp_path), "physics.N=3", "physics.gamma=2.0",
+               "grid.n=64", "grid.L=16"])
+    assert rc == EXIT_OK
+    report = json.loads((tmp_path / "ground_state.json").read_text())
+    assert report["config"]["grid"]["kernel_mode"] == "exact"
+    assert report["summary"]["cgn_discrepancy"] <= 2e-3
+    assert abs(report["summary"]["pohozaev_r2"]) <= 1e-3
 
 
 # --------------------------------------------------------------- classify

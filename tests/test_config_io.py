@@ -168,13 +168,13 @@ def test_largest_grids_are_accepted():
     assert cfg.grid.npoints == MAX_GRID_POINTS
 
 
-def test_exact_kernel_restricted_to_planar_case():
-    with pytest.raises(ConfigError, match="sampled"):
-        load_config(overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=16"])
+def test_exact_kernel_is_the_default_in_3d():
+    cfg = load_config(overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=16"])
+    assert cfg.physics.N == 3
+    assert cfg.kernel_mode == "exact"
     cfg = load_config(
         overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=16", "grid.kernel_mode=sampled"]
     )
-    assert cfg.physics.N == 3
     assert cfg.kernel_mode == "sampled"
 
 

@@ -14,7 +14,6 @@ from fhartree.diagnostics import (
     bridge_coefficients,
     build_cutoff,
     build_quadrature,
-    gauss_jacobi,
     localized_virial,
     psi_derivatives,
     scattering_proxies,
@@ -23,6 +22,7 @@ from fhartree.diagnostics import (
     weighted_virial,
     weighted_virial_of_gaussian,
 )
+from fhartree.spectral import gauss_jacobi
 from fhartree.functionals import hartree_energy
 from fhartree.params import PhysParams
 from fhartree.spectral import (
