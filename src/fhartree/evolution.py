@@ -8,36 +8,51 @@ nonlinear step applies the exact phase for frozen modulus.  Each substep is
 unitary on the grid, so discrete mass is conserved to rounding for any dt,
 the map is time-reversible, and the composition is second order in dt.
 
-The step loop carries the raw spectrum fftn(u) from one step to the next.
-A step is the free half-step on the spectrum, ifftn, the nonlinear phase,
-fftn, and the trailing free half-step; the Hartree potential of the real
-density |u|^2 goes through the real pair rfftn/irfftn.  Only a step that
-is sampled, the last step and every step of a linear run return to the
-step boundary with a third complex transform (ifftn).  Any other step
-stops after its fftn and leaves the trailing half-step (and the dealias
-mask) owed: the next step applies it just before its own leading
-half-step, the same multiplies on the spectrum in the same order, so at
-equal dt the spectrum is bit for bit the one of a loop that returns to
-the boundary every step.  An unsampled step thus makes 2 complex
-transforms plus a real pair, a sampled one 3 complex transforms plus a
-real pair, plus one rfftn for V.  Samples read the carried spectrum, so
-they need no further complex transform.  The half-step phase table is
+The loop runs on one of the two transform sets of spectral.step_transform.
+On the whole grid they are numpy's fftn/ifftn and the real pair
+rfftn/irfftn on the half spectrum.  When u0 (and the ground state a run
+tracks) is mirror-even in every axis, as c*Q is to rounding, the loop runs
+on the orthant of n/2+1 points per axis (spectral.Orthant): a transform is
+one 1-D transform per axis of the mirror-extended axis, fft/ifft for the
+complex pair and the DCT-I (the real part of an rfft) for the real one, on
+(n/2+1)^(N-1) lines where the whole grid has n^(N-1); every pointwise pass
+covers (n/2+1)^N points, and every sum weighs each point by the number of
+grid points it stands for.  An orthant run agrees with the whole-grid run
+to rounding, not bit for bit; its snapshots and final state are expanded
+to the whole centered grid, exactly mirror-even.  A transform counted below
+is one n-dimensional transform on the whole grid and N 1-D passes on the
+orthant.
+
+The step loop carries the raw spectrum fft(u) from one step to the next.
+A step is the free half-step on the spectrum, ifft, the nonlinear phase,
+fft, and the trailing free half-step; the Hartree potential of the real
+density |u|^2 goes through the real pair.  Only a step that is sampled,
+the last step and every step of a linear run return to the step boundary
+with a third complex transform (ifft).  Any other step stops after its
+fft and leaves the trailing half-step (and the dealias mask) owed: the
+next step applies it just before its own leading half-step, the same
+multiplies on the spectrum in the same order, so at equal dt the spectrum
+is bit for bit the one of a loop that returns to the boundary every step.
+An unsampled step thus makes 2 complex transforms plus a real pair, a
+sampled one 3 complex transforms plus a real pair, plus one real forward
+transform for V.  Samples read the carried spectrum, so they need no
+further complex transform.  The half-step phase table is
 rebuilt only when the step size changes.  The adaptive step and the
 space-time norm read the density |u|^2 a step leaves behind: the boundary
 density after a step that returned to the boundary, and otherwise the
 midpoint density, which the Hartree phase forms anyway.  The centering
 phases of the transform convention cancel for diagonal multipliers, so
-the raw FFT pair is used throughout.
+the raw transforms are used throughout.
 
 A run allocates its work arrays once (_StepWork) and writes every
 transform and elementwise pass of the loop into them with out=: the
 carried spectrum hat, the field vals, the rotated field rot, the density
-rho, the phase, the half spectrum of the real pair, and, in a sample,
+rho, the phase, the spectrum of the real transform, and, in a sample,
 |u_hat|^2; the sample's products reuse the phase array and its soliton
-deviation the rot array.  At 256^2 each of these is 0.5-1 MiB, and a fresh
-array of that size costs page faults and zeroing on every call.  The
-values are those of the allocating loop, bit for bit.  Snapshots and the
-final state are copies, never views of a reused array.
+deviation the rot array.  On the whole 256^2 grid each of these is 0.5-1
+MiB, and a fresh array of that size costs page faults and zeroing on
+every call.  The values are those of the allocating loop, bit for bit.
+Snapshots and the final state are copies, never views of a reused array.
 
 A run produces a RunRecord: one column table (RUN_COLUMNS) of sampled
 conserved quantities, scale-invariant threshold ratios, set membership and
@@ -59,15 +74,14 @@ import numpy as np
 from .functionals import classify_from_ratios
 from .params import PhysParams
 from .spectral import (
+    FullGrid,
     MultiplierSet,
+    Orthant,
     SpectralField,
-    _half,
-    _pairing_weights,
-    _quadratic_form,
-    _real_multiply,
     dealias_mask,
     field_from_values,
     parseval_weight,
+    step_transform,
 )
 
 SOLITON_DEVIATION_TOL = 1e-3
@@ -287,16 +301,18 @@ def _half_step_phase(frac_lap_s: np.ndarray, dt: float) -> np.ndarray:
 
 
 class _StepWork:
-    """Work arrays of the step loop, allocated once per run: the field
-    vals, the rotated field rot, the densities rho and phase, and the half
-    spectrum rhat of the real pair."""
+    """The transforms tr of the step loop and its work arrays, allocated
+    once per run in tr's working shape: the field vals, the rotated field
+    rot, the densities rho and phase, and the spectrum rhat of the real
+    transform."""
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.vals = np.empty(shape, dtype=np.complex128)
-        self.rot = np.empty(shape, dtype=np.complex128)
-        self.rho = np.empty(shape)
-        self.phase = np.empty(shape)
-        self.rhat = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
+    def __init__(self, tr: FullGrid | Orthant):
+        self.tr = tr
+        self.vals = np.empty(tr.shape, dtype=np.complex128)
+        self.rot = np.empty(tr.shape, dtype=np.complex128)
+        self.rho = np.empty(tr.shape)
+        self.phase = np.empty(tr.shape)
+        self.rhat = tr.real_spectrum()
 
 
 def _abs_sq(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -316,16 +332,18 @@ def strang_step(
 ) -> SpectralField:
     """One Strang step: half free flow, full Hartree phase, half free flow.
 
-    A thin wrapper of the step evolve() runs: it transforms u once and
-    returns the field at the end of the step.  With mask given, both linear
-    substeps project onto the retained modes (this breaks exact mass
-    conservation).
+    A thin wrapper of the step evolve() runs, on the transforms evolve()
+    would choose for u: it transforms u once and returns the field at the
+    end of the step.  With mask given, both linear substeps project onto
+    the retained modes (this breaks exact mass conservation).
     """
-    half = _half_step_phase(mult.frac_lap_s, dt)
-    what_half = _half(mult.hartree_kernel_hat)
-    work = _StepWork(u.grid.shape)
-    vals = _strang(np.fft.fftn(u.values), half, what_half, dt, nonlinear, mask, work)
-    return SpectralField(grid=u.grid, values=vals)
+    tr = step_transform(u.grid, u.values)
+    half = _half_step_phase(tr.restrict(mult.frac_lap_s), dt)
+    what_r = tr.real_table(mult.hartree_kernel_hat)
+    mask = None if mask is None else tr.restrict(mask)
+    vals = _strang(tr.fft(tr.reduce(u.values)), half, what_r, dt, nonlinear, mask,
+                   _StepWork(tr))
+    return SpectralField(grid=u.grid, values=tr.expand(vals))
 
 
 def _free_half_step(hat: np.ndarray, half: np.ndarray, mask: np.ndarray | None) -> None:
@@ -339,14 +357,14 @@ def _free_half_step(hat: np.ndarray, half: np.ndarray, mask: np.ndarray | None) 
 def _strang(
     hat: np.ndarray,
     half: np.ndarray,
-    what_half: np.ndarray,
+    what_r: np.ndarray,
     dt: float,
     nonlinear: bool,
     mask: np.ndarray | None,
     work: _StepWork,
     finish: bool = True,
 ) -> np.ndarray | None:
-    """One Strang step on the raw spectrum hat = fftn(u), in place.
+    """One Strang step on the raw spectrum hat = work.tr.fft(u), in place.
 
     With finish set, on return hat is the spectrum at the end of the step,
     so the next step needs no forward transform, and the field made from
@@ -356,29 +374,30 @@ def _strang(
     next step, and work.rho holds the midpoint density.  Every transform
     and elementwise pass writes into hat or work: the midpoint field into
     work.vals, its density into work.rho, the Hartree phase into
-    work.phase (through the half spectrum work.rhat), the rotated field
+    work.phase (through the real spectrum work.rhat), the rotated field
     into work.rot.  The next step overwrites all of them, so evolve() keeps
     copies of work.vals as snapshots and final state.  half is the
-    half-step phase, what_half the half-spectrum Hartree multiplier of the
-    real density.
+    half-step phase and mask the dealias mask, both restricted by
+    work.tr; what_r is work.tr.real_table of the Hartree kernel.
     """
+    tr = work.tr
     _free_half_step(hat, half, mask)
-    vals = np.fft.ifftn(hat, out=work.vals)
+    vals = tr.ifft(hat, out=work.vals)
     if nonlinear:
-        phase = _real_multiply(what_half, _abs_sq(vals, work.rho, work.phase),
-                               out=work.phase, hat=work.rhat)
+        phase = tr.real_multiply(what_r, _abs_sq(vals, work.rho, work.phase),
+                                 out=work.phase, hat=work.rhat)
         phase *= dt
         rot = work.rot  # exp(i phase) from real cos/sin
         np.cos(phase, out=rot.real)
         np.sin(phase, out=rot.imag)
         rot *= vals
-        np.fft.fftn(rot, out=hat)
+        tr.fft(rot, out=hat)
     else:
-        np.fft.fftn(vals, out=hat)
+        tr.fft(vals, out=hat)
     if not finish:
         return None
     _free_half_step(hat, half, mask)
-    return np.fft.ifftn(hat, out=vals)
+    return tr.ifft(hat, out=vals)
 
 
 def evolve(
@@ -418,31 +437,32 @@ def evolve(
             f"run requested ({p.s}, {p.gamma})"
         )
     grid = u0.grid
+    track_soliton = gs is not None and gs.q.grid == grid
+    tr = step_transform(grid, u0.values, *((gs.q.values,) if track_soliton else ()))
     hN = grid.h**grid.N
     pw = parseval_weight(grid)
     plancherel = pw * hN * hN  # |raw fft|^2 -> physical L^2 mass
-    xi2s = mult.frac_lap_s
-    xi2sc = grid.xi_sq**p.s_c
-    tail_w = (~dealias_mask(grid, 2.0 / 3.0)).astype(np.float64).ravel()  # 0/1 weight
-    what_half = _half(mult.hartree_kernel_hat)
-    mask = dealias_mask(grid) if cfg.dealias else None
+    xi2s = tr.restrict(mult.frac_lap_s)
+    xi2sc = tr.restrict(grid.xi_sq**p.s_c)
+    tail_w = tr.sum_weights(~dealias_mask(grid, 2.0 / 3.0))  # the top third
+    what_r = tr.real_table(mult.hartree_kernel_hat)
+    mask = tr.restrict(dealias_mask(grid)) if cfg.dealias else None
     qc = p.q_c
 
-    track_soliton = gs is not None and gs.q.grid == grid
     if track_soliton:
-        q_ref = gs.q.values
+        q_ref = tr.reduce(gs.q.values)
         q_l2 = gs.l2
 
-    work = _StepWork(grid.shape)
+    work = _StepWork(tr)
     vals = work.vals
-    np.copyto(vals, u0.values)
-    hat = np.fft.fftn(vals)  # carried from step to step: the spectrum of vals
+    np.copyto(vals, tr.reduce(u0.values))
+    hat = tr.fft(vals)  # carried from step to step: the spectrum of vals
     # the density the last step left: |u|^2 at the step boundary, or the
     # midpoint density of a step that stopped short of it
     rho = _abs_sq(vals, work.rho, work.phase)
     scratch = work.phase  # free between steps: the products of a sample
-    hat_sq = np.empty(grid.shape)  # |u_hat|^2 of a sample
-    v_weights = _pairing_weights(grid, what_half)  # V = <rho, W * rho> by Parseval
+    hat_sq = np.empty(tr.shape)  # |u_hat|^2 of a sample
+    v_weights = tr.pairing_weights(mult.hartree_kernel_hat)  # V = <rho, W * rho> by Parseval
     half = half_dt = None  # half-step phase and the dt it was built for
     owed = None  # the half-step phase a step that stopped short still owes hat
     t = 0.0
@@ -459,15 +479,15 @@ def evolve(
     def sample(dt_eff: float) -> tuple[float, float, float, float]:
         """Record one diagnostic row; returns (mass, hs, grad_ratio, tail_fraction)."""
         nonlocal drifted
-        m = hN * float(np.sum(rho))
+        m = hN * tr.total(rho)
         _abs_sq(hat, hat_sq, scratch)
         grad_dens = np.multiply(xi2s, hat_sq, out=scratch)
-        grad_total = float(np.sum(grad_dens))
+        grad_total = tr.total(grad_dens)
         hs_sq = plancherel * grad_total
         hs = float(np.sqrt(hs_sq))
         tail_frac = _dot(tail_w, grad_dens.ravel()) / grad_total if grad_total > 0 else 0.0
-        hsc = float(np.sqrt(plancherel * float(np.sum(np.multiply(xi2sc, hat_sq, out=scratch)))))
-        v = _quadratic_form(v_weights, rho, hat=work.rhat)
+        hsc = float(np.sqrt(plancherel * tr.total(np.multiply(xi2sc, hat_sq, out=scratch))))
+        v = tr.quadratic_form(v_weights, rho, hat=work.rhat)
         e = 0.5 * hs_sq - 0.25 * v
         if rows and not drifted:  # scaled as in RunRecord.energy_drift
             e0 = rows[0][2]
@@ -476,7 +496,7 @@ def evolve(
                 drifted = True
                 caveats.append(f"energy drift {drift:.3g} of |E(0)| exceeds "
                                f"{ENERGY_DRIFT_TOL:g} from t={t:.6g}")
-        lpc_sum = float(np.sum(np.power(rho, 0.5 * p.p_c, out=scratch)))
+        lpc_sum = tr.total(np.power(rho, 0.5 * p.p_c, out=scratch))
         lpc = float((hN * lpc_sum) ** (1.0 / p.p_c))
         if gs is not None:
             factor = m**p.mass_power
@@ -489,14 +509,13 @@ def evolve(
         if track_soliton:  # ||u e^{-it} - Q|| = ||u - Q e^{it}||
             diff = np.multiply(q_ref, np.exp(1j * t), out=work.rot)
             np.subtract(vals, diff, out=diff)
-            flat = diff.view(np.float64).ravel()
-            sol = math.sqrt(hN * _dot(flat, flat)) / q_l2
+            sol = math.sqrt(hN * tr.norm_sq(diff)) / q_l2
         else:
             sol = float("nan")
         rows.append((t, m, e, hs, hsc, v, lpc, me_ratio, grad_ratio, membership,
                      tail_frac, accum_qc ** (1.0 / qc), sol, dt_eff))
         if cfg.snapshot_every > 0 and (len(rows) - 1) % cfg.snapshot_every == 0:
-            snaps.append((t, field_from_values(grid, vals.copy())))
+            snaps.append((t, field_from_values(grid, tr.expand(vals))))
         return m, hs, grad_ratio, tail_frac
 
     def nonfinite(m: float, hs: float) -> bool:
@@ -530,7 +549,7 @@ def evolve(
         # rounding hair of the accumulated t, not a shorter step
         rest = cfg.t_end - t
         dt_step = dt_eff if rest >= dt_eff - slack else rest
-        accum_qc += dt_step * hN * float(np.sum(np.power(rho, 0.5 * qc, out=scratch)))
+        accum_qc += dt_step * hN * tr.total(np.power(rho, 0.5 * qc, out=scratch))
         if owed is not None:
             _free_half_step(hat, owed, mask)
         if dt_step != half_dt:
@@ -540,7 +559,7 @@ def evolve(
         sampled = n_steps % cfg.record_every == 0 or t >= t_stop
         # a linear step forms no midpoint density, so it always finishes
         finish = sampled or not cfg.nonlinear
-        _strang(hat, half, what_half, dt_step, cfg.nonlinear, mask, work, finish)
+        _strang(hat, half, what_r, dt_step, cfg.nonlinear, mask, work, finish)
         if finish:
             _abs_sq(vals, rho, scratch)
         owed = None if finish else half  # else rho is the midpoint density
@@ -584,7 +603,7 @@ def evolve(
         verdict=verdict,
         t_star=t_star,
         n_steps=n_steps,
-        final_state=field_from_values(grid, vals.copy()),
+        final_state=field_from_values(grid, tr.expand(vals)),
         caveats=tuple(caveats),
         snapshots=tuple(snaps),
     )

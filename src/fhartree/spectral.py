@@ -20,6 +20,12 @@ solver's symbols on its real iterate) goes through the real pair instead:
 ``_real_multiply(_half(T), f)``; a quadratic form <f, T f> of a real array
 is summed on its half spectrum with the weights of ``_half_pairing``
 (``_quadratic_form`` takes one forward transform for it).
+
+The step loop of ``evolution`` reaches its transforms through one seam,
+``step_transform``: ``FullGrid`` makes the calls above on the whole grid,
+and ``Orthant`` runs a state that is mirror-even in every axis on the
+(n/2+1)^N points x >= 0, origin first, with 1-D transforms of the mirror
+extension along each axis and weighted sums.
 """
 from __future__ import annotations
 
@@ -239,6 +245,222 @@ def _quadratic_form(weights: np.ndarray, f: np.ndarray, hat: np.ndarray | None =
     field) does not give."""
     flat = np.ascontiguousarray(_rfftn(f, out=hat)).view(np.float64)
     return float(np.einsum("i,i,i->", weights.ravel(), flat.ravel(), flat.ravel()))
+
+
+# ---------------------------------------------------------------------------
+# Transform seam of the step loop
+
+#: A state is mirror-even when it differs from its mirror image in each axis
+#: by at most this many ulp of its peak modulus.
+MIRROR_EVEN_ULPS = 64
+
+
+def is_mirror_even(values: np.ndarray) -> bool:
+    """Whether a centered array equals its mirror image x -> -x in every
+    axis to within MIRROR_EVEN_ULPS ulp of max|values|.  Along an axis,
+    index 0 (x = -L/2, which is also L/2 on the torus) is its own image
+    and indices 1..n-1 mirror onto themselves reversed.  False when a value
+    is not finite."""
+    tol = MIRROR_EVEN_ULPS * np.finfo(np.float64).eps * np.max(np.abs(values))
+    for axis in range(values.ndim):
+        inner = values[(slice(None),) * axis + (slice(1, None),)]
+        if not np.max(np.abs(inner - np.flip(inner, axis))) <= tol:
+            return False
+    return True
+
+
+class FullGrid:
+    """The step loop's transforms on the whole grid, in centered order:
+    numpy's n-dimensional complex pair, the real pair on the half spectrum,
+    and plain sums."""
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.shape = grid.shape
+
+    def reduce(self, values: np.ndarray) -> np.ndarray:
+        """The working array of a centered array: the array itself."""
+        return values
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """A centered copy of a working array."""
+        return a.copy()
+
+    def restrict(self, table: np.ndarray) -> np.ndarray:
+        """A table in FFT order, as the working spectrum is indexed."""
+        return table
+
+    def real_table(self, table: np.ndarray) -> np.ndarray:
+        """A real even table as real_multiply takes it: its half spectrum."""
+        return _half(table)
+
+    def real_spectrum(self) -> np.ndarray:
+        """An empty array for the spectrum of the real transform."""
+        return np.empty(self.shape[:-1] + (self.grid.n // 2 + 1,), dtype=np.complex128)
+
+    def fft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.fftn(a, out=out)
+
+    def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.ifftn(a, out=out)
+
+    def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray,
+                      hat: np.ndarray) -> np.ndarray:
+        """The real even multiplier real_table(T) applied to a real array."""
+        return _real_multiply(table_r, f, out=out, hat=hat)
+
+    def pairing_weights(self, table: np.ndarray) -> np.ndarray:
+        """The weights of quadratic_form for a real even table T."""
+        return _pairing_weights(self.grid, _half(table))
+
+    def quadratic_form(self, weights: np.ndarray, f: np.ndarray, hat: np.ndarray) -> float:
+        """<f, T f> of a real array, for weights = pairing_weights(T)."""
+        return _quadratic_form(weights, f, hat=hat)
+
+    def total(self, x: np.ndarray) -> float:
+        """The sum of a real array over the grid."""
+        return float(np.sum(x))
+
+    def sum_weights(self, table: np.ndarray) -> np.ndarray:
+        """Flat weights w with w . x.ravel() = sum of table * x over the grid."""
+        return table.astype(np.float64).ravel()
+
+    def norm_sq(self, z: np.ndarray) -> float:
+        """The sum of |z|^2 over the grid, through einsum (no BLAS)."""
+        flat = z.view(np.float64).ravel()
+        return float(np.einsum("i,i->", flat, flat))
+
+
+class Orthant:
+    """The step loop's transforms for mirror-even states (is_mirror_even):
+    the orthant of n/2+1 points x_k = k h, k = 0..n/2, on each axis, origin
+    first, stands for the whole grid.
+
+    Along an axis, the mirror extension (a_0, ..., a_{n/2}, a_{n/2-1}, ...,
+    a_1) of orthant values is even, and so is its transform, so the first
+    n/2+1 outputs of a 1-D transform of the extension are the orthant of
+    the n-dimensional transform.  The complex pair takes np.fft.fft/ifft of
+    the extension; the real transform takes the real part of its rfft, the
+    DCT-I, which applied twice is n^N times the identity on the orthant.
+    The Hartree multiplier carries that n^{-N}, a power of two, in
+    real_table.  A sum over the grid weighs each orthant point by the
+    number of grid points it stands for: the product over axes of 1 at
+    k = 0 and k = n/2 and 2 between.  Each axis has its work arrays, the
+    extension and the rfft output, reused from call to call.
+    """
+
+    def __init__(self, grid: GridSpec):
+        n, N = grid.n, grid.N
+        m = n // 2 + 1
+        self.grid = grid
+        self.shape = (m,) * N
+        self._scale = float(n) ** -N
+        # orthant index of each centered index, and centered index of each
+        # orthant index
+        self._to_full = np.abs(np.arange(n) - n // 2)
+        self._to_orthant = (np.arange(m) + n // 2) % n
+        count = np.full(m, 2.0)
+        count[0] = count[-1] = 1.0
+        mult = count
+        for _ in range(N - 1):
+            mult = np.multiply.outer(mult, count)
+        self._mult = mult
+        self._mult_2 = np.repeat(mult.ravel(), 2)  # for the float view of a complex array
+        self._axes = []
+        for axis in range(N):
+            ext = (m,) * axis + (n,) + (m,) * (N - 1 - axis)
+            lead = (slice(None),) * axis
+            self._axes.append((
+                np.empty(ext, dtype=np.complex128),
+                np.empty(ext),
+                np.empty(self.shape, dtype=np.complex128),
+                lead + (slice(0, m),),
+                lead + (slice(m, None),),
+                lead + (slice(m - 2, 0, -1),),
+            ))
+
+    def reduce(self, values: np.ndarray) -> np.ndarray:
+        """The orthant of a centered mirror-even array, origin first."""
+        return values[np.ix_(*([self._to_orthant] * self.grid.N))]
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """The centered array whose orthant is a."""
+        return a[np.ix_(*([self._to_full] * self.grid.N))]
+
+    def restrict(self, table: np.ndarray) -> np.ndarray:
+        """The orthant k = 0..n/2 of an even table in FFT order."""
+        return np.ascontiguousarray(table[(slice(0, self.shape[0]),) * self.grid.N])
+
+    def real_table(self, table: np.ndarray) -> np.ndarray:
+        return self.restrict(table) * self._scale
+
+    def real_spectrum(self) -> np.ndarray:
+        return np.empty(self.shape)
+
+    def _complex(self, transform, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """transform (np.fft.fft or ifft) of a complex orthant array along
+        every axis."""
+        x = a
+        for axis, (ext, _, _, head, tail, mirror) in enumerate(self._axes):
+            ext[head] = x
+            ext[tail] = x[mirror]
+            x = transform(ext, axis=axis, out=ext)[head]
+        return _copy_into(out, x)
+
+    def _dct(self, f: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """The DCT-I of a real orthant array over every axis."""
+        x = f
+        for axis, (_, ext, spec, head, tail, mirror) in enumerate(self._axes):
+            ext[head] = x
+            ext[tail] = x[mirror]
+            x = np.fft.rfft(ext, axis=axis, out=spec).real
+        return _copy_into(out, x)
+
+    def fft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self._complex(np.fft.fft, a, out)
+
+    def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self._complex(np.fft.ifft, a, out)
+
+    def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray,
+                      hat: np.ndarray) -> np.ndarray:
+        hat = self._dct(f, hat)
+        hat *= table_r
+        return self._dct(hat, out)
+
+    def pairing_weights(self, table: np.ndarray) -> np.ndarray:
+        plancherel = parseval_weight(self.grid) * self.grid.h ** (2 * self.grid.N)
+        return (self.restrict(table) * self._mult * plancherel).ravel()
+
+    def quadratic_form(self, weights: np.ndarray, f: np.ndarray, hat: np.ndarray) -> float:
+        r = self._dct(f, hat).ravel()
+        return float(np.einsum("i,i,i->", weights, r, r))
+
+    def total(self, x: np.ndarray) -> float:
+        return float(np.einsum("i,i->", self._mult.ravel(), x.ravel()))
+
+    def sum_weights(self, table: np.ndarray) -> np.ndarray:
+        return (self.restrict(table) * self._mult).ravel()
+
+    def norm_sq(self, z: np.ndarray) -> float:
+        flat = z.view(np.float64).ravel()
+        return float(np.einsum("i,i,i->", self._mult_2, flat, flat))
+
+
+def _copy_into(out: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """x copied into out, or into a new array when out is None."""
+    if out is None:
+        return x.copy()
+    np.copyto(out, x)
+    return out
+
+
+def step_transform(grid: GridSpec, *states: np.ndarray) -> FullGrid | Orthant:
+    """The transforms of a step loop over centered states on grid: the
+    orthant when every state is mirror-even, else the whole grid."""
+    if all(is_mirror_even(v) for v in states):
+        return Orthant(grid)
+    return FullGrid(grid)
 
 
 # ---------------------------------------------------------------------------

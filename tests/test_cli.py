@@ -480,3 +480,28 @@ def test_import_runs_blas_single_threaded_unless_set(given, want):
     out = _run([sys.executable, "-c", code], {"OPENBLAS_NUM_THREADS": given})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == want
+
+
+def test_orthant_evolve_loads_no_scipy():
+    # numpy is the one runtime dependency (scipy is a test extra): the CLI
+    # and an evolution on the orthant of a mirror-even state import none of
+    # scipy
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import fhartree.cli",
+        "from fhartree import spectral",
+        "from fhartree.evolution import StepperConfig, evolve",
+        "from fhartree.params import PhysParams",
+        "p = PhysParams(N=2, s=0.7, gamma=1.6)",
+        "g = spectral.make_grid(2, 32, 8.0)",
+        "u0 = spectral.field_from_values(g, np.exp(-g.r_mesh**2))",
+        "assert type(spectral.step_transform(g, u0.values)) is spectral.Orthant",
+        "mult = spectral.make_multipliers(g, p, kernel_mode='exact')",
+        "rec = evolve(u0, p, mult, StepperConfig(t_end=0.01, record_every=3))",
+        "assert rec.n_steps == 10",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    out = _run([sys.executable, "-c", code])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ from conftest import solve_setup
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fhartree import evolution
+from fhartree import evolution, spectral
 from fhartree.evolution import (
     StepperConfig,
     adapt_dt,
@@ -44,6 +44,12 @@ from fhartree.spectral import (
 def _rng_field(grid, seed):
     rng = np.random.default_rng(seed)
     return field_from_values(grid, random_smooth_field(grid, rng))
+
+
+def _force_full_grid(monkeypatch):
+    """Make evolve() run on the whole grid whatever its input: the
+    detector reports no state mirror-even."""
+    monkeypatch.setattr(spectral, "is_mirror_even", lambda values: False)
 
 
 # --------------------------------------------------------------------------
@@ -108,6 +114,18 @@ def test_strang_step_is_time_reversible(canonical):
     for _ in range(10):
         back = strang_step(back, canonical.mult, dt=-2e-3)
     assert np.max(np.abs(back.values - u.values)) < 1e-11 * np.max(np.abs(u.values))
+
+
+def test_strang_step_on_the_orthant_matches_full_grid(canonical, monkeypatch):
+    # Q is mirror-even: strang_step runs it on the orthant, dealias mask
+    # included, and hands back an exactly mirror-even field
+    u = canonical.gs.q
+    mask = dealias_mask(canonical.grid)
+    orth = strang_step(u, canonical.mult, dt=2e-3, mask=mask)
+    _force_full_grid(monkeypatch)
+    full = strang_step(u, canonical.mult, dt=2e-3, mask=mask)
+    assert _exactly_mirror_even(orth.values)
+    assert np.max(np.abs(orth.values - full.values)) <= 1e-13 * np.max(np.abs(full.values))
 
 
 @pytest.fixture(scope="module")
@@ -523,19 +541,24 @@ def coarse(params):
     return solve_setup(params, 64, 16.0)
 
 
-@pytest.mark.parametrize(
-    "c, kw",
-    [
-        (0.8, {"adaptive": False, "t_end": 1.0, "record_every": 4}),
-        (0.8, {"adaptive": False, "t_end": 0.2, "record_every": 1, "dealias": True}),
-        # phase_cap below the default so the step shrinks on this coarse grid
-        (1.2, {"adaptive": True, "t_end": 2.0, "record_every": 2, "phase_cap": 0.05}),
-    ],
-    ids=["K1-fixed-dt", "K1-dealias", "K2-adaptive"],
-)
-def test_evolve_matches_transform_per_step_loop(coarse, c, kw):
+_LOOP_CASES = {
+    "K1-fixed-dt": (0.8, {"adaptive": False, "t_end": 1.0, "record_every": 4}),
+    "K1-dealias": (0.8, {"adaptive": False, "t_end": 0.2, "record_every": 1, "dealias": True}),
+    # phase_cap below the default so the step shrinks on this coarse grid
+    "K2-adaptive": (1.2, {"adaptive": True, "t_end": 2.0, "record_every": 2,
+                          "phase_cap": 0.05}),
+}
+
+
+# each case on the whole grid, forced, and on the orthant its c*Q takes
+@pytest.mark.parametrize("case", [*_LOOP_CASES, *(f"{k}-orthant" for k in _LOOP_CASES)])
+def test_evolve_matches_transform_per_step_loop(coarse, case, monkeypatch):
     s = coarse
+    c, kw = _LOOP_CASES[case.removesuffix("-orthant")]
     u0 = field_from_values(s.grid, c * s.gs.q.values)
+    if not case.endswith("-orthant"):
+        _force_full_grid(monkeypatch)
+    assert spectral.is_mirror_even(u0.values) == case.endswith("-orthant")
     cfg = StepperConfig(dt=1e-3, **kw)
     rec = evolve(u0, s.p, s.mult, cfg, gs=s.gs)
     series, members, verdict, n_steps = _reference_evolve(u0, s.p, s.mult, cfg, s.gs)
@@ -594,7 +617,7 @@ def test_strang_with_work_arrays_matches_allocating_step(small, small_3d, dim, n
     grid, mult = small if dim == "2d" else small_3d
     mask = dealias_mask(grid) if dealias else None
     what_half = _half(mult.hartree_kernel_hat)
-    work = evolution._StepWork(grid.shape)
+    work = evolution._StepWork(spectral.FullGrid(grid))
     hat = np.fft.fftn(_rng_field(grid, 11).values)
     hat_ref = hat.copy()
     # consecutive steps with a changing dt, a negative one among them
@@ -715,20 +738,30 @@ def test_first_sample_matches_public_functionals(coarse, start):
         assert row["membership"] == classify_membership(pair, s.gs).verdict
 
 
-@pytest.mark.parametrize("case", ["default", "dealias", "3d"])
-def test_sampling_cadence_keeps_the_trajectory(coarse, small_3d, case):
+# each case on the whole grid (forced for c*Q) and on the orthant (where
+# the 3-D case starts from an even Gaussian)
+@pytest.mark.parametrize(
+    "case", ["default", "dealias", "3d", "default-orthant", "dealias-orthant", "3d-orthant"]
+)
+def test_sampling_cadence_keeps_the_trajectory(coarse, small_3d, case, monkeypatch):
     # an unsampled step stops at its midpoint and the next step applies the
     # owed half-step: at a fixed dt the spectrum, every sampled state and
-    # the final state are bit for bit those of a run sampled every step
-    if case == "3d":
+    # the final state are bit for bit those of a run sampled every step, on
+    # either path
+    orthant = case.endswith("-orthant")
+    if not orthant:
+        _force_full_grid(monkeypatch)
+    if case.startswith("3d"):
         grid, mult = small_3d
         p, gs = PhysParams(N=3, s=0.7, gamma=1.6), None
-        u0 = field_from_values(grid, 0.3 * _rng_field(grid, 19).values)
+        vals = 0.3 * (_even_3d(grid) if orthant else _rng_field(grid, 19).values)
+        u0 = field_from_values(grid, vals)
     else:
         grid, mult, p, gs = coarse.grid, coarse.mult, coarse.p, coarse.gs
         u0 = field_from_values(grid, 0.8 * gs.q.values)
+    assert spectral.is_mirror_even(u0.values) == orthant
     recs = [evolve(u0, p, mult, StepperConfig(t_end=0.05, record_every=k,
-                                              dealias=case == "dealias"), gs=gs)
+                                              dealias=case.startswith("dealias")), gs=gs)
             for k in (1, 7)]
     every, sparse = recs
     assert every.n_steps == sparse.n_steps == 50 and sparse.times.size == 9
@@ -764,11 +797,11 @@ def test_linear_run_matches_free_propagator(coarse):
     assert np.allclose(rec.series["strichartz_accum"], accum, rtol=1e-10, atol=0.0)
 
 
-def test_run_sampled_every_step_reads_boundary_density(coarse):
-    # with a sample every step, every step returns to the boundary, and dt_eff
-    # and strichartz_accum are those of the boundary densities, bit for bit:
-    # recomputed here from the snapshots, one per step
-    s = coarse
+def _sampled_every_step(s):
+    """A run from 1.2*Q with a sample and a snapshot every step, and for
+    each step the adapted dt and the running strichartz_accum recomputed
+    from the snapshot before it: every step returns to the boundary, so
+    both read the boundary density."""
     u0 = field_from_values(s.grid, 1.2 * s.gs.q.values)
     # max|u0|^2 W_hat(0) = 24.5: phase_cap=0.02 takes dt below 1e-3 from t=0
     cfg = StepperConfig(dt=1e-3, t_end=0.05, record_every=1, phase_cap=0.02,
@@ -778,14 +811,100 @@ def test_run_sampled_every_step_reads_boundary_density(coarse):
     assert np.all(dt_eff < cfg.dt) and len(set(dt_eff)) > 1
     hN, qc = s.grid.h**s.grid.N, s.p.q_c
     slack = cfg.t_end - cfg.t_end * (1.0 - 1e-12)
-    accum = 0.0
-    for k, (t, u) in enumerate(rec.snapshots[:-1]):
-        assert dt_eff[k + 1] == adapt_dt(u, cfg, s.mult)
+    accum, want = 0.0, []
+    for t, u in rec.snapshots[:-1]:
+        dt_k = adapt_dt(u, cfg, s.mult)
         rest = cfg.t_end - t
-        dt_step = dt_eff[k + 1] if rest >= dt_eff[k + 1] - slack else rest
+        dt_step = dt_k if rest >= dt_k - slack else rest
         rho = u.values.real**2 + u.values.imag**2
         accum += dt_step * hN * float(np.sum(np.power(rho, 0.5 * qc)))
-        assert rec.series["strichartz_accum"][k + 1] == accum ** (1.0 / qc)
+        want.append((dt_k, accum ** (1.0 / qc)))
+    return rec, want
+
+
+def test_run_sampled_every_step_reads_boundary_density(coarse, monkeypatch):
+    # on the whole grid the loop sums as the recomputation does: dt_eff and
+    # strichartz_accum bit for bit
+    _force_full_grid(monkeypatch)
+    rec, want = _sampled_every_step(coarse)
+    for k, (dt_k, accum_k) in enumerate(want):
+        assert rec.series["dt_eff"][k + 1] == dt_k
+        assert rec.series["strichartz_accum"][k + 1] == accum_k
+
+
+def test_orthant_run_sampled_every_step_reads_boundary_density(coarse):
+    # on the orthant dt_eff is still bit for bit (a max is exact), and
+    # strichartz_accum agrees to rounding (a weighted sum over the orthant)
+    assert spectral.is_mirror_even(coarse.gs.q.values)
+    rec, want = _sampled_every_step(coarse)
+    for k, (dt_k, accum_k) in enumerate(want):
+        assert rec.series["dt_eff"][k + 1] == dt_k
+        assert abs(rec.series["strichartz_accum"][k + 1] - accum_k) <= 1e-14 * accum_k
+
+
+def _even_3d(grid):
+    """A mirror-even 3-D state: a radial Gaussian strong enough to turn
+    the nonlinear phase."""
+    return (2.0 * np.exp(-grid.r_mesh**2 / 2.0)).astype(np.complex128)
+
+
+def _exactly_mirror_even(values):
+    """Whether a centered array equals its mirror image bit for bit."""
+    for axis in range(values.ndim):
+        inner = values[(slice(None),) * axis + (slice(1, None),)]
+        if not np.array_equal(inner, np.flip(inner, axis)):
+            return False
+    return True
+
+
+_EVEN_CASES = {
+    "K1": {"t_end": 0.5, "record_every": 5},
+    "K2-blowup": {"t_end": 2.0, "record_every": 2, "phase_cap": 0.05},
+    "dealias": {"t_end": 0.2, "record_every": 3, "dealias": True},
+    "linear": {"t_end": 0.2, "record_every": 4, "nonlinear": False, "adaptive": False},
+    "3d": {"t_end": 0.1, "record_every": 5},
+}
+
+
+@pytest.mark.parametrize("case", _EVEN_CASES)
+def test_orthant_run_matches_full_grid_run(coarse, small_3d, case, monkeypatch):
+    # the same run on the orthant and on the whole grid: the same verdict,
+    # steps, membership and caveats, the columns to rounding, and every
+    # field the orthant run hands back exactly mirror-even
+    kw = _EVEN_CASES[case]
+    if case == "3d":
+        grid, mult = small_3d
+        p, gs = PhysParams(N=3, s=0.7, gamma=1.6), None
+        u0 = field_from_values(grid, _even_3d(grid))
+    else:
+        grid, mult, p, gs = coarse.grid, coarse.mult, coarse.p, coarse.gs
+        u0 = field_from_values(grid, (1.2 if case == "K2-blowup" else 0.8) * gs.q.values)
+    cfg = StepperConfig(dt=1e-3, snapshot_every=10, **kw)
+    assert spectral.is_mirror_even(u0.values)
+    orth = evolve(u0, p, mult, cfg, gs=gs)
+    _force_full_grid(monkeypatch)
+    full = evolve(u0, p, mult, cfg, gs=gs)
+
+    assert orth.verdict == full.verdict
+    if case == "K2-blowup":
+        assert orth.verdict == "BlowUp"
+    assert orth.n_steps == full.n_steps
+    assert orth.series["membership"] == full.series["membership"]
+    assert orth.caveats == full.caveats
+    if full.t_star is None:
+        assert orth.t_star is None
+    else:
+        assert abs(orth.t_star - full.t_star) <= 1e-13 * full.t_star
+    for name in _SERIES:
+        new, old = orth.series[name], full.series[name]
+        if name == "tail_fraction":
+            close = np.abs(new - old) <= 1e-13
+        else:
+            close = np.abs(new - old) <= 1e-11 * np.abs(old)
+        assert np.all(close | (np.isnan(new) & np.isnan(old))), name
+    assert len(orth.snapshots) == len(full.snapshots) > 1
+    for u in [u for _, u in orth.snapshots] + [orth.final_state]:
+        assert _exactly_mirror_even(u.values)
 
 
 # --------------------------------------------------------------------------

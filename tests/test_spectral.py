@@ -445,3 +445,118 @@ def test_multiplier_set_tables(params):
     assert mult.kernel_zero_mode > 0
     assert mult.frac_lap_s[0, 0] == 0.0
     assert CONVENTION_TAG  # non-empty, embedded in artifacts
+
+
+# --------------------------------------------------------------------------
+# the step loop's transform seam: the orthant of a mirror-even state
+
+
+@pytest.fixture(params=[(2, 32), (3, 16)], ids=["2d", "3d"])
+def orthant(request):
+    N, n = request.param
+    return spectral.Orthant(make_grid(N=N, n=n, L=8.0))
+
+
+def _orthant_values(tr, seed, real=False):
+    """Random values on the orthant: their expansion is exactly mirror-even."""
+    rng = np.random.default_rng(seed)
+    if real:
+        return rng.standard_normal(tr.shape)
+    return rng.standard_normal(tr.shape) + 1j * rng.standard_normal(tr.shape)
+
+
+def _head(tr):
+    """The orthant k = 0..n/2 of an array in FFT (origin-first) order."""
+    return (slice(0, tr.shape[0]),) * tr.grid.N
+
+
+def test_orthant_transforms_match_nd_transforms(orthant):
+    tr = orthant
+    a = _orthant_values(tr, 1)
+    whole = np.fft.ifftshift(tr.expand(a))  # origin first
+    for transform, nd in ((tr.fft, np.fft.fftn), (tr.ifft, np.fft.ifftn)):
+        want = nd(whole)[_head(tr)]
+        out = np.empty(tr.shape, dtype=np.complex128)
+        assert transform(a, out=out) is out
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+    # the real transform is the DCT-I; real_table carries its n^-N, so the
+    # pair returns f under a table of ones, with n^-N times the DCT-I of f
+    # left in hat
+    f = _orthant_values(tr, 2, real=True)
+    want = np.fft.rfftn(np.fft.ifftshift(tr.expand(f)))[_head(tr)]
+    hat, back = tr.real_spectrum(), np.empty(tr.shape)
+    ones = tr.real_table(np.ones(tr.grid.shape))
+    assert tr.real_multiply(ones, f, out=back, hat=hat) is back
+    hat *= tr.grid.npoints
+    assert np.max(np.abs(hat - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(back - f)) <= 1e-14 * np.max(np.abs(f))
+
+
+def test_orthant_expand_inverts_reduce(orthant):
+    tr = orthant
+    a = _orthant_values(tr, 3)
+    u = tr.expand(a)
+    assert u.shape == tr.grid.shape
+    assert spectral.is_mirror_even(u)
+    assert np.array_equal(tr.reduce(u), a)
+    assert np.array_equal(tr.expand(tr.reduce(u)), u)
+    gauss = np.exp(-tr.grid.r_mesh**2).astype(np.complex128)
+    assert np.array_equal(tr.expand(tr.reduce(gauss)), gauss)
+
+
+def test_orthant_sums_match_full_grid_sums(orthant, params):
+    tr, g = orthant, orthant.grid
+    full = spectral.FullGrid(g)
+    z, f = _orthant_values(tr, 4), _orthant_values(tr, 5, real=True)
+    z_full, f_full = tr.expand(z), tr.expand(f)
+
+    def close(got, want):
+        return abs(got - want) <= 1e-14 * abs(want)
+
+    assert close(tr.total(f * f), full.total(f_full * f_full))
+    assert close(tr.norm_sq(z), full.norm_sq(z_full))
+    # a spectral array on the orthant stands for its expansion in FFT order
+    table = g.xi_sq**0.7
+    spec, spec_full = f * f, np.fft.ifftshift(tr.expand(f * f))
+    assert close(tr.sum_weights(table) @ spec.ravel(), full.sum_weights(table) @ spec_full.ravel())
+    kernel = make_multipliers(g, PhysParams(N=g.N, s=0.7, gamma=1.6), kernel_mode="exact")
+    kernel = kernel.hartree_kernel_hat
+    got = tr.quadratic_form(tr.pairing_weights(kernel), f, hat=tr.real_spectrum())
+    want = full.quadratic_form(full.pairing_weights(kernel), f_full, hat=full.real_spectrum())
+    assert close(got, want)
+
+
+@pytest.mark.parametrize("N, n, L", [(2, 128, 32.0), (2, 16, 4.0), (3, 16, 8.0)])
+def test_step_tables_are_exactly_even(N, n, L):
+    # the orthant path reads a table only at k >= 0
+    g = make_grid(N=N, n=n, L=L)
+    mult = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6), kernel_mode="exact")
+    mirror = np.ix_(*([(-np.arange(n)) % n] * N))  # k -> -k in FFT order
+    for table in (mult.hartree_kernel_hat, mult.frac_lap_s, dealias_mask(g),
+                  dealias_mask(g, 2.0 / 3.0)):
+        assert np.array_equal(table, table[mirror])
+
+
+def test_detector_sends_non_even_states_to_the_full_grid():
+    g = make_grid(N=2, n=64, L=16.0)
+    even = np.exp(-g.r_mesh**2 / 4.0).astype(np.complex128)
+    assert type(spectral.step_transform(g, even)) is spectral.Orthant
+    g3 = make_grid(N=3, n=16, L=8.0)
+    assert type(spectral.step_transform(g3, np.exp(-g3.r_mesh**2) + 0j)) is spectral.Orthant
+
+    dk = 2.0 * np.pi / g.L  # a --gaussian 1,2,1.5 state: its carrier on the box
+    carrier = round(1.5 / dk) * dk
+    nan = even.copy()
+    nan[3, 5] = np.nan
+    nudged = even.copy()
+    nudged[40, 21] += 1e-12 * np.max(np.abs(even))
+    for values in (
+        _rng_field(g, 7).values,
+        np.exp(1j * carrier * g.x_mesh[0] - g.r_mesh**2 / 4.0),
+        nan,
+        nudged,
+    ):
+        assert not spectral.is_mirror_even(values)
+        assert type(spectral.step_transform(g, values)) is spectral.FullGrid
+    # every state of the loop must be even
+    assert type(spectral.step_transform(g, even, nudged)) is spectral.FullGrid
