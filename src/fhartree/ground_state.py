@@ -34,18 +34,15 @@ import numpy as np
 from .functionals import hartree_energy, mass
 from .params import PhysParams
 from .spectral import (
+    FullGrid,
     GridSpec,
     MultiplierSet,
+    Orthant,
     SpectralField,
-    _half,
-    _half_pairing,
-    _irfftn,
-    _pairing_weights,
-    _real_multiply,
-    _rfftn,
     field_from_values,
     make_multipliers,
     sobolev_norm,
+    step_transform,
 )
 
 
@@ -104,12 +101,18 @@ class GroundState:
 
     max_imag_frac is the largest imaginary part the iteration produced,
     relative to the peak of Q.  The iteration runs on real transforms
-    (rfftn/irfftn), whose outputs are real arrays, so it is 0 by
-    construction; the field stays so reports keep their shape.
+    (rfftn/irfftn, or the DCT-I on the orthant), whose outputs are real
+    arrays, so it is 0 by construction; the field stays so reports keep
+    their shape.
 
     delta_history and gamma_history hold, for every iteration k, the
     relative residual delta_k = ||G(q_k) - q_k|| / ||q_k|| and the
     renormalization factor gamma_k = <q_k, L q_k> / <q_k, N(q_k)>.
+
+    q is on the whole centered grid.  A solve on the orthant (see
+    solve_ground_state) expands it from the orthant, so it is exactly
+    mirror-even, and its radial_asymmetry measures only the axis swap:
+    the reflections are exact by construction.
     """
 
     q: SpectralField
@@ -170,6 +173,14 @@ def _seed_values(grid: GridSpec, width: float) -> np.ndarray:
     return np.exp(-(grid.r_mesh**2) / width**2)
 
 
+def _seed_array(grid: GridSpec, seed: SpectralField | None, opts: SolverOptions) -> np.ndarray:
+    """A fresh real array of the solver's seed on the whole centered grid:
+    the real part of seed, or the default seed of width opts.seed_width."""
+    if seed is None:
+        return _seed_values(grid, opts.seed_width)
+    return seed.values.real.astype(np.float64)
+
+
 def pohozaev_residuals(
     q: SpectralField, p: PhysParams, mult: MultiplierSet
 ) -> tuple[float, float]:
@@ -195,7 +206,8 @@ def _peak(values: np.ndarray) -> float:
 
 def _radial_asymmetry(values: np.ndarray) -> float:
     """Max relative deviation under the grid symmetries fixing |x| (axis
-    reflections about the box center and axis permutations)."""
+    reflections about the box center and axis permutations); the
+    reflections give 0 on an array expanded from the orthant."""
     peak = _peak(values)
     if peak == 0.0:
         return 0.0
@@ -225,16 +237,23 @@ def _tail_ratio(values: np.ndarray, grid: GridSpec) -> float:
     return float(max(edges) / peak)
 
 
-def _l2_norm(values: np.ndarray, hN: float) -> float:
-    """sqrt(h^N sum values^2) of a contiguous real array, through einsum:
-    no temporary, and no BLAS threads (see _Anderson)."""
-    flat = values.ravel()
-    return float(np.sqrt(hN * np.einsum("i,i->", flat, flat)))
+def _l2_norm(tr: FullGrid | Orthant, values: np.ndarray) -> float:
+    """sqrt(h^N sum values^2) of a real working array of tr, through
+    einsum: no temporary, and no BLAS threads (see _Anderson)."""
+    return math.sqrt(tr.grid.h**tr.grid.N * tr.norm_sq(values))
+
+
+def _power(hat: np.ndarray) -> np.ndarray:
+    """|hat|^2 of a real or complex spectrum."""
+    if np.iscomplexobj(hat):
+        return hat.real**2 + hat.imag**2
+    return hat * hat
 
 
 class _Anderson:
-    """Anderson mixing of depth m on half spectra (Anderson, J. ACM 12,
-    1965; Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+    """Anderson mixing of depth m on the spectra of the real transform of
+    tr (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011).
 
     The map outputs g_j = G(q_j) and residuals f_j = g_j - q_j of the last
     m+1 iterations live in two preallocated rings of m+1 slots, written in
@@ -244,16 +263,18 @@ class _Anderson:
     solve in the differences f_j - f_newest: Anderson's constrained form,
     which spans the same space as the consecutive differences.
 
-    Inner products are Parseval sums with the column weights of
-    _pairing_weights over the float view of the half spectra, through einsum:
-    BLAS would start its own threads in every worker of the sweep pool.
+    Inner products are Parseval sums, through einsum over the float view
+    of the spectra: BLAS would start its own threads in every worker of
+    the sweep pool.  The weights are tr.pairing_weights of a table of ones
+    given as one row along the last axis: on the whole grid the weight of
+    each column of the half spectrum, once for its real and once for its
+    imaginary part, and on the orthant the weight of each point.
     """
 
-    def __init__(self, grid: GridSpec, depth: int):
-        half = grid.shape[:-1] + (grid.n // 2 + 1,)
-        # the weight of each column, once for its real and once for its imaginary part
-        self.weights = _pairing_weights(grid, np.ones(grid.n // 2 + 1))
-        self.g = np.zeros((depth + 1,) + half, dtype=np.complex128)
+    def __init__(self, tr: FullGrid | Orthant, depth: int):
+        spectrum = tr.real_spectrum()
+        self.weights = tr.pairing_weights(np.ones((1,) * (tr.grid.N - 1) + (tr.grid.n,))).ravel()
+        self.g = np.zeros((depth + 1,) + spectrum.shape, dtype=spectrum.dtype)
         self.f = np.zeros_like(self.g)
         self.gram = np.zeros((depth + 1, depth + 1))
         self.history: list[int] = []  # ring slots in use, oldest first
@@ -282,8 +303,8 @@ class _Anderson:
         return float(np.sqrt(self.gram[new, new]))
 
     def step(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Half spectrum of the next iterate, into out when given: the mixed
-        one, or the newest output itself when the history holds only that
+        """Spectrum of the next iterate, into out when given: the mixed one,
+        or the newest output itself when the history holds only that
         output."""
         h = self.gram
         new = self.history[-1]
@@ -305,7 +326,7 @@ class _Anderson:
                 coef[new] = 1.0 - x.sum()
         self.mixed = len(self.history) > 1
         view = None if out is None else out.view(np.float64)
-        return np.einsum("k,k...->...", coef, self.g.view(np.float64), out=view).view(np.complex128)
+        return np.einsum("k,k...->...", coef, self.g.view(np.float64), out=view).view(self.g.dtype)
 
 
 def solve_ground_state(
@@ -318,16 +339,27 @@ def solve_ground_state(
     """Find the fixed point Q of the renormalized map G (module docstring)
     by the Anderson-mixed iteration and certify it.
 
-    The iteration carries the half spectrum q_hat = rfftn(q) as loop state.
-    One iteration forms N(q) = (W * q^2) q (two real transforms) and its
-    spectrum rfftn(N(q)) (one); the map output is gamma_k^{3/2} L_hat^{-1}
-    rfftn(N(q)), and the next iterate is the irfftn (one) of the mixed
-    spectrum: 4 real transforms per iteration, for N=2 and N=3.  The
-    pairing <q, Lq> and the residual norm ||G(q) - q|| are Parseval sums
-    over half spectra, so neither Lq nor G(q) is formed in physical space.
+    The transforms are those of spectral.step_transform for the real seed
+    (the real part of seed, or the default Gaussian): the orthant of n/2+1
+    points per axis (spectral.Orthant) when the seed is mirror-even, as the
+    default seed and a warm start from Q are, and the whole grid otherwise.
+    The iteration carries the spectrum q_hat of the real transform as loop
+    state: rfftn(q) on the half spectrum of the whole grid, the DCT-I of
+    the orthant values on the orthant.  One iteration forms
+    N(q) = (W * q^2) q (a real pair) and its spectrum (one forward
+    transform); the map output is gamma_k^{3/2} L_hat^{-1} times that
+    spectrum, and the next iterate is the inverse transform (one) of the
+    mixed spectrum: 4 real transforms per iteration, for N=2 and N=3.  On
+    the whole grid each is one n-dimensional rfftn or irfftn over n^N
+    points; on the orthant each is N passes of 1-D rffts of the mirror
+    extensions, over (n/2+1)^(N-1) lines of n points, and every pointwise
+    pass covers (n/2+1)^N points.  The pairing <q, Lq> and the residual
+    norm ||G(q) - q|| are Parseval sums over the spectra, so neither Lq nor
+    G(q) is formed in physical space.  The two paths agree to rounding,
+    not bit for bit.
 
     Mixing runs at depth ANDERSON_DEPTH (0: the plain iteration
-    q_{k+1} = G(q_k)) and costs a few passes over the half spectrum per
+    q_{k+1} = G(q_k)) and costs a few passes over the spectrum per
     iteration.  A mixed step that raises ||G(q) - q|| drops the history and
     the next step is the plain one.  The iteration stops when
     delta_k = ||G(q_k) - q_k|| / ||q_k|| < opts.tol and returns G(q_k).
@@ -338,8 +370,10 @@ def solve_ground_state(
     """
     if mult is None:
         mult = make_multipliers(grid, p)
-    ghat, converged, deltas, gammas = _iterate(p, grid, mult, seed, opts)
-    gs = _certify(ghat, p, grid, mult, converged, deltas, gammas)
+    q = _seed_array(grid, seed, opts)
+    tr = step_transform(grid, q)
+    ghat, converged, deltas, gammas = _iterate(p, tr, mult, tr.reduce(q), opts)
+    gs = _certify(ghat, p, tr, mult, converged, deltas, gammas)
     if not converged:
         raise NonConvergenceError(
             f"no convergence in {opts.max_iter} iterations (last delta {deltas[-1]:.3e})", gs
@@ -355,35 +389,32 @@ def solve_ground_state(
 
 def _iterate(
     p: PhysParams,
-    grid: GridSpec,
+    tr: FullGrid | Orthant,
     mult: MultiplierSet,
-    seed: SpectralField | None,
+    q: np.ndarray,
     opts: SolverOptions,
 ) -> tuple[np.ndarray, bool, list[float], list[float]]:
-    """The loop of solve_ground_state: (half spectrum of the last map
-    output, converged, delta_k, gamma_k).
+    """The loop of solve_ground_state on the transforms tr from the seed q,
+    a real working array of tr that the loop overwrites: (spectrum of the
+    last map output, converged, delta_k, gamma_k).
 
     Each transform and N(q) write into arrays allocated once: the iterate q
-    (irfftn output), N(q) (q^2 first, then the convolution and the product
-    in place), the half spectrum of the real pair (rfftn of q^2 and of
-    N(q)) and the half spectrum of the mixed iterate.  q starts as a copy,
-    so a caller's seed is never written.  The arrays, the mixing rings
-    among them, are freed on return."""
+    (inverse transform output), N(q) (q^2 first, then the convolution and
+    the product in place), the spectrum of the real pair (of q^2 and of
+    N(q)) and the spectrum of the mixed iterate.  The arrays, the mixing
+    rings among them, are freed on return."""
+    grid = tr.grid
     hN = grid.h**grid.N
-    lhat = 1.0 + _half(grid.xi_sq) ** p.s  # symbol of L = 1 + (-Delta)^s
-    lpair = _half_pairing(grid, lhat)  # <q, Lq> = sum lpair |q_hat|^2
+    lhat = 1.0 + tr.spectrum_table(grid.xi_sq) ** p.s  # symbol of L = 1 + (-Delta)^s
+    lpair = tr.spectrum_weights(lhat)  # <q, Lq> = sum lpair |q_hat|^2
     lhat_inv = np.reciprocal(lhat, out=lhat)  # L^{-1}, in place of L
-    what = _half(mult.hartree_kernel_hat)
-    mixer = _Anderson(grid, ANDERSON_DEPTH)
+    what = tr.real_table(mult.hartree_kernel_hat)
+    mixer = _Anderson(tr, ANDERSON_DEPTH)
 
-    if seed is None:
-        q = _seed_values(grid, opts.seed_width)
-    else:
-        q = seed.values.real.astype(np.float64)
-    norm = _l2_norm(q, hN)
+    norm = _l2_norm(tr, q)
     if norm <= 0:
         raise ValueError("seed must be nonzero")
-    qhat = _rfftn(q)
+    qhat = tr.rfft(q)
     nq = np.empty_like(q)
     hat = np.empty_like(qhat)
 
@@ -391,23 +422,23 @@ def _iterate(
     gammas: list[float] = []
     for _ in range(opts.max_iter):
         np.multiply(q, q, out=nq)
-        _real_multiply(what, nq, out=nq, hat=hat)
+        tr.real_multiply(what, nq, out=nq, hat=hat)
         nq *= q
-        num = np.sum(lpair * (qhat.real**2 + qhat.imag**2))
-        den = hN * np.sum(q * nq)
+        num = np.sum(lpair * _power(qhat))
+        den = hN * tr.pairwise_total(q * nq)
         if den <= 0:
             raise CollapseToZeroError("nonlinear pairing lost positivity; iterate collapsing")
         gamma_k = num / den
         # the map output G(q), written straight into its ring slot
-        ghat = np.multiply(_rfftn(nq, out=hat), gamma_k**1.5 * lhat_inv, out=mixer.output_slot())
+        ghat = np.multiply(tr.rfft(nq, out=hat), gamma_k**1.5 * lhat_inv, out=mixer.output_slot())
         delta = mixer.residual(qhat) / norm
         deltas.append(float(delta))
         gammas.append(float(gamma_k))
         if delta < opts.tol:
             return ghat.copy(), True, deltas, gammas
         mixer.step(out=qhat)
-        _irfftn(qhat, q.shape, out=q)
-        norm = _l2_norm(q, hN)
+        tr.irfft(qhat, out=q)
+        norm = _l2_norm(tr, q)
         if norm < 1e-10:
             raise CollapseToZeroError(f"iterate norm {norm:.3e} below 1e-10")
     return ghat.copy(), False, deltas, gammas
@@ -416,40 +447,44 @@ def _iterate(
 def _certify(
     qhat: np.ndarray,
     p: PhysParams,
-    grid: GridSpec,
+    tr: FullGrid | Orthant,
     mult: MultiplierSet,
     converged: bool,
     deltas: list[float],
     gammas: list[float],
 ) -> GroundState:
-    """Every certificate scalar of the real profile Q with half spectrum
-    qhat = rfftn(Q), from Q = irfftn(qhat) and one convolution W * Q^2
-    (4 real transforms in all); deltas and gammas are the solver history."""
+    """Every certificate scalar of the real profile Q whose spectrum on the
+    transforms tr is qhat, from Q = tr.irfft(qhat) and one convolution
+    W * Q^2 (4 real transforms in all), each sum pairwise; deltas and
+    gammas are the solver history.  Q is expanded once to the whole
+    centered grid, for GroundState.q, tail_ratio and radial_asymmetry."""
+    grid = tr.grid
     hN = grid.h**grid.N
-    xi2s = _half(grid.xi_sq) ** p.s
-    # each full-grid transient is dropped once used, so the certificate
-    # stays below the memory peak of the solver loop
-    q_vals = _irfftn(qhat, grid.shape)
+    xi2s = tr.spectrum_table(grid.xi_sq) ** p.s
+    # each transient is dropped once used, so the certificate stays below
+    # the memory peak of the solver loop
+    q_vals = tr.irfft(qhat)
     rho = q_vals * q_vals
-    conv = _real_multiply(_half(mult.hartree_kernel_hat), rho)
-    m = hN * np.sum(rho)
-    g = np.sum(_half_pairing(grid, xi2s) * (qhat.real**2 + qhat.imag**2))  # ||Q||_{Hs-dot}^2
+    conv = tr.real_multiply(tr.real_table(mult.hartree_kernel_hat), rho)
+    m = hN * tr.pairwise_total(rho)
+    g = np.sum(tr.spectrum_weights(xi2s) * _power(qhat))  # ||Q||_{Hs-dot}^2
     rho *= conv
-    v_q = hN * np.sum(rho)
+    v_q = hN * tr.pairwise_total(rho)
     del rho
     l2 = np.sqrt(m)
     hs = np.sqrt(g)
     e_q = 0.5 * g - 0.25 * v_q
 
     # Euler-Lagrange residual of the profile equation, formed in place
-    lhs = _irfftn(xi2s * qhat, q_vals.shape)
+    lhs = tr.irfft(xi2s * qhat)
     lhs += q_vals
     conv *= q_vals
     lhs -= conv
     del conv
     lhs *= lhs
-    el = np.sqrt(hN * np.sum(lhs)) / l2
+    el = np.sqrt(hN * tr.pairwise_total(lhs)) / l2
     del lhs
+    q_vals = tr.expand(q_vals)
 
     r1, r2 = _pohozaev(g, m, v_q, p)
 

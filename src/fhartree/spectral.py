@@ -21,11 +21,12 @@ solver's symbols on its real iterate) goes through the real pair instead:
 is summed on its half spectrum with the weights of ``_half_pairing``
 (``_quadratic_form`` takes one forward transform for it).
 
-The step loop of ``evolution`` reaches its transforms through one seam,
-``step_transform``: ``FullGrid`` makes the calls above on the whole grid,
-and ``Orthant`` runs a state that is mirror-even in every axis on the
-(n/2+1)^N points x >= 0, origin first, with 1-D transforms of the mirror
-extension along each axis and weighted sums.
+The step loop of ``evolution`` and the ground-state solver reach their
+transforms through one seam, ``step_transform``: ``FullGrid`` makes the
+calls above on the whole grid, and ``Orthant`` runs a state that is
+mirror-even in every axis on the (n/2+1)^N points x >= 0, origin first,
+with 1-D transforms of the mirror extension along each axis and weighted
+sums.
 """
 from __future__ import annotations
 
@@ -290,6 +291,11 @@ class FullGrid:
         """A table in FFT order, as the working spectrum is indexed."""
         return table
 
+    def spectrum_table(self, table: np.ndarray) -> np.ndarray:
+        """A real even table as it multiplies a real_spectrum() array: its
+        half spectrum."""
+        return _half(table)
+
     def real_table(self, table: np.ndarray) -> np.ndarray:
         """A real even table as real_multiply takes it: its half spectrum."""
         return _half(table)
@@ -298,16 +304,30 @@ class FullGrid:
         """An empty array for the spectrum of the real transform."""
         return np.empty(self.shape[:-1] + (self.grid.n // 2 + 1,), dtype=np.complex128)
 
+    def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The spectrum of the real transform of a real array: rfftn."""
+        return _rfftn(f, out=out)
+
+    def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The real array whose rfft is hat: irfftn; hat is left unchanged."""
+        return _irfftn(hat, self.shape, out=out)
+
     def fft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.fft.fftn(a, out=out)
 
     def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.fft.ifftn(a, out=out)
 
-    def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray,
-                      hat: np.ndarray) -> np.ndarray:
-        """The real even multiplier real_table(T) applied to a real array."""
+    def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
+                      hat: np.ndarray | None = None) -> np.ndarray:
+        """The real even multiplier real_table(T) applied to a real array,
+        its spectrum left in hat."""
         return _real_multiply(table_r, f, out=out, hat=hat)
+
+    def spectrum_weights(self, table_s: np.ndarray) -> np.ndarray:
+        """Parseval weights P with <f, T f> = sum P |rfft(f)|^2 for a real
+        even table T given as spectrum_table(T)."""
+        return _half_pairing(self.grid, table_s)
 
     def pairing_weights(self, table: np.ndarray) -> np.ndarray:
         """The weights of quadratic_form for a real even table T."""
@@ -321,12 +341,18 @@ class FullGrid:
         """The sum of a real array over the grid."""
         return float(np.sum(x))
 
+    def pairwise_total(self, x: np.ndarray) -> float:
+        """total, summed pairwise (np.sum) on either path: the certificate's
+        scalars need its O(log n) rounding, not einsum's running sum."""
+        return float(np.sum(x))
+
     def sum_weights(self, table: np.ndarray) -> np.ndarray:
         """Flat weights w with w . x.ravel() = sum of table * x over the grid."""
         return table.astype(np.float64).ravel()
 
     def norm_sq(self, z: np.ndarray) -> float:
-        """The sum of |z|^2 over the grid, through einsum (no BLAS)."""
+        """The sum of |z|^2 over the grid of a real or complex array,
+        through einsum (no BLAS)."""
         flat = z.view(np.float64).ravel()
         return float(np.einsum("i,i->", flat, flat))
 
@@ -340,10 +366,11 @@ class Orthant:
     a_1) of orthant values is even, and so is its transform, so the first
     n/2+1 outputs of a 1-D transform of the extension are the orthant of
     the n-dimensional transform.  The complex pair takes np.fft.fft/ifft of
-    the extension; the real transform takes the real part of its rfft, the
-    DCT-I, which applied twice is n^N times the identity on the orthant.
-    The Hartree multiplier carries that n^{-N}, a power of two, in
-    real_table.  A sum over the grid weighs each orthant point by the
+    the extension; the real transform (rfft) takes the real part of its
+    rfft, the DCT-I, which applied twice is n^N times the identity on the
+    orthant, so its spectrum is a real (n/2+1)^N array.  irfft carries
+    that n^{-N}, a power of two, and so does real_table for the Hartree
+    multiplier.  A sum over the grid weighs each orthant point by the
     number of grid points it stands for: the product over axes of 1 at
     k = 0 and k = n/2 and 2 between.  Each axis has its work arrays, the
     extension and the rfft output, reused from call to call.
@@ -391,11 +418,22 @@ class Orthant:
         """The orthant k = 0..n/2 of an even table in FFT order."""
         return np.ascontiguousarray(table[(slice(0, self.shape[0]),) * self.grid.N])
 
+    def spectrum_table(self, table: np.ndarray) -> np.ndarray:
+        return self.restrict(table)
+
     def real_table(self, table: np.ndarray) -> np.ndarray:
         return self.restrict(table) * self._scale
 
     def real_spectrum(self) -> np.ndarray:
         return np.empty(self.shape)
+
+    def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self._dct(f, out)
+
+    def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = self._dct(hat, out)
+        out *= self._scale
+        return out
 
     def _complex(self, transform, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """transform (np.fft.fft or ifft) of a complex orthant array along
@@ -422,15 +460,18 @@ class Orthant:
     def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self._complex(np.fft.ifft, a, out)
 
-    def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray,
-                      hat: np.ndarray) -> np.ndarray:
+    def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
+                      hat: np.ndarray | None = None) -> np.ndarray:
         hat = self._dct(f, hat)
         hat *= table_r
         return self._dct(hat, out)
 
-    def pairing_weights(self, table: np.ndarray) -> np.ndarray:
+    def spectrum_weights(self, table_s: np.ndarray) -> np.ndarray:
         plancherel = parseval_weight(self.grid) * self.grid.h ** (2 * self.grid.N)
-        return (self.restrict(table) * self._mult * plancherel).ravel()
+        return table_s * self._mult * plancherel
+
+    def pairing_weights(self, table: np.ndarray) -> np.ndarray:
+        return self.spectrum_weights(self.restrict(table)).ravel()
 
     def quadratic_form(self, weights: np.ndarray, f: np.ndarray, hat: np.ndarray) -> float:
         r = self._dct(f, hat).ravel()
@@ -439,12 +480,16 @@ class Orthant:
     def total(self, x: np.ndarray) -> float:
         return float(np.einsum("i,i->", self._mult.ravel(), x.ravel()))
 
+    def pairwise_total(self, x: np.ndarray) -> float:
+        return float(np.sum(self._mult * x))
+
     def sum_weights(self, table: np.ndarray) -> np.ndarray:
         return (self.restrict(table) * self._mult).ravel()
 
     def norm_sq(self, z: np.ndarray) -> float:
         flat = z.view(np.float64).ravel()
-        return float(np.einsum("i,i,i->", self._mult_2, flat, flat))
+        weights = self._mult_2 if np.iscomplexobj(z) else self._mult.ravel()
+        return float(np.einsum("i,i,i->", weights, flat, flat))
 
 
 def _copy_into(out: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -680,7 +725,10 @@ def build_hartree_kernel(grid: GridSpec, gamma: float, mode: str = "sampled") ->
     sampling bias entirely; used where integral identities are certified at
     tight tolerance.
 
-    Both tables are real because the kernel is even on the torus.
+    Both tables are real and even in every axis because the kernel is even
+    on the torus.  The sampled table is made exactly so, axis by axis, by
+    (T + T[k -> -k]) / 2: the two terms add in either order to the same
+    number, and an orthant run reads the table only at k >= 0.
     """
     if mode == "exact":
         if gamma >= grid.N or gamma <= 0:
@@ -693,7 +741,10 @@ def build_hartree_kernel(grid: GridSpec, gamma: float, mode: str = "sampled") ->
     scale = np.max(np.abs(hat))
     if np.max(np.abs(hat.imag)) > 1e-12 * scale:
         raise NonRealKernelError("Hartree kernel transform is unexpectedly non-real")
-    return hat.real
+    table = hat.real
+    for axis in range(grid.N):
+        table = 0.5 * (table + np.roll(np.flip(table, axis), 1, axis))
+    return table
 
 
 @dataclass(frozen=True)
@@ -720,8 +771,10 @@ class MultiplierSet:
 
 
 def make_multipliers(
-    grid: GridSpec, p: PhysParams, kernel_mode: str = "sampled"
+    grid: GridSpec, p: PhysParams, kernel_mode: str = "exact"
 ) -> MultiplierSet:
+    """The tables of (grid, p), with the Hartree kernel of kernel_mode
+    (build_hartree_kernel); exact by default, as in every config."""
     what = build_hartree_kernel(grid, p.gamma, mode=kernel_mode)
     return MultiplierSet(
         grid=grid,

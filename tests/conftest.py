@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from fhartree import spectral
 from fhartree.evolution import StepperConfig, evolve
 from fhartree.ground_state import GroundState, SolverOptions, solve_ground_state
 from fhartree.params import PhysParams
@@ -41,6 +42,12 @@ class Setup:
     grid: GridSpec
     mult: MultiplierSet
     gs: GroundState
+
+
+def force_full_grid(monkeypatch) -> None:
+    """Make evolve() and the ground-state solver run on the whole grid
+    whatever their input: the detector reports no array mirror-even."""
+    monkeypatch.setattr(spectral, "is_mirror_even", lambda values: False)
 
 
 def solve_setup(p: PhysParams, n: int, L: float, kernel_mode: str = "exact") -> Setup:

@@ -483,21 +483,27 @@ def test_import_runs_blas_single_threaded_unless_set(given, want):
 
 
 def test_orthant_evolve_loads_no_scipy():
-    # numpy is the one runtime dependency (scipy is a test extra): the CLI
-    # and an evolution on the orthant of a mirror-even state import none of
-    # scipy
+    # numpy is the one runtime dependency (scipy is a test extra): the CLI,
+    # a ground-state solve and an evolution on the orthant of a mirror-even
+    # state import none of scipy
     code = "\n".join([
         "import sys",
+        "import warnings",
         "import numpy as np",
         "import fhartree.cli",
-        "from fhartree import spectral",
+        "from fhartree import ground_state, spectral",
         "from fhartree.evolution import StepperConfig, evolve",
         "from fhartree.params import PhysParams",
         "p = PhysParams(N=2, s=0.7, gamma=1.6)",
         "g = spectral.make_grid(2, 32, 8.0)",
         "u0 = spectral.field_from_values(g, np.exp(-g.r_mesh**2))",
         "assert type(spectral.step_transform(g, u0.values)) is spectral.Orthant",
+        "seed = ground_state._seed_array(g, None, ground_state.SolverOptions())",
+        "assert type(spectral.step_transform(g, seed)) is spectral.Orthant",
         "mult = spectral.make_multipliers(g, p, kernel_mode='exact')",
+        "warnings.simplefilter('ignore')  # the box-tail advisory at L=8",
+        "gs = ground_state.solve_ground_state(p, g, mult=mult)",
+        "assert gs.converged",
         "rec = evolve(u0, p, mult, StepperConfig(t_end=0.01, record_every=3))",
         "assert rec.n_steps == 10",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import solve_setup
+from conftest import force_full_grid, solve_setup
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -46,12 +46,6 @@ def _rng_field(grid, seed):
     return field_from_values(grid, random_smooth_field(grid, rng))
 
 
-def _force_full_grid(monkeypatch):
-    """Make evolve() run on the whole grid whatever its input: the
-    detector reports no state mirror-even."""
-    monkeypatch.setattr(spectral, "is_mirror_even", lambda values: False)
-
-
 # --------------------------------------------------------------------------
 # configuration validation
 
@@ -80,7 +74,8 @@ def test_evolve_rejects_mismatched_inputs(canonical, params):
     u0 = _rng_field(canonical.grid, 5)
     other_grid = make_grid(N=2, n=64, L=16.0)
     with pytest.raises(ValueError):
-        evolve(u0, params, make_multipliers(other_grid, params), StepperConfig(t_end=0.01))
+        evolve(u0, params, make_multipliers(other_grid, params, kernel_mode="sampled"),
+               StepperConfig(t_end=0.01))
     from fhartree.params import PhysParams
 
     p2 = PhysParams(N=2, s=0.6, gamma=1.4)
@@ -122,7 +117,7 @@ def test_strang_step_on_the_orthant_matches_full_grid(canonical, monkeypatch):
     u = canonical.gs.q
     mask = dealias_mask(canonical.grid)
     orth = strang_step(u, canonical.mult, dt=2e-3, mask=mask)
-    _force_full_grid(monkeypatch)
+    force_full_grid(monkeypatch)
     full = strang_step(u, canonical.mult, dt=2e-3, mask=mask)
     assert _exactly_mirror_even(orth.values)
     assert np.max(np.abs(orth.values - full.values)) <= 1e-13 * np.max(np.abs(full.values))
@@ -131,7 +126,7 @@ def test_strang_step_on_the_orthant_matches_full_grid(canonical, monkeypatch):
 @pytest.fixture(scope="module")
 def small(params):
     grid = make_grid(N=2, n=32, L=16.0)
-    return grid, make_multipliers(grid, params)
+    return grid, make_multipliers(grid, params, kernel_mode="sampled")
 
 
 # dt drawn from +-[1e-4, 5e-2]
@@ -557,7 +552,7 @@ def test_evolve_matches_transform_per_step_loop(coarse, case, monkeypatch):
     c, kw = _LOOP_CASES[case.removesuffix("-orthant")]
     u0 = field_from_values(s.grid, c * s.gs.q.values)
     if not case.endswith("-orthant"):
-        _force_full_grid(monkeypatch)
+        force_full_grid(monkeypatch)
     assert spectral.is_mirror_even(u0.values) == case.endswith("-orthant")
     cfg = StepperConfig(dt=1e-3, **kw)
     rec = evolve(u0, s.p, s.mult, cfg, gs=s.gs)
@@ -750,7 +745,7 @@ def test_sampling_cadence_keeps_the_trajectory(coarse, small_3d, case, monkeypat
     # either path
     orthant = case.endswith("-orthant")
     if not orthant:
-        _force_full_grid(monkeypatch)
+        force_full_grid(monkeypatch)
     if case.startswith("3d"):
         grid, mult = small_3d
         p, gs = PhysParams(N=3, s=0.7, gamma=1.6), None
@@ -825,7 +820,7 @@ def _sampled_every_step(s):
 def test_run_sampled_every_step_reads_boundary_density(coarse, monkeypatch):
     # on the whole grid the loop sums as the recomputation does: dt_eff and
     # strichartz_accum bit for bit
-    _force_full_grid(monkeypatch)
+    force_full_grid(monkeypatch)
     rec, want = _sampled_every_step(coarse)
     for k, (dt_k, accum_k) in enumerate(want):
         assert rec.series["dt_eff"][k + 1] == dt_k
@@ -882,7 +877,7 @@ def test_orthant_run_matches_full_grid_run(coarse, small_3d, case, monkeypatch):
     cfg = StepperConfig(dt=1e-3, snapshot_every=10, **kw)
     assert spectral.is_mirror_even(u0.values)
     orth = evolve(u0, p, mult, cfg, gs=gs)
-    _force_full_grid(monkeypatch)
+    force_full_grid(monkeypatch)
     full = evolve(u0, p, mult, cfg, gs=gs)
 
     assert orth.verdict == full.verdict

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import force_full_grid
 
 from fhartree import ground_state, spectral
 from fhartree.functionals import energy, hartree_energy, mass
@@ -218,29 +219,27 @@ def test_mixed_iteration_count(canonical, s, gamma):
     assert gs.iterations <= 30
 
 
-def _reference_iterate(p, grid, mult, seed, opts):
+def _reference_iterate(p, tr, mult, q, opts):
     """ground_state._iterate as it was before its arrays were reused: a
-    fresh array for every transform, N(q) and mixed iterate."""
+    fresh array for every transform, N(q) and mixed iterate, on the
+    transforms tr."""
+    grid = tr.grid
     hN = grid.h**grid.N
-    lhat = 1.0 + spectral._half(grid.xi_sq) ** p.s
-    lpair = spectral._half_pairing(grid, lhat)
+    lhat = 1.0 + tr.spectrum_table(grid.xi_sq) ** p.s
+    lpair = tr.spectrum_weights(lhat)
     lhat_inv = np.reciprocal(lhat, out=lhat)
-    what = spectral._half(mult.hartree_kernel_hat)
-    mixer = ground_state._Anderson(grid, ground_state.ANDERSON_DEPTH)
-    if seed is None:
-        q = ground_state._seed_values(grid, opts.seed_width)
-    else:
-        q = seed.values.real.astype(np.float64)
-    norm = ground_state._l2_norm(q, hN)
-    qhat = spectral._rfftn(q)
+    what = tr.real_table(mult.hartree_kernel_hat)
+    mixer = ground_state._Anderson(tr, ground_state.ANDERSON_DEPTH)
+    norm = np.sqrt(hN * tr.norm_sq(q))
+    qhat = tr.rfft(q)
     deltas, gammas = [], []
     for _ in range(opts.max_iter):
-        nq = spectral._real_multiply(what, q * q)
+        nq = tr.real_multiply(what, q * q)
         nq *= q
         num = np.sum(lpair * (qhat.real**2 + qhat.imag**2))
-        den = hN * np.sum(q * nq)
+        den = hN * tr.pairwise_total(q * nq)
         gamma_k = num / den
-        ghat = np.multiply(spectral._rfftn(nq), gamma_k**1.5 * lhat_inv, out=mixer.output_slot())
+        ghat = np.multiply(tr.rfft(nq), gamma_k**1.5 * lhat_inv, out=mixer.output_slot())
         del nq
         delta = mixer.residual(qhat) / norm
         deltas.append(float(delta))
@@ -248,14 +247,20 @@ def _reference_iterate(p, grid, mult, seed, opts):
         if delta < opts.tol:
             return ghat.copy(), True, deltas, gammas
         qhat = mixer.step()
-        q = spectral._irfftn(qhat, q.shape)
-        norm = ground_state._l2_norm(q, hN)
+        q = tr.irfft(qhat)
+        norm = np.sqrt(hN * tr.norm_sq(q))
     return ghat.copy(), False, deltas, gammas
 
 
-@pytest.mark.parametrize("N, n, L, kernel_mode", [(2, 64, 16.0, "exact"), (3, 16, 12.0, "sampled")])
+_BUFFERED_CASES = [(2, 64, 16.0, "exact"), (3, 16, 12.0, "sampled")]
+
+
+@pytest.mark.parametrize("N, n, L, kernel_mode", _BUFFERED_CASES)
 @pytest.mark.parametrize("explicit_seed", [False, True])
-def test_buffered_iteration_matches_allocating_loop(N, n, L, kernel_mode, explicit_seed):
+def test_buffered_iteration_matches_allocating_loop(N, n, L, kernel_mode, explicit_seed,
+                                                    monkeypatch):
+    # on the whole grid: forced for the default seed, which is mirror-even;
+    # the explicit seed is off-centre and takes the whole grid by itself
     p = PhysParams(N=N, s=0.7, gamma=1.6)
     grid = make_grid(N=N, n=n, L=L)
     mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
@@ -264,15 +269,100 @@ def test_buffered_iteration_matches_allocating_loop(N, n, L, kernel_mode, explic
         bump = random_smooth_field(grid, np.random.default_rng(5), n_bumps=2, span=1.0)
         seed = field_from_values(grid, default_seed(grid, 1.3).values + 0.1 * bump)
         seed_before = seed.values.copy()
+    else:
+        force_full_grid(monkeypatch)
     opts = SolverOptions()
-    want = _reference_iterate(p, grid, mult, seed, opts)
-    got = ground_state._iterate(p, grid, mult, seed, opts)
+    q = ground_state._seed_array(grid, seed, opts)
+    tr = spectral.step_transform(grid, q)
+    assert type(tr) is spectral.FullGrid
+    want = _reference_iterate(p, tr, mult, q.copy(), opts)
+    got = ground_state._iterate(p, tr, mult, q, opts)
     assert got[1] == want[1] is True
     np.testing.assert_array_equal(got[0], want[0])
     assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
     if explicit_seed:
         # the loop writes its iterates into its own arrays, never the seed's
         np.testing.assert_array_equal(seed.values, seed_before)
+
+
+@pytest.mark.parametrize("N, n, L, kernel_mode", _BUFFERED_CASES)
+def test_buffered_orthant_iteration_matches_allocating_loop(N, n, L, kernel_mode):
+    p = PhysParams(N=N, s=0.7, gamma=1.6)
+    grid = make_grid(N=N, n=n, L=L)
+    mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
+    opts = SolverOptions()
+    q = ground_state._seed_array(grid, None, opts)
+    tr = spectral.step_transform(grid, q)
+    assert type(tr) is spectral.Orthant
+    want = _reference_iterate(p, tr, mult, tr.reduce(q), opts)
+    got = ground_state._iterate(p, tr, mult, tr.reduce(q), opts)
+    assert got[1] == want[1] is True
+    assert got[0].dtype == np.float64 and got[0].shape == (n // 2 + 1,) * N
+    np.testing.assert_array_equal(got[0], want[0])
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+
+# --------------------------------------------------------------------------
+# the orthant and the whole grid
+
+#: Certificate scalars held to 1e-12 relative between the two paths; the
+#: residuals and cancelled differences are held to 1e-14 absolute.
+_RELATIVE = ("l2", "hs", "v_q", "e_q", "cgn_a", "cgn_b", "me_Q", "grad_Q", "tail_ratio")
+_ABSOLUTE = ("el_residual", "pohozaev_r1", "pohozaev_r2", "cgn_discrepancy", "final_alpha_dev",
+             "radial_asymmetry")
+
+
+def _assert_same_certificate(got, want):
+    a, b = got.summary(), want.summary()
+    assert a["converged"] == b["converged"] and a["iterations"] == b["iterations"]
+    for key in _RELATIVE:
+        assert abs(a[key] - b[key]) <= 1e-12 * abs(b[key]), key
+    for key in _ABSOLUTE:
+        assert abs(a[key] - b[key]) <= 1e-14, key
+    q, q_full = got.q.values, want.q.values
+    assert np.max(np.abs(q - q_full)) <= 1e-13 * np.max(np.abs(q_full))
+
+
+@pytest.mark.filterwarnings("ignore:ground-state tail")
+@pytest.mark.parametrize("case", ["128-exact", "16cubed-sampled", "tol-1e-14", "warm-start"])
+def test_orthant_solve_matches_full_grid_solve(canonical, case, monkeypatch):
+    # the same solve on the orthant and, forced, on the whole grid: the same
+    # iterations, Q and its certificate to rounding, and an exactly
+    # mirror-even Q from the orthant
+    p, grid, mult, seed, opts = canonical.p, canonical.grid, canonical.mult, None, SolverOptions()
+    if case == "16cubed-sampled":
+        p = PhysParams(N=3, s=0.7, gamma=1.6)
+        grid = make_grid(N=3, n=16, L=12.0)
+        mult = make_multipliers(grid, p, kernel_mode="sampled")
+    elif case == "tol-1e-14":
+        opts = SolverOptions(tol=1e-14)
+    elif case == "warm-start":
+        seed = canonical.gs.q
+    q0 = ground_state._seed_array(grid, seed, opts)
+    assert type(spectral.step_transform(grid, q0)) is spectral.Orthant
+    orth = solve_ground_state(p, grid, seed=seed, opts=opts, mult=mult)
+    force_full_grid(monkeypatch)
+    assert type(spectral.step_transform(grid, q0)) is spectral.FullGrid
+    full = solve_ground_state(p, grid, seed=seed, opts=opts, mult=mult)
+    _assert_same_certificate(orth, full)
+    if case == "warm-start":
+        assert orth.iterations <= 3
+    q = orth.q.values
+    for axis in range(grid.N):
+        inner = q[(slice(None),) * axis + (slice(1, None),)]
+        assert np.array_equal(inner, np.flip(inner, axis))
+
+
+def test_orthant_certificate_matches_full_grid_certificate(canonical):
+    # _certify of one Q on each path, from the spectrum each path takes of it
+    s = canonical
+    q = s.gs.q.values.real
+    deltas, gammas = list(s.gs.delta_history), list(s.gs.gamma_history)
+    certs = []
+    for tr in (spectral.Orthant(s.grid), spectral.FullGrid(s.grid)):
+        qhat = tr.rfft(tr.reduce(q))
+        certs.append(ground_state._certify(qhat, s.p, tr, s.mult, True, deltas, gammas))
+    _assert_same_certificate(*certs)
 
 
 def test_solver_history_covers_every_iteration(canonical):
@@ -287,26 +377,30 @@ def test_solver_history_covers_every_iteration(canonical):
 
 
 def test_anderson_safeguard_drops_history_on_residual_rise():
-    grid = make_grid(N=2, n=16, L=8.0)
-    mixer = ground_state._Anderson(grid, depth=3)
-    rng = np.random.default_rng(7)
-    shape = mixer.g.shape[1:]
+    # on the half spectrum of the whole grid (complex) and on the orthant (real)
+    for seam in (spectral.FullGrid, spectral.Orthant):
+        mixer = ground_state._Anderson(seam(make_grid(N=2, n=16, L=8.0)), depth=3)
+        rng = np.random.default_rng(7)
+        shape, dtype = mixer.g.shape[1:], mixer.g.dtype
+        assert dtype == (np.complex128 if seam is spectral.FullGrid else np.float64)
 
-    def push(scale):
-        # a map output whose residual against a zero iterate has norm ~scale
-        g = mixer.output_slot()
-        g[...] = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        return g.copy(), mixer.residual(np.zeros(shape, dtype=np.complex128))
+        def push(scale):
+            # a map output whose residual against a zero iterate has norm ~scale
+            g = mixer.output_slot()
+            g[...] = scale * rng.standard_normal(shape)
+            if dtype == np.complex128:
+                g.imag = scale * rng.standard_normal(shape)
+            return g.copy(), mixer.residual(np.zeros(shape, dtype=dtype))
 
-    g1, r1 = push(1.0)
-    np.testing.assert_array_equal(mixer.step(), g1)  # one output: the plain step
-    g2, r2 = push(0.5)
-    mixer.step()
-    assert mixer.mixed and len(mixer.history) == 2
-    g3, r3 = push(10.0)  # the mixed step raised the residual
-    assert r3 > r2
-    np.testing.assert_array_equal(mixer.step(), g3)
-    assert not mixer.mixed and len(mixer.history) == 1
+        g1, r1 = push(1.0)
+        np.testing.assert_array_equal(mixer.step(), g1)  # one output: the plain step
+        g2, r2 = push(0.5)
+        mixer.step()
+        assert mixer.mixed and len(mixer.history) == 2
+        g3, r3 = push(10.0)  # the mixed step raised the residual
+        assert r3 > r2
+        np.testing.assert_array_equal(mixer.step(), g3)
+        assert not mixer.mixed and len(mixer.history) == 1
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Grid construction, transform convention, multipliers, kernel modes."""
 
+import inspect
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from scipy.special import gammainc
 
 import oracles
 from fhartree import spectral
+from fhartree.config import load_config
 from fhartree.params import PhysParams
 from fhartree.spectral import (
     CONVENTION_TAG,
@@ -447,6 +449,15 @@ def test_multiplier_set_tables(params):
     assert CONVENTION_TAG  # non-empty, embedded in artifacts
 
 
+def test_make_multipliers_defaults_to_the_config_kernel(params):
+    # a library caller who omits the mode gets the kernel every command uses
+    mode = load_config().kernel_mode
+    assert inspect.signature(make_multipliers).parameters["kernel_mode"].default == mode
+    g = make_grid(N=2, n=16, L=4.0)
+    want = make_multipliers(g, params, kernel_mode=mode).hartree_kernel_hat
+    assert np.array_equal(make_multipliers(g, params).hartree_kernel_hat, want)
+
+
 # --------------------------------------------------------------------------
 # the step loop's transform seam: the orthant of a mirror-even state
 
@@ -531,10 +542,11 @@ def test_step_tables_are_exactly_even(N, n, L):
     # the orthant path reads a table only at k >= 0
     g = make_grid(N=N, n=n, L=L)
     mult = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6), kernel_mode="exact")
-    mirror = np.ix_(*([(-np.arange(n)) % n] * N))  # k -> -k in FFT order
-    for table in (mult.hartree_kernel_hat, mult.frac_lap_s, dealias_mask(g),
+    sampled = build_hartree_kernel(g, 1.6, mode="sampled")
+    for table in (mult.hartree_kernel_hat, sampled, mult.frac_lap_s, dealias_mask(g),
                   dealias_mask(g, 2.0 / 3.0)):
-        assert np.array_equal(table, table[mirror])
+        for axis in range(N):  # k -> -k in FFT order along each axis
+            assert np.array_equal(table, np.roll(np.flip(table, axis), 1, axis))
 
 
 def test_detector_sends_non_even_states_to_the_full_grid():
