@@ -13,15 +13,17 @@ On the whole grid they are numpy's fftn/ifftn and the real pair
 rfftn/irfftn on the half spectrum.  When u0 (and the ground state a run
 tracks) is mirror-even in every axis, as c*Q is to rounding, the loop runs
 on the orthant of n/2+1 points per axis (spectral.Orthant): a transform is
-one 1-D transform per axis of the mirror-extended axis, fft/ifft for the
-complex pair and the DCT-I (the real part of an rfft) for the real one, on
-(n/2+1)^(N-1) lines where the whole grid has n^(N-1); every pointwise pass
-covers (n/2+1)^N points, and every sum weighs each point by the number of
-grid points it stands for.  An orthant run agrees with the whole-grid run
-to rounding, not bit for bit; its snapshots and final state are expanded
-to the whole centered grid, exactly mirror-even.  A transform counted below
-is one n-dimensional transform on the whole grid and N 1-D passes on the
-orthant.
+one pass per axis over (n/2+1)^(N-1) lines where the whole grid has
+n^(N-1), the transform of the mirror-extended axis for the complex pair
+and its real part, the DCT-I, for the real one.  Up to
+spectral.DENSE_MAX_POINTS points per axis a pass is one dense cosine
+product (a BLAS matrix product), above it a 1-D fft/ifft or rfft of the
+extension.  Every pointwise pass covers (n/2+1)^N points, and every sum
+weighs each point by the number of grid points it stands for.  An
+orthant run agrees with the whole-grid run to rounding, not bit for bit;
+its snapshots and final state are expanded to the whole centered grid,
+exactly mirror-even.  A transform counted below is one n-dimensional
+transform on the whole grid and N passes on the orthant.
 
 The step loop carries the raw spectrum fft(u) from one step to the next.
 A step is the free half-step on the spectrum, ifft, the nonlinear phase,

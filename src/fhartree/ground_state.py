@@ -351,11 +351,13 @@ def solve_ground_state(
     spectrum, and the next iterate is the inverse transform (one) of the
     mixed spectrum: 4 real transforms per iteration, for N=2 and N=3.  On
     the whole grid each is one n-dimensional rfftn or irfftn over n^N
-    points; on the orthant each is N passes of 1-D rffts of the mirror
-    extensions, over (n/2+1)^(N-1) lines of n points, and every pointwise
-    pass covers (n/2+1)^N points.  The pairing <q, Lq> and the residual
-    norm ||G(q) - q|| are Parseval sums over the spectra, so neither Lq nor
-    G(q) is formed in physical space.  The two paths agree to rounding,
+    points.  On the orthant each is N passes over (n/2+1)^(N-1) lines:
+    up to spectral.DENSE_MAX_POINTS points per axis, one dense cosine
+    product per axis, and above it 1-D rffts of the mirror extensions, of
+    n points per line; every pointwise pass covers (n/2+1)^N points.  The
+    pairing <q, Lq> and the residual norm ||G(q) - q|| are Parseval sums
+    over the spectra, so neither Lq nor G(q) is formed in physical
+    space.  The two paths agree to rounding,
     not bit for bit.
 
     Mixing runs at depth ANDERSON_DEPTH (0: the plain iteration

@@ -25,8 +25,9 @@ The step loop of ``evolution`` and the ground-state solver reach their
 transforms through one seam, ``step_transform``: ``FullGrid`` makes the
 calls above on the whole grid, and ``Orthant`` runs a state that is
 mirror-even in every axis on the (n/2+1)^N points x >= 0, origin first,
-with 1-D transforms of the mirror extension along each axis and weighted
-sums.
+with weighted sums.  A small orthant transforms by one dense cosine
+product per axis (a BLAS matrix product), a large one by 1-D FFTs of the
+mirror extension along each axis.
 """
 from __future__ import annotations
 
@@ -357,23 +358,53 @@ class FullGrid:
         return float(np.einsum("i,i->", flat, flat))
 
 
+#: Orthants of at most this many points per axis, m = n/2+1, transform by
+#: dense cosine products (Orthant._dense), larger ones by FFTs of the
+#: mirror extension.  Both make N passes over m^(N-1) lines, so the bound
+#: is on m alone.  One transform, FFT -> dense, DCT-I and complex (best of
+#: 15; 2-core VM, numpy 2.4 pocketfft, single-threaded OpenBLAS):
+#:   N=2, m=65:  53 -> 23 us and 74 -> 40 us;
+#:   N=2, m=129: 177 -> 163 us and 288 -> 292 us;
+#:   N=2, m=257: 963 -> 1115 us and 1467 -> 2216 us;
+#:   N=3, m=33:  683 -> 194 us and 885 -> 378 us;
+#:   N=3, m=129: 104 -> 39 ms and 109 -> 70 ms.
+DENSE_MAX_POINTS = 129
+
+
+def _cosine_matrix(n: int) -> np.ndarray:
+    """C[k, j] = w_j cos(pi (jk mod n) / (n/2)) on j, k = 0..n/2, with the
+    multiplicities w = (1, 2, ..., 2, 1): C @ a is the 1-D DFT of the
+    mirror extension (a_0, ..., a_{n/2}, a_{n/2-1}, ..., a_1) at k = 0..n/2.
+    The reduction mod n keeps the cosine's argument in [0, 2 pi)."""
+    m = n // 2 + 1
+    j = np.arange(m)
+    c = np.cos(np.pi / (n // 2) * (np.outer(j, j) % n))
+    c[:, 1:-1] *= 2.0
+    return c
+
+
 class Orthant:
     """The step loop's transforms for mirror-even states (is_mirror_even):
-    the orthant of n/2+1 points x_k = k h, k = 0..n/2, on each axis, origin
-    first, stands for the whole grid.
+    the orthant of m = n/2+1 points x_k = k h, k = 0..n/2, on each axis,
+    origin first, stands for the whole grid.
 
     Along an axis, the mirror extension (a_0, ..., a_{n/2}, a_{n/2-1}, ...,
     a_1) of orthant values is even, and so is its transform, so the first
     n/2+1 outputs of a 1-D transform of the extension are the orthant of
-    the n-dimensional transform.  The complex pair takes np.fft.fft/ifft of
-    the extension; the real transform (rfft) takes the real part of its
-    rfft, the DCT-I, which applied twice is n^N times the identity on the
+    the n-dimensional transform.  For its real part that is the DCT-I.  An
+    orthant of at most DENSE_MAX_POINTS points per axis applies the m x m
+    matrix _cosine_matrix(n) along each axis, one BLAS product per axis
+    (_dense); a larger one takes np.fft.fft/ifft of the extension for the
+    complex pair and the real part of its rfft for the real transform.
+    The inverse of an even sequence's transform is the transform divided
+    by n, so ifft is the same product with the matrix divided by n.  The
+    real transform (rfft), applied twice, is n^N times the identity on the
     orthant, so its spectrum is a real (n/2+1)^N array.  irfft carries
     that n^{-N}, a power of two, and so does real_table for the Hartree
     multiplier.  A sum over the grid weighs each orthant point by the
     number of grid points it stands for: the product over axes of 1 at
-    k = 0 and k = n/2 and 2 between.  Each axis has its work arrays, the
-    extension and the rfft output, reused from call to call.
+    k = 0 and k = n/2 and 2 between.  Only the work arrays of the path
+    taken are allocated, and reused from call to call.
     """
 
     def __init__(self, grid: GridSpec):
@@ -393,6 +424,14 @@ class Orthant:
             mult = np.multiply.outer(mult, count)
         self._mult = mult
         self._mult_2 = np.repeat(mult.ravel(), 2)  # for the float view of a complex array
+        self.dense = m <= DENSE_MAX_POINTS
+        if self.dense:
+            self._cos = _cosine_matrix(n)
+            self._inverse = self._cos / n  # exact: n is a power of two
+            self._turn = tuple(range(1, N)) + (0,)
+            # the product and its turned copy, with room for a complex array
+            self._work = (np.empty(2 * m**N), np.empty(2 * m**N))
+            return
         self._axes = []
         for axis in range(N):
             ext = (m,) * axis + (n,) + (m,) * (N - 1 - axis)
@@ -428,16 +467,54 @@ class Orthant:
         return np.empty(self.shape)
 
     def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self._dct(f, out)
+        if self.dense:
+            return self._dense(self._cos, np.float64, f, out)
+        return self._extended_dct(f, out)
 
     def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = self._dct(hat, out)
+        if self.dense:
+            return self._dense(self._inverse, np.float64, hat, out)
+        out = self._extended_dct(hat, out)
         out *= self._scale
         return out
 
-    def _complex(self, transform, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    def fft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if self.dense:
+            return self._dense(self._cos, np.complex128, a, out)
+        return self._extended(np.fft.fft, a, out)
+
+    def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if self.dense:
+            return self._dense(self._inverse, np.complex128, a, out)
+        return self._extended(np.fft.ifft, a, out)
+
+    def _dense(self, cos: np.ndarray, dtype, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """cos applied along every axis of an orthant array of dtype (float64
+        or complex128), one BLAS product per axis, each of which turns its
+        axis last, so after N products the axes are back in order.  A real
+        array x gives the product as (rest x m) = x^T cos^T, already turned;
+        a complex one goes through its float view, cos @ (m x 2 rest), and a
+        copy turns it."""
+        a = np.ascontiguousarray(a, dtype=dtype)
+        m, N = self.shape[0], self.grid.N
+        prod, turned = (w[: a.size * a.itemsize // 8] for w in self._work)
+        if out is None:
+            out = np.empty(self.shape, dtype=dtype)
+        x = a
+        for axis in range(N):
+            dest = out if axis == N - 1 else turned.view(dtype).reshape(self.shape)
+            if dtype is np.float64:
+                np.matmul(x.reshape(m, -1).T, cos.T, out=dest.reshape(-1, m, copy=False))
+                prod, turned = turned, prod
+            else:
+                np.matmul(cos, x.view(np.float64).reshape(m, -1), out=prod.reshape(m, -1))
+                np.copyto(dest, prod.view(dtype).reshape(self.shape).transpose(self._turn))
+            x = dest
+        return out
+
+    def _extended(self, transform, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """transform (np.fft.fft or ifft) of a complex orthant array along
-        every axis."""
+        every axis, by its mirror extension."""
         x = a
         for axis, (ext, _, _, head, tail, mirror) in enumerate(self._axes):
             ext[head] = x
@@ -445,8 +522,9 @@ class Orthant:
             x = transform(ext, axis=axis, out=ext)[head]
         return _copy_into(out, x)
 
-    def _dct(self, f: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """The DCT-I of a real orthant array over every axis."""
+    def _extended_dct(self, f: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """The DCT-I of a real orthant array over every axis, by the rfft of
+        its mirror extension."""
         x = f
         for axis, (_, ext, spec, head, tail, mirror) in enumerate(self._axes):
             ext[head] = x
@@ -454,17 +532,11 @@ class Orthant:
             x = np.fft.rfft(ext, axis=axis, out=spec).real
         return _copy_into(out, x)
 
-    def fft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self._complex(np.fft.fft, a, out)
-
-    def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self._complex(np.fft.ifft, a, out)
-
     def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
                       hat: np.ndarray | None = None) -> np.ndarray:
-        hat = self._dct(f, hat)
+        hat = self.rfft(f, hat)
         hat *= table_r
-        return self._dct(hat, out)
+        return self.rfft(hat, out)
 
     def spectrum_weights(self, table_s: np.ndarray) -> np.ndarray:
         plancherel = parseval_weight(self.grid) * self.grid.h ** (2 * self.grid.N)
@@ -474,7 +546,7 @@ class Orthant:
         return self.spectrum_weights(self.restrict(table)).ravel()
 
     def quadratic_form(self, weights: np.ndarray, f: np.ndarray, hat: np.ndarray) -> float:
-        r = self._dct(f, hat).ravel()
+        r = self.rfft(f, hat).ravel()
         return float(np.einsum("i,i,i->", weights, r, r))
 
     def total(self, x: np.ndarray) -> float:
@@ -711,8 +783,9 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float) -> np.ndarray:
 KERNEL_MODES = ("sampled", "exact")
 
 
-def build_hartree_kernel(grid: GridSpec, gamma: float, mode: str = "sampled") -> np.ndarray:
-    """Fourier table W_hat(xi) of the periodic Riesz-type kernel.
+def build_hartree_kernel(grid: GridSpec, gamma: float, mode: str = "exact") -> np.ndarray:
+    """Fourier table W_hat(xi) of the periodic Riesz-type kernel; exact by
+    default, as in make_multipliers and every config.
 
     mode="sampled": forward transform (h^N weight) of the grid-sampled
     minimum-image kernel with cell-averaged origin.  Cheap, positive at the

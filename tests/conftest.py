@@ -50,6 +50,14 @@ def force_full_grid(monkeypatch) -> None:
     monkeypatch.setattr(spectral, "is_mirror_even", lambda values: False)
 
 
+def force_orthant_path(monkeypatch, path: str) -> None:
+    """Make every spectral.Orthant built from here on transform by dense
+    cosine products (path "dense") or by FFTs of the mirror extension
+    (path "fft"), whatever its size."""
+    limit = {"dense": spectral.MAX_GRID_POINTS, "fft": 0}[path]
+    monkeypatch.setattr(spectral, "DENSE_MAX_POINTS", limit)
+
+
 def solve_setup(p: PhysParams, n: int, L: float, kernel_mode: str = "exact") -> Setup:
     grid = make_grid(N=p.N, n=n, L=L)
     mult = make_multipliers(grid, p, kernel_mode=kernel_mode)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import force_full_grid, solve_setup
+from conftest import force_full_grid, force_orthant_path, solve_setup
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -861,11 +861,14 @@ _EVEN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", _EVEN_CASES)
+# each case on the orthant by dense cosine products and, "-fft", by FFTs
+@pytest.mark.parametrize("case", [*_EVEN_CASES, *(f"{k}-fft" for k in _EVEN_CASES)])
 def test_orthant_run_matches_full_grid_run(coarse, small_3d, case, monkeypatch):
     # the same run on the orthant and on the whole grid: the same verdict,
     # steps, membership and caveats, the columns to rounding, and every
     # field the orthant run hands back exactly mirror-even
+    force_orthant_path(monkeypatch, "fft" if case.endswith("-fft") else "dense")
+    case = case.removesuffix("-fft")
     kw = _EVEN_CASES[case]
     if case == "3d":
         grid, mult = small_3d

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import force_full_grid
+from conftest import force_full_grid, force_orthant_path
 
 from fhartree import ground_state, spectral
 from fhartree.functionals import energy, hartree_energy, mass
@@ -323,12 +323,17 @@ def _assert_same_certificate(got, want):
     assert np.max(np.abs(q - q_full)) <= 1e-13 * np.max(np.abs(q_full))
 
 
+_SOLVE_CASES = ("128-exact", "16cubed-sampled", "tol-1e-14", "warm-start")
+
+
 @pytest.mark.filterwarnings("ignore:ground-state tail")
-@pytest.mark.parametrize("case", ["128-exact", "16cubed-sampled", "tol-1e-14", "warm-start"])
+@pytest.mark.parametrize("case", [*_SOLVE_CASES, *(f"{c}-fft" for c in _SOLVE_CASES)])
 def test_orthant_solve_matches_full_grid_solve(canonical, case, monkeypatch):
-    # the same solve on the orthant and, forced, on the whole grid: the same
-    # iterations, Q and its certificate to rounding, and an exactly
-    # mirror-even Q from the orthant
+    # the same solve on the orthant, by dense cosine products and, "-fft",
+    # by FFTs, and forced on the whole grid: the same iterations, Q and its
+    # certificate to rounding, and an exactly mirror-even Q from the orthant
+    force_orthant_path(monkeypatch, "fft" if case.endswith("-fft") else "dense")
+    case = case.removesuffix("-fft")
     p, grid, mult, seed, opts = canonical.p, canonical.grid, canonical.mult, None, SolverOptions()
     if case == "16cubed-sampled":
         p = PhysParams(N=3, s=0.7, gamma=1.6)

@@ -12,6 +12,7 @@ from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import gammainc
 
 import oracles
+from conftest import force_orthant_path
 from fhartree import spectral
 from fhartree.config import load_config
 from fhartree.params import PhysParams
@@ -458,14 +459,27 @@ def test_make_multipliers_defaults_to_the_config_kernel(params):
     assert np.array_equal(make_multipliers(g, params).hartree_kernel_hat, want)
 
 
+def test_build_hartree_kernel_defaults_to_the_multiplier_kernel(params):
+    # the two public kernel entry points build the same table by default
+    assert inspect.signature(build_hartree_kernel).parameters["mode"].default == "exact"
+    g = make_grid(N=2, n=16, L=4.0)
+    want = make_multipliers(g, params).hartree_kernel_hat
+    assert np.array_equal(build_hartree_kernel(g, params.gamma), want)
+
+
 # --------------------------------------------------------------------------
 # the step loop's transform seam: the orthant of a mirror-even state
 
 
-@pytest.fixture(params=[(2, 32), (3, 16)], ids=["2d", "3d"])
-def orthant(request):
-    N, n = request.param
-    return spectral.Orthant(make_grid(N=N, n=n, L=8.0))
+# each orthant by dense cosine products and, "-fft", by FFTs of the extension
+@pytest.fixture(params=[(2, 32, "dense"), (3, 16, "dense"), (2, 32, "fft"), (3, 16, "fft")],
+                ids=["2d", "3d", "2d-fft", "3d-fft"])
+def orthant(request, monkeypatch):
+    N, n, path = request.param
+    force_orthant_path(monkeypatch, path)
+    tr = spectral.Orthant(make_grid(N=N, n=n, L=8.0))
+    assert tr.dense == (path == "dense")
+    return tr
 
 
 def _orthant_values(tr, seed, real=False):
@@ -501,6 +515,30 @@ def test_orthant_transforms_match_nd_transforms(orthant):
     hat *= tr.grid.npoints
     assert np.max(np.abs(hat - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.max(np.abs(back - f)) <= 1e-14 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("N, n", [(2, 32), (2, 128), (2, 256), (3, 16), (3, 64)])
+def test_dense_and_fft_orthant_transforms_agree(N, n, monkeypatch):
+    # the two paths of one orthant differ only by rounding
+    grid = make_grid(N=N, n=n, L=8.0)
+    force_orthant_path(monkeypatch, "dense")
+    dense = spectral.Orthant(grid)
+    force_orthant_path(monkeypatch, "fft")
+    fft = spectral.Orthant(grid)
+    a, f = _orthant_values(dense, 6), _orthant_values(dense, 7, real=True)
+    for name, x in (("fft", a), ("ifft", a), ("rfft", f), ("irfft", f)):
+        got, want = getattr(dense, name)(x), getattr(fft, name)(x)
+        assert got.dtype == want.dtype and got.shape == want.shape == dense.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+
+def test_orthant_path_follows_points_per_axis():
+    # dense products up to m = n/2+1 = DENSE_MAX_POINTS, FFTs above, and
+    # only the work arrays of the path taken
+    for N, n, dense in ((2, 128, True), (2, 256, True), (3, 64, True), (2, 512, False)):
+        tr = spectral.Orthant(make_grid(N=N, n=n, L=8.0))
+        assert tr.dense == dense == (n // 2 + 1 <= spectral.DENSE_MAX_POINTS)
+        assert hasattr(tr, "_work") == dense and hasattr(tr, "_axes") != dense
 
 
 def test_orthant_expand_inverts_reduce(orthant):
