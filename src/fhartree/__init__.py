@@ -10,7 +10,8 @@ import os
 # OpenBLAS reads its thread count once, when numpy loads it, so this must
 # precede the submodule imports below.  fhartree's BLAS products are small
 # (the orthant's cosine products, an m x m matrix times an m x 2m^(N-1) one
-# with m = n/2+1 <= 129, and the exact-kernel build's) and the sweep already
+# with m = n/2+1 <= 129, the step loop's check, a few rows of weights times
+# |u_hat|^2, and the exact-kernel build's) and the sweep already
 # runs one process per core, so a BLAS thread pool only spins; an explicit
 # user value still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

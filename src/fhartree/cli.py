@@ -435,7 +435,7 @@ def _sweep_point(task: tuple[int, float, int]) -> dict:
     p, mult, gs = pairs[sg_index]
     u0 = field_from_values(gs.q.grid, c * gs.q.values)
     memb = classify_membership(invariant_pair(u0, p, mult), gs)
-    rec = evolve(u0, p, mult, stepper, gs=gs)
+    rec = evolve(u0, p, mult, stepper, gs=gs, keep_rows=False)
     return {
         "index": index,
         "c": c,

@@ -35,6 +35,7 @@ from .spectral import (
     MultiplierSet,
     SpectralField,
     _half,
+    _half_pairing,
     _irfftn,
     _rfftn,
     gauss_jacobi,
@@ -188,17 +189,21 @@ def balakrishnan_check(
     """Quadrature the m-integral of ||grad u_m||_2^2 against s ||u||_{Hs-dot}^2.
 
     Returns (lhs, rhs, rel_err); the identity is exact in the continuum and
-    mode-by-mode on the grid, so rel_err is pure quadrature error.  Raises
-    ValueError when the grid's largest |xi|^2 exceeds quad.b/10 or its
-    smallest nonzero |xi|^2 falls below quad.a.
+    mode-by-mode on the grid, so rel_err is pure quadrature error.  Both
+    sides weigh |u_hat|^2 by even tables, so they are summed on the half
+    spectrum of the real transform of the real and imaginary parts of u,
+    part by part (a real u has one part): the cross term of the two parts
+    is odd and cancels.  Raises ValueError when the grid's largest |xi|^2
+    exceeds quad.b/10 or its smallest nonzero |xi|^2 falls below quad.a.
     """
     grid = u.grid
     quad.require_covers(grid)
-    hat = np.fft.fftn(u.values)
-    dens = (hat.real**2 + hat.imag**2) * (
-        parseval_weight(grid) * grid.h ** (2 * grid.N)
-    )
-    q = grid.xi_sq
+    parts = [u.values.real]
+    if np.any(u.values.imag):
+        parts.append(u.values.imag)
+    power = sum(hat.real**2 + hat.imag**2 for hat in map(_rfftn, parts))
+    dens = _half_pairing(grid, power)  # Parseval density on the half spectrum
+    q = _half(grid.xi_sq)
     grad_dens = q * dens  # |xi|^2 |u_hat|^2, the gradient spectral density
     rhs = float(p.s * np.sum(q**p.s * dens))
     cs2 = np.sin(np.pi * p.s) / np.pi
@@ -347,7 +352,7 @@ class VirialRHS:
 
 def _weighted_sum(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
     """sum(w * f * g) over equal-shaped arrays in one einsum pass, without
-    the product temporaries (and without BLAS)."""
+    the product temporaries."""
     return float(np.einsum("i,i,i->", w.ravel(), f.ravel(), g.ravel()))
 
 

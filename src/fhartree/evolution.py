@@ -28,33 +28,37 @@ transform on the whole grid and N passes on the orthant.
 The step loop carries the raw spectrum fft(u) from one step to the next.
 A step is the free half-step on the spectrum, ifft, the nonlinear phase,
 fft, and the trailing free half-step; the Hartree potential of the real
-density |u|^2 goes through the real pair.  Only a step that is sampled,
-the last step and every step of a linear run return to the step boundary
-with a third complex transform (ifft).  Any other step stops after its
-fft and leaves the trailing half-step (and the dealias mask) owed: the
-next step applies it just before its own leading half-step, the same
-multiplies on the spectrum in the same order, so at equal dt the spectrum
-is bit for bit the one of a loop that returns to the boundary every step.
-An unsampled step thus makes 2 complex transforms plus a real pair, a
-sampled one 3 complex transforms plus a real pair, plus one real forward
-transform for V.  Samples read the carried spectrum, so they need no
-further complex transform.  The half-step phase table is
-rebuilt only when the step size changes.  The adaptive step and the
-space-time norm read the density |u|^2 a step leaves behind: the boundary
-density after a step that returned to the boundary, and otherwise the
-midpoint density, which the Hartree phase forms anyway.  The centering
-phases of the transform convention cancel for diagonal multipliers, so
-the raw transforms are used throughout.
+density |u|^2 goes through the real pair.  Every step stops after its fft
+and leaves the trailing half-step (and the dealias mask) owed: the next
+step applies it just before its own leading half-step, and a row of the
+record that returns to the step boundary applies it in place, the same
+multiplies on the spectrum in the same order.  A step thus makes 2
+complex transforms plus a real pair, linear steps one complex pair.  The
+adaptive step and the space-time norm read the density a step leaves
+behind, its midpoint density, which the Hartree phase forms anyway (|u0|^2
+for the first step).  So whatever the rows kept, the spectrum is bit for
+bit the same, at a fixed dt and an adaptive one.
+
+Every record_every steps the loop checks its stop conditions on the
+carried spectrum: mass, the H^s-dot norm, the tail fraction and grad_ratio
+are weighted sums of |u_hat|^2, one matrix-vector product, and the
+soliton distance is a sum over the spectrum too.  A check makes no
+transform.  A row returns to the boundary with one more complex transform
+(ifft) and one real forward transform for V.  The half-step phase table
+is rebuilt only when the step size changes.  The centering phases of the
+transform convention cancel for diagonal multipliers, so the raw
+transforms are used throughout.
 
 A run allocates its work arrays once (_StepWork) and writes every
 transform and elementwise pass of the loop into them with out=: the
 carried spectrum hat, the field vals, the rotated field rot, the density
-rho, the phase, the spectrum of the real transform, and, in a sample,
-|u_hat|^2; the sample's products reuse the phase array and its soliton
-deviation the rot array.  On the whole 256^2 grid each of these is 0.5-1
-MiB, and a fresh array of that size costs page faults and zeroing on
-every call.  The values are those of the allocating loop, bit for bit.
-Snapshots and the final state are copies, never views of a reused array.
+rho, the phase, the spectrum of the real transform, and, in a check,
+|u_hat|^2; the products of checks and rows reuse the phase array, and
+the soliton distance the rot array.  On the whole 256^2 grid each of these
+is 0.5-1 MiB, and a fresh array of that size costs page faults and
+zeroing on every call.  The values are those of the allocating loop, bit
+for bit.  Snapshots and the final state are copies, never views of a
+reused array.
 
 A run produces a RunRecord: one column table (RUN_COLUMNS) of sampled
 conserved quantities, scale-invariant threshold ratios, set membership and
@@ -115,7 +119,8 @@ class StepperConfig:
     below phase_cap radians, floored at dt_min.  blowup_grad_factor is the
     growth of the H^s-dot norm that ends a run as BlowUp; tail_fraction_max
     is the largest tolerated share of the gradient norm in the top third of
-    the spectrum before the run refuses to continue.
+    the spectrum before the run refuses to continue.  record_every is the
+    cadence of the stop checks, and of the rows a run keeps.
     """
 
     dt: float = 1e-3
@@ -179,10 +184,11 @@ class RunRecord:
     running value of (sum over steps so far of dt * ||u||_{q_c}^{q_c})^{1/q_c}.
     dt_eff[k] is the step in effect at sample k (adapted, when adaptive is
     set) before clipping to t_end.  Each step's term of the space-time sum
-    and its adapted dt read the density the step before it left: |u|^2 at
-    the step boundary after a sampled step, at t=0 and in a linear run,
-    and the midpoint density of that step after an unsampled one (see the
-    module docstring).
+    and its adapted dt read the midpoint density of the step before it
+    (|u0|^2 for the first step; see the module docstring), so no column
+    depends on which rows were kept.  A run of evolve(keep_rows=False)
+    holds only its first and last samples, and its energy-drift caveat
+    compares only those two.
     """
 
     params: PhysParams
@@ -291,12 +297,6 @@ def _adapted_dt(amp: float, cfg: StepperConfig, mult: MultiplierSet) -> float:
     return max(cfg.dt_min, min(cfg.dt, cfg.phase_cap / scale))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two flat float arrays through einsum, not BLAS: in the
-    sweep's worker processes a threaded BLAS dot contends for the cores."""
-    return float(np.einsum("i,i->", a, b))
-
-
 def _half_step_phase(frac_lap_s: np.ndarray, dt: float) -> np.ndarray:
     """The free half-step multiplier exp(-i (dt/2) |xi|^{2s})."""
     return np.exp(-0.5j * dt * frac_lap_s)
@@ -343,9 +343,10 @@ def strang_step(
     half = _half_step_phase(tr.restrict(mult.frac_lap_s), dt)
     what_r = tr.real_table(mult.hartree_kernel_hat)
     mask = None if mask is None else tr.restrict(mask)
-    vals = _strang(tr.fft(tr.reduce(u.values)), half, what_r, dt, nonlinear, mask,
-                   _StepWork(tr))
-    return SpectralField(grid=u.grid, values=tr.expand(vals))
+    work = _StepWork(tr)
+    hat = tr.fft(tr.reduce(u.values))
+    _strang(hat, half, what_r, dt, nonlinear, mask, work)
+    return SpectralField(grid=u.grid, values=tr.expand(_to_boundary(hat, half, mask, work)))
 
 
 def _free_half_step(hat: np.ndarray, half: np.ndarray, mask: np.ndarray | None) -> None:
@@ -364,30 +365,27 @@ def _strang(
     nonlinear: bool,
     mask: np.ndarray | None,
     work: _StepWork,
-    finish: bool = True,
-) -> np.ndarray | None:
-    """One Strang step on the raw spectrum hat = work.tr.fft(u), in place.
+) -> None:
+    """One Strang step on the raw spectrum hat = work.tr.fft(u), in place,
+    stopped after its forward transform.
 
-    With finish set, on return hat is the spectrum at the end of the step,
-    so the next step needs no forward transform, and the field made from
-    it is in work.vals, which is returned.  Without it the step stops after
-    its forward transform and returns None: hat still owes the trailing
-    _free_half_step(hat, half, mask), which the caller applies before the
-    next step, and work.rho holds the midpoint density.  Every transform
+    On return hat still owes the trailing _free_half_step(hat, half, mask):
+    the next step applies it just before its own leading half-step, or
+    _to_boundary applies it to return to the step boundary.  work.rho
+    holds the midpoint density, linear steps included.  Every transform
     and elementwise pass writes into hat or work: the midpoint field into
     work.vals, its density into work.rho, the Hartree phase into
     work.phase (through the real spectrum work.rhat), the rotated field
-    into work.rot.  The next step overwrites all of them, so evolve() keeps
-    copies of work.vals as snapshots and final state.  half is the
-    half-step phase and mask the dealias mask, both restricted by
-    work.tr; what_r is work.tr.real_table of the Hartree kernel.
+    into work.rot.  half is the half-step phase and mask the dealias mask,
+    both restricted by work.tr; what_r is work.tr.real_table of the
+    Hartree kernel.
     """
     tr = work.tr
     _free_half_step(hat, half, mask)
     vals = tr.ifft(hat, out=work.vals)
+    rho = _abs_sq(vals, work.rho, work.phase)
     if nonlinear:
-        phase = tr.real_multiply(what_r, _abs_sq(vals, work.rho, work.phase),
-                                 out=work.phase, hat=work.rhat)
+        phase = tr.real_multiply(what_r, rho, out=work.phase, hat=work.rhat)
         phase *= dt
         rot = work.rot  # exp(i phase) from real cos/sin
         np.cos(phase, out=rot.real)
@@ -396,10 +394,15 @@ def _strang(
         tr.fft(rot, out=hat)
     else:
         tr.fft(vals, out=hat)
-    if not finish:
-        return None
-    _free_half_step(hat, half, mask)
-    return tr.ifft(hat, out=vals)
+
+
+def _to_boundary(hat: np.ndarray, owed: np.ndarray, mask: np.ndarray | None,
+                 work: _StepWork) -> np.ndarray:
+    """The trailing half-step owed applied to hat in place, and the field at
+    the step boundary, the inverse transform of hat, in work.vals (which the
+    next step overwrites, so callers keep copies)."""
+    _free_half_step(hat, owed, mask)
+    return work.tr.ifft(hat, out=work.vals)
 
 
 def evolve(
@@ -408,27 +411,43 @@ def evolve(
     mult: MultiplierSet,
     cfg: StepperConfig,
     gs: GroundStateLike | None = None,
+    keep_rows: bool = True,
 ) -> RunRecord:
     """Integrate i u_t = (-Delta)^s u - (W*|u|^2) u from u0 to t_end.
 
-    Samples diagnostics every record_every steps (plus t=0 and the end
-    point) and classifies the run:
+    Checks the stop conditions every record_every steps (plus t=0 and the
+    end point) and classifies the run:
 
     * BlowUp    -- the H^s-dot norm exceeded blowup_grad_factor times its
                    initial value, or the spectral tail grew past
                    tail_fraction_max while grad_ratio > 1; t_star is the
-                   sample time of the trigger.
+                   check time of the trigger.
     * Soliton   -- a ground state was supplied and the gauge-corrected
                    distance ||u e^{-it} - Q||_2 / ||Q||_2 stayed below 1e-3
-                   at every sample.
+                   at every check.
     * GlobalDispersing -- the run finished with grad_ratio < 1 at every
-                   sample and V(t_end) < 0.5 V(0).
+                   check and V(t_end) < 0.5 V(0).
     * Inconclusive otherwise (including tail refusal without gradient
-                   growth, and a sample whose mass or H^s-dot norm is not
+                   growth, and a check whose mass or H^s-dot norm is not
                    finite, which stops the run; either stop is recorded as
                    a caveat).
 
-    The first sample whose energy has moved more than ENERGY_DRIFT_TOL of
+    A check reads |u_hat|^2 of the carried spectrum, whose owed half-step
+    is a unimodular phase, with the dealias mask folded into its weights:
+    mass, the H^s-dot norm, the tail fraction and grad_ratio are rows of
+    one matrix-vector product, and the soliton distance, a sum over the
+    spectrum too, is taken while a Soliton verdict is still possible.  It
+    makes no transform.  A row of the record returns to the step boundary
+    (applying the owed half-step to the carried spectrum, as the next step
+    would) and adds the columns that need the field: V, the energy, hsc,
+    lpc, the membership and the snapshots.  With keep_rows a row is kept
+    at every check; without it only the first and the last, which is all
+    a caller that reads only the verdict and t_star needs.  Since no row
+    changes the spectrum the next step sees, and every step reads the
+    midpoint density of the step before, the trajectory, the final state,
+    verdict, t_star and n_steps are bit for bit the same either way.
+
+    The first row whose energy has moved more than ENERGY_DRIFT_TOL of
     |E(0)| adds a caveat; it does not change the verdict.
     """
     if u0.grid != mult.grid:
@@ -442,31 +461,40 @@ def evolve(
     track_soliton = gs is not None and gs.q.grid == grid
     tr = step_transform(grid, u0.values, *((gs.q.values,) if track_soliton else ()))
     hN = grid.h**grid.N
-    pw = parseval_weight(grid)
-    plancherel = pw * hN * hN  # |raw fft|^2 -> physical L^2 mass
+    plancherel = parseval_weight(grid) * hN * hN  # |raw fft|^2 -> physical L^2 mass
     xi2s = tr.restrict(mult.frac_lap_s)
-    xi2sc = tr.restrict(grid.xi_sq**p.s_c)
-    tail_w = tr.sum_weights(~dealias_mask(grid, 2.0 / 3.0))  # the top third
     what_r = tr.real_table(mult.hartree_kernel_hat)
     mask = tr.restrict(dealias_mask(grid)) if cfg.dealias else None
     qc = p.q_c
 
+    def check_weights(kept: np.ndarray) -> np.ndarray:
+        """Rows of weights on |u_hat|^2 over the modes kept (a 0/1 table):
+        mass, H^s-dot and its part in the top third of the spectrum, which
+        a check reads, and H^{s_c}-dot, which only a row reads."""
+        grad = mult.frac_lap_s * kept
+        return np.stack([tr.sum_weights(kept), tr.sum_weights(grad),
+                         tr.sum_weights(grad * ~dealias_mask(grid, 2.0 / 3.0)),
+                         tr.sum_weights(grid.xi_sq**p.s_c * kept)])
+
+    # the spectrum at t=0 is whole; every later one carries the mask
+    whole = check_weights(np.ones(grid.shape))
+    carried = whole if mask is None else check_weights(dealias_mask(grid).astype(np.float64))
+
     if track_soliton:
-        q_ref = tr.reduce(gs.q.values)
+        q_hat = tr.fft(tr.reduce(gs.q.values))
         q_l2 = gs.l2
 
     work = _StepWork(tr)
     vals = work.vals
     np.copyto(vals, tr.reduce(u0.values))
     hat = tr.fft(vals)  # carried from step to step: the spectrum of vals
-    # the density the last step left: |u|^2 at the step boundary, or the
-    # midpoint density of a step that stopped short of it
+    # the density the last step left: |u0|^2, then each step's midpoint density
     rho = _abs_sq(vals, work.rho, work.phase)
-    scratch = work.phase  # free between steps: the products of a sample
-    hat_sq = np.empty(tr.shape)  # |u_hat|^2 of a sample
+    scratch = work.phase  # free between steps: the products of checks and rows
+    hat_sq = np.empty(tr.shape)  # |u_hat|^2 of a check
     v_weights = tr.pairing_weights(mult.hartree_kernel_hat)  # V = <rho, W * rho> by Parseval
     half = half_dt = None  # half-step phase and the dt it was built for
-    owed = None  # the half-step phase a step that stopped short still owes hat
+    owed = None  # the half-step phase hat still owes
     t = 0.0
     n_steps = 0
     accum_qc = 0.0  # running sum of dt * ||u||_{q_c}^{q_c}
@@ -474,22 +502,56 @@ def evolve(
     drifted = False  # whether the energy-drift caveat has been recorded
     verdict: str | None = None
     t_star: float | None = None
+    soliton_ok = track_soliton  # every check so far within SOLITON_DEVIATION_TOL
+    grad_below = gs is not None  # grad_ratio < 1 at every check so far
 
-    rows: list[tuple] = []  # one per sample, in RUN_COLUMNS order
+    rows: list[tuple] = []  # in RUN_COLUMNS order
     snaps: list[tuple[float, SpectralField]] = []
 
-    def sample(dt_eff: float) -> tuple[float, float, float, float]:
-        """Record one diagnostic row; returns (mass, hs, grad_ratio, tail_fraction)."""
-        nonlocal drifted
-        m = hN * tr.total(rho)
-        _abs_sq(hat, hat_sq, scratch)
-        grad_dens = np.multiply(xi2s, hat_sq, out=scratch)
-        grad_total = tr.total(grad_dens)
+    def soliton_deviation() -> float:
+        """||u e^{-it} - Q||_2 / ||Q||_2 from the spectrum hat owes owed."""
+        diff = work.rot
+        if owed is None:
+            np.copyto(diff, hat)
+        else:
+            np.multiply(hat, owed, out=diff)
+            if mask is not None:
+                diff *= mask
+        diff *= np.exp(-1j * t)
+        diff -= q_hat
+        return math.sqrt(plancherel * tr.norm_sq(diff)) / q_l2
+
+    def check(w: np.ndarray) -> tuple[float, float, float, float, float | None]:
+        """(mass, hs^2, tail fraction, grad_ratio, soliton deviation or None)
+        of the carried spectrum, for the weights w of check_weights; keeps
+        the running verdict flags."""
+        nonlocal soliton_ok, grad_below
+        mass_total, grad_total, tail_total = (
+            float(x) for x in w[:3] @ _abs_sq(hat, hat_sq, scratch).ravel())
+        m = plancherel * mass_total
         hs_sq = plancherel * grad_total
-        hs = float(np.sqrt(hs_sq))
-        tail_frac = _dot(tail_w, grad_dens.ravel()) / grad_total if grad_total > 0 else 0.0
-        hsc = float(np.sqrt(plancherel * tr.total(np.multiply(xi2sc, hat_sq, out=scratch))))
-        v = tr.quadratic_form(v_weights, rho, hat=work.rhat)
+        tail_frac = tail_total / grad_total if grad_total > 0 else 0.0
+        if gs is not None:
+            grad_ratio = m**p.mass_power * hs_sq / gs.grad_Q
+            grad_below = grad_below and grad_ratio < 1.0
+        else:
+            grad_ratio = float("nan")
+        sol = None
+        if soliton_ok:
+            sol = soliton_deviation()
+            soliton_ok = sol < SOLITON_DEVIATION_TOL
+        return m, hs_sq, tail_frac, grad_ratio, sol
+
+    def row(w: np.ndarray, c: tuple, dt_eff: float) -> None:
+        """Keep one row for the check c, made with the weights w."""
+        nonlocal owed, drifted
+        m, hs_sq, tail_frac, grad_ratio, sol = c
+        hsc = math.sqrt(plancherel * float(w[3] @ hat_sq.ravel()))
+        if owed is not None:  # into vals
+            _to_boundary(hat, owed, mask, work)
+            owed = None
+        rho_b = _abs_sq(vals, scratch, hat_sq)
+        v = tr.quadratic_form(v_weights, rho_b, hat=work.rhat)
         e = 0.5 * hs_sq - 0.25 * v
         if rows and not drifted:  # scaled as in RunRecord.energy_drift
             e0 = rows[0][2]
@@ -498,44 +560,40 @@ def evolve(
                 drifted = True
                 caveats.append(f"energy drift {drift:.3g} of |E(0)| exceeds "
                                f"{ENERGY_DRIFT_TOL:g} from t={t:.6g}")
-        lpc_sum = tr.total(np.power(rho, 0.5 * p.p_c, out=scratch))
+        lpc_sum = tr.total(np.power(rho_b, 0.5 * p.p_c, out=hat_sq))
         lpc = float((hN * lpc_sum) ** (1.0 / p.p_c))
         if gs is not None:
-            factor = m**p.mass_power
-            me_ratio = factor * e / gs.me_Q
-            grad_ratio = factor * hs_sq / gs.grad_Q
+            me_ratio = m**p.mass_power * e / gs.me_Q
             membership = classify_from_ratios(me_ratio, grad_ratio).verdict
         else:
-            me_ratio = grad_ratio = float("nan")
+            me_ratio = float("nan")
             membership = "Unknown"
-        if track_soliton:  # ||u e^{-it} - Q|| = ||u - Q e^{it}||
-            diff = np.multiply(q_ref, np.exp(1j * t), out=work.rot)
-            np.subtract(vals, diff, out=diff)
-            sol = math.sqrt(hN * tr.norm_sq(diff)) / q_l2
-        else:
-            sol = float("nan")
-        rows.append((t, m, e, hs, hsc, v, lpc, me_ratio, grad_ratio, membership,
+        if sol is None:
+            sol = soliton_deviation() if track_soliton else float("nan")
+        rows.append((t, m, e, math.sqrt(hs_sq), hsc, v, lpc, me_ratio, grad_ratio, membership,
                      tail_frac, accum_qc ** (1.0 / qc), sol, dt_eff))
         if cfg.snapshot_every > 0 and (len(rows) - 1) % cfg.snapshot_every == 0:
             snaps.append((t, field_from_values(grid, tr.expand(vals))))
-        return m, hs, grad_ratio, tail_frac
 
-    def nonfinite(m: float, hs: float) -> bool:
-        """Whether a sample's mass or H^s norm is not finite; records the
-        caveat of the stop that follows."""
-        if math.isfinite(m) and math.isfinite(hs):
-            return False
-        caveats.append(f"non-finite state at t={t:.6g}")
-        return True
+    def nonfinite(m: float, hs_sq: float) -> str | None:
+        """The caveat of the stop when a check's mass or H^s norm is not
+        finite, else None."""
+        if math.isfinite(m) and math.isfinite(hs_sq):
+            return None
+        return f"non-finite state at t={t:.6g}"
 
     dt_eff = _adapted_dt(float(np.max(rho)), cfg, mult) if cfg.adaptive else cfg.dt
-    m0, hs0, _, tail0 = sample(dt_eff)
-    if nonfinite(m0, hs0):
+    c0 = check(whole)
+    row(whole, c0, dt_eff)
+    m0, hs0_sq, tail0 = c0[:3]
+    note = nonfinite(m0, hs0_sq)
+    if note is not None:
         verdict = VERDICT_INCONCLUSIVE
+        caveats.append(note)
     elif tail0 > cfg.tail_fraction_max:
         caveats.append(f"initial state already under-resolved (tail fraction {tail0:.3g})")
     floored = False
-    hs_limit = cfg.blowup_grad_factor * hs0
+    hs_limit = cfg.blowup_grad_factor * math.sqrt(hs0_sq)
     t_stop = cfg.t_end * (1.0 - 1e-12)
     slack = cfg.t_end - t_stop
 
@@ -558,42 +616,38 @@ def evolve(
             half, half_dt = _half_step_phase(xi2s, dt_step), dt_step
         t += dt_step
         n_steps += 1
-        sampled = n_steps % cfg.record_every == 0 or t >= t_stop
-        # a linear step forms no midpoint density, so it always finishes
-        finish = sampled or not cfg.nonlinear
-        _strang(hat, half, what_r, dt_step, cfg.nonlinear, mask, work, finish)
-        if finish:
-            _abs_sq(vals, rho, scratch)
-        owed = None if finish else half  # else rho is the midpoint density
-        if sampled:
-            m_k, hs_k, grad_ratio_k, tail_k = sample(dt_eff)
-            if nonfinite(m_k, hs_k):
-                verdict = VERDICT_INCONCLUSIVE
-            elif hs_k > hs_limit:
+        _strang(hat, half, what_r, dt_step, cfg.nonlinear, mask, work)  # rho: midpoint
+        owed = half
+        if n_steps % cfg.record_every != 0 and t < t_stop:
+            continue
+        c = check(carried)
+        m_k, hs_sq_k, tail_k, grad_ratio_k, _ = c
+        note = nonfinite(m_k, hs_sq_k)
+        if note is not None:
+            verdict = VERDICT_INCONCLUSIVE
+        elif math.sqrt(hs_sq_k) > hs_limit:
+            verdict = VERDICT_BLOWUP
+            t_star = t
+        elif tail_k > cfg.tail_fraction_max:
+            note = (f"stopped at t={t:.6g}: tail fraction {tail_k:.3g} exceeds "
+                    f"{cfg.tail_fraction_max:g}, grid no longer resolves the state")
+            if grad_ratio_k > 1.0 or np.isnan(grad_ratio_k):
                 verdict = VERDICT_BLOWUP
                 t_star = t
-            elif tail_k > cfg.tail_fraction_max:
-                caveats.append(
-                    f"stopped at t={t:.6g}: tail fraction {tail_k:.3g} exceeds "
-                    f"{cfg.tail_fraction_max:g}, grid no longer resolves the state"
-                )
-                if grad_ratio_k > 1.0 or np.isnan(grad_ratio_k):
-                    verdict = VERDICT_BLOWUP
-                    t_star = t
-                else:
-                    verdict = VERDICT_INCONCLUSIVE
+            else:
+                verdict = VERDICT_INCONCLUSIVE
+        if keep_rows or verdict is not None or t >= t_stop:
+            row(carried, c, dt_eff)  # its energy-drift caveat comes first
+        if note is not None:
+            caveats.append(note)
 
     series = {name: tuple(col) if name == "membership" else np.array(col)
               for name, col in zip(RUN_COLUMNS, zip(*rows))}
     if verdict is None:
         v_col = series["v"]
-        if track_soliton and bool(np.all(series["soliton_deviation"] < SOLITON_DEVIATION_TOL)):
+        if soliton_ok:
             verdict = VERDICT_SOLITON
-        elif (
-            gs is not None
-            and bool(np.all(series["grad_ratio"] < 1.0))
-            and v_col[-1] < DISPERSAL_V_FRACTION * v_col[0]
-        ):
+        elif grad_below and v_col[-1] < DISPERSAL_V_FRACTION * v_col[0]:
             verdict = VERDICT_DISPERSING
         else:
             verdict = VERDICT_INCONCLUSIVE

@@ -238,8 +238,8 @@ def _tail_ratio(values: np.ndarray, grid: GridSpec) -> float:
 
 
 def _l2_norm(tr: FullGrid | Orthant, values: np.ndarray) -> float:
-    """sqrt(h^N sum values^2) of a real working array of tr, through
-    einsum: no temporary, and no BLAS threads (see _Anderson)."""
+    """sqrt(h^N sum values^2) of a real working array of tr, in one einsum
+    pass with no temporary."""
     return math.sqrt(tr.grid.h**tr.grid.N * tr.norm_sq(values))
 
 
@@ -264,11 +264,11 @@ class _Anderson:
     which spans the same space as the consecutive differences.
 
     Inner products are Parseval sums, through einsum over the float view
-    of the spectra: BLAS would start its own threads in every worker of
-    the sweep pool.  The weights are tr.pairing_weights of a table of ones
-    given as one row along the last axis: on the whole grid the weight of
-    each column of the half spectrum, once for its real and once for its
-    imaginary part, and on the orthant the weight of each point.
+    of the spectra: one pass each, with no product temporary.  The weights
+    are tr.pairing_weights of a table of ones given as one row along the
+    last axis: on the whole grid the weight of each column of the half
+    spectrum, once for its real and once for its imaginary part, and on
+    the orthant the weight of each point.
     """
 
     def __init__(self, tr: FullGrid | Orthant, depth: int):

@@ -241,10 +241,8 @@ def _quadratic_form(weights: np.ndarray, f: np.ndarray, hat: np.ndarray | None =
     """<f, T f> = sum P |rfftn(f)|^2 of a real array f, for the weights
     _pairing_weights(grid, T_half); the half spectrum goes into hat when
     given.  One forward transform and one einsum pass: no inverse
-    transform, no product temporary, and no BLAS (whose threads would
-    contend for the cores in the sweep's worker processes).  The float
-    view needs a C-ordered half spectrum, which a strided f (a rescaled
-    field) does not give."""
+    transform and no product temporary.  The float view needs a C-ordered
+    half spectrum, which a strided f (a rescaled field) does not give."""
     flat = np.ascontiguousarray(_rfftn(f, out=hat)).view(np.float64)
     return float(np.einsum("i,i,i->", weights.ravel(), flat.ravel(), flat.ravel()))
 
@@ -352,8 +350,8 @@ class FullGrid:
         return table.astype(np.float64).ravel()
 
     def norm_sq(self, z: np.ndarray) -> float:
-        """The sum of |z|^2 over the grid of a real or complex array,
-        through einsum (no BLAS)."""
+        """The sum of |z|^2 over the grid of a real or complex array, in
+        one einsum pass over its float view, with no temporary."""
         flat = z.view(np.float64).ravel()
         return float(np.einsum("i,i->", flat, flat))
 

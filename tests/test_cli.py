@@ -303,15 +303,16 @@ def test_run_sweep_rejects_bad_amplitudes():
 def test_sweep_point_gets_every_stepper_field(monkeypatch, override):
     seen = []
 
-    def fake_evolve(u0, p, mult, config, gs=None):
-        seen.append(config)
+    def fake_evolve(u0, p, mult, config, gs=None, keep_rows=True):
+        seen.append((config, keep_rows))
         return SimpleNamespace(verdict="Inconclusive", t_star=None)
 
     monkeypatch.setattr(cli, "evolve", fake_evolve)
     cfg = load_config(overrides=["grid.n=32", "grid.L=8", override])
     run_sweep(cfg, (0.9, 1.1), max_workers=1)
     assert len(seen) == 2
-    for config in seen:
+    for config, keep_rows in seen:
+        assert keep_rows is False  # a sweep point reads only the verdict and t_star
         for f in dataclasses.fields(cfg.stepper):
             assert getattr(config, f.name) == getattr(cfg.stepper, f.name), f.name
 

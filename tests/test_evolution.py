@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from conftest import force_full_grid, force_orthant_path, solve_setup
@@ -442,11 +444,10 @@ def _reference_evolve(u0, p, mult, cfg, gs):
     """The step loop as it was before the spectrum was carried: fftn at the
     start of every step, the Hartree convolution through the complex pair,
     exp(-0.5i dt |xi|^{2s}) rebuilt every step, and fftn(vals) in every
-    sample.  Each step's adapted dt and space-time term read the density
-    the step before left: |u|^2 at the boundary after a sampled step, the
-    midpoint density after an unsampled one.  Returns the series of
-    _SERIES, the membership series, the verdict and the step count;
-    snapshots and the non-finite stop are left out."""
+    sample.  Each step's adapted dt and space-time term read the midpoint
+    density of the step before (|u0|^2 for the first step).  Returns the
+    series of _SERIES, the membership series, the verdict and the step
+    count; snapshots and the non-finite stop are left out."""
     grid = u0.grid
     hN = grid.h**grid.N
     plancherel = parseval_weight(grid) * hN * hN
@@ -512,7 +513,7 @@ def _reference_evolve(u0, p, mult, cfg, gs):
         t += dt_step
         n_steps += 1
         sampled = n_steps % cfg.record_every == 0 or t >= t_stop
-        dens = vals.real**2 + vals.imag**2 if sampled or not cfg.nonlinear else mid
+        dens = mid
         if sampled:
             hs_k, grad_ratio_k, tail_k = sample(dt_eff)
             if hs_k > hs_limit:
@@ -619,7 +620,8 @@ def test_strang_with_work_arrays_matches_allocating_step(small, small_3d, dim, n
     for dt in (1e-3, 2.5e-3, 7e-4, -1.2e-3, 4e-3, 1e-3):
         half = evolution._half_step_phase(mult.frac_lap_s, dt)
         vals_ref, hat_ref = _reference_strang(hat_ref, half, what_half, dt, nonlinear, mask)
-        vals = evolution._strang(hat, half, what_half, dt, nonlinear, mask, work)
+        evolution._strang(hat, half, what_half, dt, nonlinear, mask, work)
+        vals = evolution._to_boundary(hat, half, mask, work)
         assert vals is work.vals
         assert np.array_equal(vals, vals_ref)
         assert np.array_equal(hat, hat_ref)
@@ -702,10 +704,10 @@ def test_energy_drift_caveat_names_the_first_sample_past_tol(coarse, monkeypatch
 
 @pytest.mark.parametrize("start", ["random", "ground_state"])
 def test_first_sample_matches_public_functionals(coarse, start):
-    # evolve's sample() computes each column from the carried spectrum on
-    # its own; the first row must agree with the public definitions of the
-    # same quantities evaluated on u0, and the last row with them on the
-    # final state, which follows an unsampled step (11 steps, a sample
+    # evolve's check and row compute each column from the carried spectrum
+    # on their own; the first row must agree with the public definitions of
+    # the same quantities evaluated on u0, and the last row with them on the
+    # final state, which follows a step without a row (11 steps, a row
     # every 3)
     s = coarse
     if start == "random":  # scaled to a mass near that of Q
@@ -733,41 +735,56 @@ def test_first_sample_matches_public_functionals(coarse, start):
         assert row["membership"] == classify_membership(pair, s.gs).verdict
 
 
+_CADENCE_CASES = {
+    "default": {},
+    "dealias": {"dealias": True},
+    # phase_cap below the default so the step shrinks from t=0
+    "K2-adaptive": {"phase_cap": 0.02},
+    "3d": {},
+}
+
+
+def _cadence_start(coarse, small_3d, case, orthant):
+    """(u0, p, mult, gs) of a case of the cadence tests: 0.8*Q (1.2*Q for
+    K2) on the 64^2 grid, and in 3-D an even Gaussian on the orthant and a
+    random field on the whole grid."""
+    if case.startswith("3d"):
+        grid, mult = small_3d
+        vals = 0.3 * (_even_3d(grid) if orthant else _rng_field(grid, 19).values)
+        return field_from_values(grid, vals), PhysParams(N=3, s=0.7, gamma=1.6), mult, None
+    c = 1.2 if case.startswith("K2") else 0.8
+    return field_from_values(coarse.grid, c * coarse.gs.q.values), coarse.p, coarse.mult, coarse.gs
+
+
 # each case on the whole grid (forced for c*Q) and on the orthant (where
 # the 3-D case starts from an even Gaussian)
 @pytest.mark.parametrize(
-    "case", ["default", "dealias", "3d", "default-orthant", "dealias-orthant", "3d-orthant"]
+    "case", [*_CADENCE_CASES, *(f"{k}-orthant" for k in _CADENCE_CASES)]
 )
 def test_sampling_cadence_keeps_the_trajectory(coarse, small_3d, case, monkeypatch):
-    # an unsampled step stops at its midpoint and the next step applies the
-    # owed half-step: at a fixed dt the spectrum, every sampled state and
-    # the final state are bit for bit those of a run sampled every step, on
-    # either path
+    # every step stops after its forward transform and a row pays the owed
+    # half-step as the next step would: the spectrum, every kept row and
+    # the final state are bit for bit those of a run with a row every
+    # step, on either path, at a fixed dt and an adaptive one
     orthant = case.endswith("-orthant")
     if not orthant:
         force_full_grid(monkeypatch)
-    if case.startswith("3d"):
-        grid, mult = small_3d
-        p, gs = PhysParams(N=3, s=0.7, gamma=1.6), None
-        vals = 0.3 * (_even_3d(grid) if orthant else _rng_field(grid, 19).values)
-        u0 = field_from_values(grid, vals)
-    else:
-        grid, mult, p, gs = coarse.grid, coarse.mult, coarse.p, coarse.gs
-        u0 = field_from_values(grid, 0.8 * gs.q.values)
+    u0, p, mult, gs = _cadence_start(coarse, small_3d, case, orthant)
     assert spectral.is_mirror_even(u0.values) == orthant
-    recs = [evolve(u0, p, mult, StepperConfig(t_end=0.05, record_every=k,
-                                              dealias=case.startswith("dealias")), gs=gs)
-            for k in (1, 7)]
-    every, sparse = recs
-    assert every.n_steps == sparse.n_steps == 50 and sparse.times.size == 9
-    # the default adaptive step never shrinks here: dt is fixed in effect
-    assert np.all(every.series["dt_eff"] == 1e-3) and np.all(sparse.series["dt_eff"] == 1e-3)
+    kw = _CADENCE_CASES[case.removesuffix("-orthant")]
+    every, sparse = [evolve(u0, p, mult, StepperConfig(t_end=0.05, record_every=k, **kw), gs=gs)
+                     for k in (1, 7)]
+    assert every.n_steps == sparse.n_steps
+    assert sparse.times.size == 1 + math.ceil(sparse.n_steps / 7)
+    dt_eff = every.series["dt_eff"]
+    if "phase_cap" in kw:
+        assert np.all(dt_eff < 1e-3) and len(set(dt_eff)) > 1
+    else:  # the default adaptive step never shrinks here: dt is fixed in effect
+        assert every.n_steps == 50 and np.all(dt_eff == 1e-3)
     assert np.array_equal(every.final_state.values, sparse.final_state.values)
     kept = np.isin(every.times, sparse.times)
     assert np.count_nonzero(kept) == sparse.times.size
     for name in evolution.RUN_COLUMNS:
-        if name == "strichartz_accum":  # summed over midpoint densities when sparse
-            continue
         if name == "membership":
             assert [m for m, k in zip(every.series[name], kept) if k] == list(sparse.series[name])
         else:
@@ -775,9 +792,50 @@ def test_sampling_cadence_keeps_the_trajectory(coarse, small_3d, case, monkeypat
                                   equal_nan=True), name
 
 
+_ROWS_CASES = {
+    "K1-fixed-dt": {"adaptive": False, "t_end": 0.2, "record_every": 1},
+    "K2-adaptive": {"t_end": 2.0, "record_every": 2, "phase_cap": 0.05},
+    "dealias": {"t_end": 0.1, "record_every": 3, "dealias": True},
+    "linear": {"t_end": 0.1, "record_every": 4, "nonlinear": False, "adaptive": False},
+    "3d": {"t_end": 0.05, "record_every": 1},
+}
+
+
+@pytest.mark.parametrize("case", [*_ROWS_CASES, *(f"{k}-orthant" for k in _ROWS_CASES)])
+def test_rows_leave_the_run_unchanged(coarse, small_3d, case, monkeypatch):
+    # a run that keeps only its first and last rows checks the same
+    # spectra at the same steps: the same final state, verdict, t_star,
+    # n_steps and first and last rows, bit for bit
+    orthant = case.endswith("-orthant")
+    if not orthant:
+        force_full_grid(monkeypatch)
+    case = case.removesuffix("-orthant")
+    u0, p, mult, gs = _cadence_start(coarse, small_3d, case, orthant)
+    assert spectral.is_mirror_even(u0.values) == orthant
+    cfg = StepperConfig(dt=1e-3, **_ROWS_CASES[case])
+    full, bare = [evolve(u0, p, mult, cfg, gs=gs, keep_rows=keep) for keep in (True, False)]
+    if case == "K2-adaptive":
+        assert full.verdict == "BlowUp" and len(set(full.series["dt_eff"])) > 1
+    assert full.times.size > 2 and bare.times.size == 2
+    assert bare.verdict == full.verdict
+    assert bare.t_star == full.t_star
+    assert bare.n_steps == full.n_steps
+    assert np.array_equal(bare.final_state.values, full.final_state.values)
+    for name in evolution.RUN_COLUMNS:
+        ends = [full.series[name][k] for k in (0, -1)]
+        if name == "membership":
+            assert list(bare.series[name]) == ends
+        else:
+            assert np.array_equal(bare.series[name], ends, equal_nan=True), name
+    # the energy-drift caveat compares only the rows a run keeps
+    assert [c for c in bare.caveats if not c.startswith("energy drift")] == [
+        c for c in full.caveats if not c.startswith("energy drift")]
+
+
 def test_linear_run_matches_free_propagator(coarse):
-    # a linear run forms no midpoint density, so every step returns to the
-    # boundary: the space-time sum reads the boundary density at each step
+    # a linear step stops after its forward transform as a nonlinear one
+    # does: the space-time sum reads |u0|^2 for the first step and the
+    # midpoint density of the step before for every later one
     s = coarse
     u0 = _rng_field(s.grid, 23)
     dt, qc, hN = 1e-3, s.p.q_c, s.grid.h**s.grid.N
@@ -786,17 +844,27 @@ def test_linear_run_matches_free_propagator(coarse):
     assert rec.n_steps == 50
     want = linear_propagator(u0, cfg.t_end, s.p.s).values
     assert np.max(np.abs(rec.final_state.values - want)) <= 1e-12 * np.max(np.abs(want))
-    sums = [dt * hN * np.sum(np.abs(linear_propagator(u0, j * dt, s.p.s).values) ** qc)
-            for j in range(50)]
+    sums = [dt * hN * np.sum(np.abs(linear_propagator(u0, t, s.p.s).values) ** qc)
+            for t in [0.0, *((j - 0.5) * dt for j in range(1, 50))]]
     accum = np.concatenate(([0.0], np.cumsum(sums)[4::5])) ** (1.0 / qc)
     assert np.allclose(rec.series["strichartz_accum"], accum, rtol=1e-10, atol=0.0)
 
 
-def _sampled_every_step(s):
-    """A run from 1.2*Q with a sample and a snapshot every step, and for
-    each step the adapted dt and the running strichartz_accum recomputed
-    from the snapshot before it: every step returns to the boundary, so
-    both read the boundary density."""
+def _sampled_every_step(s, monkeypatch):
+    """A run from 1.2*Q with a row and a snapshot every step, and for each
+    step the adapted dt and the running strichartz_accum recomputed from
+    the midpoint density the step before left, captured from the step
+    itself (|u0|^2 for the first step).  Each captured density is checked
+    against the midpoint density formed from the snapshot before it.
+    Returns the record and the (dt, strichartz_accum) recomputed after
+    each step."""
+    mids, step = [], evolution._strang
+
+    def capturing(*args):
+        step(*args)
+        mids.append(args[-1].tr.expand(args[-1].rho))
+
+    monkeypatch.setattr(evolution, "_strang", capturing)
     u0 = field_from_values(s.grid, 1.2 * s.gs.q.values)
     # max|u0|^2 W_hat(0) = 24.5: phase_cap=0.02 takes dt below 1e-3 from t=0
     cfg = StepperConfig(dt=1e-3, t_end=0.05, record_every=1, phase_cap=0.02,
@@ -804,34 +872,40 @@ def _sampled_every_step(s):
     rec = evolve(u0, s.p, s.mult, cfg, gs=s.gs)
     dt_eff = rec.series["dt_eff"]
     assert np.all(dt_eff < cfg.dt) and len(set(dt_eff)) > 1
+    assert len(mids) == rec.n_steps == len(rec.snapshots) - 1
     hN, qc = s.grid.h**s.grid.N, s.p.q_c
     slack = cfg.t_end - cfg.t_end * (1.0 - 1e-12)
     accum, want = 0.0, []
-    for t, u in rec.snapshots[:-1]:
-        dt_k = adapt_dt(u, cfg, s.mult)
+    rho = u0.values.real**2 + u0.values.imag**2
+    for (t, u), mid in zip(rec.snapshots[:-1], mids):
+        dt_k = evolution._adapted_dt(float(np.max(rho)), cfg, s.mult)
         rest = cfg.t_end - t
         dt_step = dt_k if rest >= dt_k - slack else rest
-        rho = u.values.real**2 + u.values.imag**2
         accum += dt_step * hN * float(np.sum(np.power(rho, 0.5 * qc)))
         want.append((dt_k, accum ** (1.0 / qc)))
+        half = evolution._half_step_phase(s.mult.frac_lap_s, dt_step)
+        formed = np.fft.ifftn(half * np.fft.fftn(u.values))
+        formed = formed.real**2 + formed.imag**2
+        assert np.max(np.abs(mid - formed)) <= 1e-12 * np.max(formed)
+        rho = mid
     return rec, want
 
 
-def test_run_sampled_every_step_reads_boundary_density(coarse, monkeypatch):
+def test_run_sampled_every_step_reads_midpoint_density(coarse, monkeypatch):
     # on the whole grid the loop sums as the recomputation does: dt_eff and
     # strichartz_accum bit for bit
     force_full_grid(monkeypatch)
-    rec, want = _sampled_every_step(coarse)
+    rec, want = _sampled_every_step(coarse, monkeypatch)
     for k, (dt_k, accum_k) in enumerate(want):
         assert rec.series["dt_eff"][k + 1] == dt_k
         assert rec.series["strichartz_accum"][k + 1] == accum_k
 
 
-def test_orthant_run_sampled_every_step_reads_boundary_density(coarse):
+def test_orthant_run_sampled_every_step_reads_midpoint_density(coarse, monkeypatch):
     # on the orthant dt_eff is still bit for bit (a max is exact), and
     # strichartz_accum agrees to rounding (a weighted sum over the orthant)
     assert spectral.is_mirror_even(coarse.gs.q.values)
-    rec, want = _sampled_every_step(coarse)
+    rec, want = _sampled_every_step(coarse, monkeypatch)
     for k, (dt_k, accum_k) in enumerate(want):
         assert rec.series["dt_eff"][k + 1] == dt_k
         assert abs(rec.series["strichartz_accum"][k + 1] - accum_k) <= 1e-14 * accum_k
@@ -929,7 +1003,7 @@ def test_state_turning_non_finite_stops_at_next_sample(canonical, monkeypatch):
     def poisoned(hat, *args):
         count.append(1)
         vals = step(hat, *args)  # the loop reads hat in place
-        if len(count) == 3:  # unsampled: the step stopped at its midpoint
+        if len(count) == 3:  # no check: the step stopped after its fft
             assert vals is None
             hat[0, 0] = np.nan
         return vals
@@ -939,6 +1013,6 @@ def test_state_turning_non_finite_stops_at_next_sample(canonical, monkeypatch):
     cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=2, adaptive=False)
     rec = evolve(u0, canonical.p, canonical.mult, cfg, gs=canonical.gs)
     assert rec.verdict == "Inconclusive"
-    assert rec.n_steps == 4  # the step-3 state is first sampled after step 4
+    assert rec.n_steps == 4  # the step-3 state is first checked after step 4
     assert rec.times.size == 3
     assert rec.caveats == ("non-finite state at t=0.004",)
