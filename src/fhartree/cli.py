@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Five subcommands share one configuration pipeline (INI file + profile +
-dotted overrides) and one artifact convention (every JSON embeds the fully
+Five subcommands share one configuration pipeline (INI file + dotted
+overrides) and one artifact convention (every JSON embeds the fully
 resolved config and the discretization tag, CSV floats are %.15e so reruns
 are byte-identical):
 
@@ -11,8 +11,8 @@ are byte-identical):
     sweep          classify+evolve amplitudes c*Q (a list or a uniform grid), in parallel
     verify         re-run every identity check at the configured resolution
 
-Exit codes: 0 success, 1 validation error, 2 ground-state or kernel
-numerical failure, 3 verification failure.
+Exit codes: 0 success, 1 validation error (a usage error included), 2
+ground-state numerical failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import PROFILES, ConfigError, RunConfig, SweepSpec, load_config
+from .config import ConfigError, RunConfig, SweepSpec, load_config
 from .diagnostics import (
     balakrishnan_check,
     build_cutoff,
@@ -67,7 +67,6 @@ from .snapshots import (
 )
 from .spectral import (
     GridSpec,
-    NonRealKernelError,
     SpectralField,
     field_from_values,
     make_multipliers,
@@ -137,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, default=None, help="INI config file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--profile", default="canonical", choices=PROFILES)
         p.add_argument(
             "overrides",
             nargs="*",
@@ -229,7 +227,7 @@ def _notes():
 
 
 def _solve(cfg: RunConfig, seed: SpectralField | None = None):
-    mult = make_multipliers(cfg.grid, cfg.physics, kernel_mode=cfg.kernel_mode)
+    mult = make_multipliers(cfg.grid, cfg.physics)
     with _notes():
         gs = solve_ground_state(cfg.physics, cfg.grid, seed=seed, opts=cfg.solver, mult=mult)
     return gs, mult
@@ -555,7 +553,7 @@ VERIFY_TOLERANCES = {
 
 def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     p, grid = cfg.physics, cfg.grid
-    mult = make_multipliers(grid, p, kernel_mode=cfg.kernel_mode)
+    mult = make_multipliers(grid, p)
 
     checks: list[tuple[str, float, float]] = []
 
@@ -668,10 +666,12 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, overrides=list(args.overrides),
-                          profile=args.profile)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
+    try:
+        cfg = load_config(args.config, overrides=list(args.overrides))
         cfg = replace(cfg, experiment=args.command)
         out = _out_dir(cfg, args)
         return _HANDLERS[args.command](cfg, args, out)
@@ -681,7 +681,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NonConvergenceError, CollapseToZeroError, NonRealKernelError) as exc:
+    except (NonConvergenceError, CollapseToZeroError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 

@@ -3,8 +3,8 @@
 A run is described by five sections — physics, grid, solver, stepper, io —
 stored in a plain key/value file readable by configparser.  Every key can
 also be overridden on the command line as section.key=value.  The canonical
-profile (N=2, s=0.7, gamma=1.6, n=128, L=32, dt=1e-3) satisfies every
-hypothesis of the dichotomy theorem and runs at desk scale, so it is the
+parameters (N=2, s=0.7, gamma=1.6, n=128, L=32, dt=1e-3) satisfy every
+hypothesis of the dichotomy theorem and run at desk scale, so they are the
 default; a config file only needs the keys it changes.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Any
 from .evolution import StepperConfig
 from .ground_state import SolverOptions
 from .params import PhysParams
-from .spectral import CONVENTION_TAG, KERNEL_MODES, GridSpec, make_grid
+from .spectral import CONVENTION_TAG, GridSpec, make_grid
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class IOOptions:
 
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "physics": {"N": 2, "s": 0.7, "gamma": 1.6},
-    "grid": {"n": 128, "L": 32.0, "kernel_mode": "exact"},
+    "grid": {"n": 128, "L": 32.0},
     "solver": {"max_iter": 1000, "tol": 1e-12, "seed_width": 1.0},
     "stepper": {
         "dt": 1e-3,
@@ -46,9 +46,6 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "io": {"out_dir": "runs", "snapshot_every": 0, "seed": 0},
 }
 
-PROFILES = ("canonical",)
-
-
 class ConfigError(ValueError):
     """Malformed configuration: unknown key, bad value, or broken invariant."""
 
@@ -59,7 +56,6 @@ class RunConfig:
 
     physics: PhysParams
     grid: GridSpec
-    kernel_mode: str
     solver: SolverOptions
     stepper: StepperConfig
     io: IOOptions
@@ -75,10 +71,7 @@ class RunConfig:
         out: dict[str, Any] = {"experiment": self.experiment, "convention": CONVENTION_TAG}
         for section, keys in _DEFAULTS.items():
             holder = getattr(self, section)
-            out[section] = {
-                key: self.kernel_mode if key == "kernel_mode" else getattr(holder, key)
-                for key in keys
-            }
+            out[section] = {key: getattr(holder, key) for key in keys}
         return out
 
 
@@ -111,13 +104,9 @@ def _coerce(section: str, key: str, raw: Any) -> Any:
 
 
 def load_config(
-    path: str | Path | None = None,
-    overrides: list[str] | None = None,
-    profile: str = "canonical",
+    path: str | Path | None = None, overrides: list[str] | None = None
 ) -> RunConfig:
-    """Resolve defaults <- profile <- file <- dotted overrides into a RunConfig."""
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}; available: {', '.join(PROFILES)}")
+    """Resolve defaults <- file <- dotted overrides into a RunConfig."""
     values = {sec: dict(d) for sec, d in _DEFAULTS.items()}
 
     if path is not None:
@@ -156,9 +145,6 @@ def load_config(
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    kernel_mode = str(values["grid"]["kernel_mode"])
-    if kernel_mode not in KERNEL_MODES:
-        raise ConfigError(f"kernel_mode must be one of {KERNEL_MODES}, got {kernel_mode!r}")
     io = IOOptions(
         out_dir=str(values["io"]["out_dir"]),
         snapshot_every=int(values["io"]["snapshot_every"]),
@@ -168,14 +154,7 @@ def load_config(
         raise ConfigError("io.snapshot_every must be >= 0")
     if io.seed < 0:
         raise ConfigError(f"io.seed must be >= 0, got {io.seed}")
-    return RunConfig(
-        physics=physics,
-        grid=grid,
-        kernel_mode=kernel_mode,
-        solver=solver,
-        stepper=stepper,
-        io=io,
-    )
+    return RunConfig(physics=physics, grid=grid, solver=solver, stepper=stepper, io=io)
 
 
 @dataclass(frozen=True)

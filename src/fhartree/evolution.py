@@ -392,8 +392,6 @@ def _strang(
         np.sin(phase, out=rot.imag)
         rot *= vals
         tr.fft(rot, out=hat)
-    else:
-        tr.fft(vals, out=hat)
 
 
 def _to_boundary(hat: np.ndarray, owed: np.ndarray, mask: np.ndarray | None,

@@ -582,50 +582,6 @@ def step_transform(grid: GridSpec, *states: np.ndarray) -> FullGrid | Orthant:
 # Hartree kernel construction
 
 
-class NonRealKernelError(RuntimeError):
-    """A kernel table that must be real came out with a significant imaginary part."""
-
-
-def riesz_cell_average(gamma: float, h: float, N: int) -> float:
-    """Cell-averaged value of |x|^{-gamma} over the origin cell [-h/2, h/2]^N,
-    gamma < N.
-
-    The radial integral is taken exactly, reducing to a smooth surface
-    integral over one face of the cell:
-
-        int_cell |x|^{-gamma} dx
-            = (2N/(N-gamma)) * a * int_{[-a,a]^{N-1}} (a^2+|y|^2)^{-gamma/2} dy
-
-    with a = h/2, evaluated by fixed-order Gauss-Legendre.
-    """
-    a = 0.5 * h
-    nodes, weights = leggauss(48)
-    y = a * nodes  # map [-1,1] -> [-a,a]
-    w = a * weights
-    if N == 2:
-        inner = np.sum(w * (a**2 + y**2) ** (-0.5 * gamma))
-    else:
-        yy, zz = np.meshgrid(y, y, indexing="ij")
-        ww = np.outer(w, w)
-        inner = np.sum(ww * (a**2 + yy**2 + zz**2) ** (-0.5 * gamma))
-    return (2.0 * N / (N - gamma)) * a * inner / h**N
-
-
-def sample_riesz_kernel(grid: GridSpec, gamma: float) -> np.ndarray:
-    """Grid-sampled kernel K(x) = d(x)^{-gamma} (centered order) with the
-    origin value replaced by the cell average."""
-    if gamma >= grid.N:
-        raise ValueError(f"gamma={gamma} not locally integrable in dimension {grid.N}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    r = grid.r_mesh.copy()
-    origin = (grid.n // 2,) * grid.N
-    r[origin] = 1.0  # placeholder, overwritten below
-    K = r ** (-gamma)
-    K[origin] = riesz_cell_average(gamma, grid.h, grid.N)
-    return K
-
-
 def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
 
@@ -778,44 +734,18 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float) -> np.ndarray:
     return table[np.ix_(*([k] * N))]
 
 
-KERNEL_MODES = ("sampled", "exact")
+def build_hartree_kernel(grid: GridSpec, gamma: float) -> np.ndarray:
+    """Fourier table W_hat(xi) of the periodic Riesz-type kernel: the exact
+    transform of the minimum-image kernel d(x)^{-gamma} (a Gaussian sum, see
+    _exact_kernel_hat), in N=2 and N=3.  It has no sampling bias at the
+    singularity, so integral identities certify at tight tolerance.
 
-
-def build_hartree_kernel(grid: GridSpec, gamma: float, mode: str = "exact") -> np.ndarray:
-    """Fourier table W_hat(xi) of the periodic Riesz-type kernel; exact by
-    default, as in make_multipliers and every config.
-
-    mode="sampled": forward transform (h^N weight) of the grid-sampled
-    minimum-image kernel with cell-averaged origin.  Cheap, positive at the
-    canonical parameters, but the point sampling of the singularity leaves
-    an O(h^{N-gamma}) deficit in quartic functionals (measured -2.5% at
-    h=1/4, gamma=1.6).
-
-    mode="exact": exact transform of the same minimum-image kernel function
-    (a Gaussian sum, see _exact_kernel_hat), in N=2 and N=3.  Removes the
-    sampling bias entirely; used where integral identities are certified at
-    tight tolerance.
-
-    Both tables are real and even in every axis because the kernel is even
-    on the torus.  The sampled table is made exactly so, axis by axis, by
-    (T + T[k -> -k]) / 2: the two terms add in either order to the same
-    number, and an orthant run reads the table only at k >= 0.
+    The table is real and even in every axis because the kernel is even on
+    the torus; an orthant run reads it only at k >= 0.
     """
-    if mode == "exact":
-        if gamma >= grid.N or gamma <= 0:
-            raise ValueError(f"gamma must lie in (0, N), got {gamma}")
-        return _exact_kernel_hat(grid, gamma)
-    if mode != "sampled":
-        raise ValueError(f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}")
-    K = sample_riesz_kernel(grid, gamma)
-    hat = grid.h**grid.N * np.fft.fftn(np.fft.ifftshift(K))
-    scale = np.max(np.abs(hat))
-    if np.max(np.abs(hat.imag)) > 1e-12 * scale:
-        raise NonRealKernelError("Hartree kernel transform is unexpectedly non-real")
-    table = hat.real
-    for axis in range(grid.N):
-        table = 0.5 * (table + np.roll(np.flip(table, axis), 1, axis))
-    return table
+    if gamma >= grid.N or gamma <= 0:
+        raise ValueError(f"gamma must lie in (0, N), got {gamma}")
+    return _exact_kernel_hat(grid, gamma)
 
 
 @dataclass(frozen=True)
@@ -841,12 +771,10 @@ class MultiplierSet:
         return float(self.hartree_kernel_hat[(0,) * self.grid.N])
 
 
-def make_multipliers(
-    grid: GridSpec, p: PhysParams, kernel_mode: str = "exact"
-) -> MultiplierSet:
-    """The tables of (grid, p), with the Hartree kernel of kernel_mode
-    (build_hartree_kernel); exact by default, as in every config."""
-    what = build_hartree_kernel(grid, p.gamma, mode=kernel_mode)
+def make_multipliers(grid: GridSpec, p: PhysParams) -> MultiplierSet:
+    """The tables of (grid, p), with the exact Hartree kernel
+    (build_hartree_kernel)."""
+    what = build_hartree_kernel(grid, p.gamma)
     return MultiplierSet(
         grid=grid,
         s=p.s,

@@ -58,9 +58,9 @@ def force_orthant_path(monkeypatch, path: str) -> None:
     monkeypatch.setattr(spectral, "DENSE_MAX_POINTS", limit)
 
 
-def solve_setup(p: PhysParams, n: int, L: float, kernel_mode: str = "exact") -> Setup:
+def solve_setup(p: PhysParams, n: int, L: float) -> Setup:
     grid = make_grid(N=p.N, n=n, L=L)
-    mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
+    mult = make_multipliers(grid, p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # box-truncation advisory at L=32
         gs = solve_ground_state(p, grid, opts=SolverOptions(), mult=mult)
@@ -75,16 +75,6 @@ def params() -> PhysParams:
 @pytest.fixture(scope="session")
 def canonical(params) -> Setup:
     return solve_setup(params, 128, 32.0)
-
-
-@pytest.fixture(scope="session")
-def canonical_sampled(params, canonical) -> Setup:
-    """Same grid, sampled kernel — for bias-scale comparisons."""
-    mult = make_multipliers(canonical.grid, params, kernel_mode="sampled")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        gs = solve_ground_state(params, canonical.grid, opts=SolverOptions(), mult=mult)
-    return Setup(p=params, grid=canonical.grid, mult=mult, gs=gs)
 
 
 @pytest.fixture(scope="session")

@@ -3,14 +3,20 @@
 Everything here is deliberately low-tech so it shares no code path with the
 package: explicit index loops and np.roll for the periodic double sums,
 scipy quadrature of radial integrals for the continuum quantities, closed
-forms where they exist.  No FFTs anywhere.
+forms where they exist.  No FFTs anywhere, except the one explicit fftn
+that turns the loop-built sampled kernel into a multiplier table.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from scipy.integrate import dblquad, quad
 from scipy.special import j0
+
+from fhartree.params import PhysParams
+from fhartree.spectral import GridSpec, MultiplierSet, make_multipliers
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +44,18 @@ def sampled_kernel(n: int, L: float, gamma: float) -> np.ndarray:
             r = np.hypot(xi, xj)
             K[i, j] = riesz_origin_average(gamma, h) if r == 0.0 else r ** (-gamma)
     return K
+
+
+def sampled_multipliers(grid: GridSpec, p: PhysParams) -> MultiplierSet:
+    """The tables of (grid, p) in 2-D with the Hartree kernel replaced by the
+    forward transform (h^2 weight) of sampled_kernel, made exactly even
+    axis by axis: the grid-sampled discretization, whose convolution the
+    double sums below rebuild literally."""
+    K = sampled_kernel(grid.n, grid.L, p.gamma)
+    table = (grid.h**2 * np.fft.fftn(np.fft.ifftshift(K))).real
+    for axis in range(2):
+        table = 0.5 * (table + np.roll(np.flip(table, axis), 1, axis))
+    return dataclasses.replace(make_multipliers(grid, p), hartree_kernel_hat=table)
 
 
 def direct_potential(rho: np.ndarray, kernel_centered: np.ndarray, h: float) -> np.ndarray:

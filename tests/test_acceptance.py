@@ -247,10 +247,11 @@ def test_10_oracle_equivalence(params):
     rho = vals.real**2 + vals.imag**2
     sum_rels = {}
     for mode in ("sampled", "exact"):
-        m32 = make_multipliers(g32, params, kernel_mode=mode)
-        if mode == "sampled":
+        if mode == "sampled":  # the test-side grid-sampled kernel
+            m32 = oracles.sampled_multipliers(g32, params)
             K = oracles.sampled_kernel(32, 8.0, params.gamma)  # rebuilt by loops
         else:
+            m32 = make_multipliers(g32, params)
             from fhartree.spectral import to_physical
             K = to_physical(g32, m32.hartree_kernel_hat.astype(complex)).values.real
         pot_direct = oracles.direct_potential(rho, K, g32.h)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fhartree
-from fhartree import cli, spectral
+from fhartree import cli
 from fhartree.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
@@ -54,7 +54,7 @@ def test_ground_state_command(tmp_path):
     report = json.loads((tmp_path / "ground_state.json").read_text())
     assert report["converged"] is True
     assert report["config"]["convention"] == CONVENTION_TAG
-    assert report["config"]["grid"] == {"n": 128, "L": 32.0, "kernel_mode": "exact"}
+    assert report["config"]["grid"] == {"n": 128, "L": 32.0}
     assert report["summary"]["l2"] > 0
     assert report["thresholds"]["me_discrepancy"] < 1e-2
     history = report["solver_history"]
@@ -101,25 +101,14 @@ def test_ground_state_collapse_exit_code(tmp_path, monkeypatch, capsys):
     assert err.startswith("error:") and "below 1e-10" in err
 
 
-def test_non_real_kernel_exit_code(tmp_path, monkeypatch, capsys):
-    # kernel samples that are not even give a transform with an imaginary
-    # part, which trips the realness check of the sampled-kernel build
-    monkeypatch.setattr(spectral, "sample_riesz_kernel",
-                        lambda grid, gamma: np.random.default_rng(0).random(grid.shape))
-    rc = main(["ground-state", "--out", str(tmp_path), "grid.n=16", "grid.L=4",
-               "grid.kernel_mode=sampled"])
-    assert rc == EXIT_NONCONVERGENCE
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "unexpectedly non-real" in err
-
-
 def test_ground_state_3d_certificate_on_default_kernel(tmp_path):
-    # the exact kernel serves N=3; the sampled one reads 1.84e-2 and 8.8e-3
+    # the exact kernel serves N=3; a grid-sampled kernel read 1.84e-2 and
+    # 8.8e-3 here
     rc = main(["ground-state", "--out", str(tmp_path), "physics.N=3", "physics.gamma=2.0",
                "grid.n=64", "grid.L=16"])
     assert rc == EXIT_OK
     report = json.loads((tmp_path / "ground_state.json").read_text())
-    assert report["config"]["grid"]["kernel_mode"] == "exact"
+    assert report["config"]["grid"] == {"n": 64, "L": 16.0}
     assert report["summary"]["cgn_discrepancy"] <= 2e-3
     assert abs(report["summary"]["pohozaev_r2"]) <= 1e-3
 
@@ -172,9 +161,32 @@ def test_nonpositive_amplitude_rejected(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
-def test_unknown_override_rejected(tmp_path):
-    rc = main(["classify", "--out", str(tmp_path), "grid.resolution=64"])
-    assert rc == EXIT_VALIDATION
+def test_unknown_override_rejected(tmp_path, capsys):
+    # grid.kernel_mode chose between two kernels; only the exact one is
+    # left, and a leftover setting is an unknown key in an override or a file
+    ini = tmp_path / "run.ini"
+    for key, value in [("grid.resolution", "64"), ("grid.kernel_mode", "exact"),
+                       ("grid.kernel_mode", "sampled")]:
+        section, name = key.split(".")
+        ini.write_text(f"[{section}]\n{name} = {value}\n")
+        unknown = f"unknown configuration key {key}"
+        for path, overrides in [(None, [f"{key}={value}"]), (ini, [])]:
+            with pytest.raises(ConfigError, match=unknown):
+                load_config(path, overrides)
+            args = overrides if path is None else ["--config", str(path)]
+            assert main(["classify", "--out", str(tmp_path / "out"), *args]) == EXIT_VALIDATION
+            assert f"error: {unknown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground-state", "--bogus"],
+    ["classify", "--c", "abc"],
+    ["ground-state", "--profile", "canonical"],  # a removed option
+])
+def test_usage_errors_exit_1(tmp_path, argv, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_missing_config_file_rejected(tmp_path):
@@ -501,7 +513,7 @@ def test_orthant_evolve_loads_no_scipy():
         "assert type(spectral.step_transform(g, u0.values)) is spectral.Orthant",
         "seed = ground_state._seed_array(g, None, ground_state.SolverOptions())",
         "assert type(spectral.step_transform(g, seed)) is spectral.Orthant",
-        "mult = spectral.make_multipliers(g, p, kernel_mode='exact')",
+        "mult = spectral.make_multipliers(g, p)",
         "warnings.simplefilter('ignore')  # the box-tail advisory at L=8",
         "gs = ground_state.solve_ground_state(p, g, mult=mult)",
         "assert gs.converged",

@@ -30,17 +30,11 @@ def test_defaults_are_the_canonical_profile():
     assert isinstance(cfg, RunConfig)
     assert (cfg.physics.N, cfg.physics.s, cfg.physics.gamma) == (2, 0.7, 1.6)
     assert (cfg.grid.n, cfg.grid.L) == (128, 32.0)
-    assert cfg.kernel_mode == "exact"
     assert cfg.stepper.dt == 1e-3
     assert cfg.stepper.adaptive is True
     assert cfg.solver.tol == 1e-12
     assert cfg.io.out_dir == "runs"
     assert cfg.io.snapshot_every == 0
-
-
-def test_unknown_profile_rejected():
-    with pytest.raises(ConfigError, match="profile"):
-        load_config(profile="fine")
 
 
 def test_file_overrides_defaults(tmp_path):
@@ -62,9 +56,8 @@ def test_file_overrides_defaults(tmp_path):
 def test_dotted_overrides_beat_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[stepper]\ndt = 2e-3\n")
-    cfg = load_config(path, overrides=["stepper.dt=5e-4", "grid.kernel_mode=sampled"])
+    cfg = load_config(path, overrides=["stepper.dt=5e-4"])
     assert cfg.stepper.dt == 5e-4
-    assert cfg.kernel_mode == "sampled"
 
 
 def test_missing_file_rejected(tmp_path):
@@ -152,7 +145,7 @@ def test_non_finite_settings_are_config_errors(override):
     [
         ["grid.n=1048576"],  # 2^40 points: 16 TiB per complex field
         ["grid.n=8192"],
-        ["physics.N=3", "physics.gamma=2.0", "grid.n=512", "grid.kernel_mode=sampled"],
+        ["physics.N=3", "physics.gamma=2.0", "grid.n=512"],
     ],
 )
 def test_oversized_grid_is_a_config_error(overrides):
@@ -162,20 +155,15 @@ def test_oversized_grid_is_a_config_error(overrides):
 
 def test_largest_grids_are_accepted():
     assert load_config(overrides=["grid.n=4096"]).grid.npoints == MAX_GRID_POINTS
-    cfg = load_config(
-        overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=256", "grid.kernel_mode=sampled"]
-    )
+    cfg = load_config(overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=256"])
     assert cfg.grid.npoints == MAX_GRID_POINTS
 
 
 def test_exact_kernel_is_the_default_in_3d():
+    # a 3-D config resolves with no kernel setting left to choose
     cfg = load_config(overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=16"])
-    assert cfg.physics.N == 3
-    assert cfg.kernel_mode == "exact"
-    cfg = load_config(
-        overrides=["physics.N=3", "physics.gamma=2.0", "grid.n=16", "grid.kernel_mode=sampled"]
-    )
-    assert cfg.kernel_mode == "sampled"
+    assert cfg.physics.N == cfg.grid.N == 3
+    assert cfg.resolved()["grid"] == {"n": 16, "L": 32.0}
 
 
 def test_resolved_view_is_json_ready_and_tagged():
@@ -183,7 +171,7 @@ def test_resolved_view_is_json_ready_and_tagged():
     view = cfg.resolved()
     assert view["convention"] == CONVENTION_TAG
     assert view["physics"] == {"N": 2, "s": 0.7, "gamma": 1.6}
-    assert view["grid"] == {"n": 128, "L": 32.0, "kernel_mode": "exact"}
+    assert view["grid"] == {"n": 128, "L": 32.0}
     assert view["stepper"]["record_every"] == 5
     assert view["io"]["seed"] == 0
     round_tripped = json.loads(json.dumps(view))
@@ -242,8 +230,6 @@ def _valid_overrides(draw) -> list[tuple[str, str, object]]:
     for key in ("stepper.adaptive", "stepper.nonlinear", "stepper.dealias"):
         text = draw(_BOOL_TEXT)
         items[key] = (text, text in ("yes", "true", "on", "1"))
-    mode = draw(st.sampled_from(["exact", "sampled"]))
-    items["grid.kernel_mode"] = (mode, mode)
     out_dir = draw(st.text("abcxyz_-/", min_size=1, max_size=12))
     items["io.out_dir"] = (out_dir, out_dir)
     keys = set(draw(st.lists(st.sampled_from(sorted(items)), unique=True)))
@@ -262,7 +248,7 @@ _FLOAT_KEYS = ("physics.s", "physics.gamma", "grid.L", "solver.tol", "solver.see
 _OUT_OF_RANGE = (
     "physics.N=1", "physics.N=4", "physics.s=0", "physics.s=1", "physics.s=-0.5",
     "physics.gamma=0", "physics.gamma=2", "grid.n=8", "grid.n=48", "grid.n=0",
-    "grid.L=0", "grid.L=-1", "grid.kernel_mode=fast", "solver.max_iter=0",
+    "grid.L=0", "grid.L=-1", "solver.max_iter=0",
     "solver.tol=0", "solver.tol=-1e-12", "solver.seed_width=0", "stepper.dt=0",
     "stepper.dt=-1e-3", "stepper.t_end=0", "stepper.record_every=0", "stepper.dt_min=0",
     "stepper.dt_min=1.0", "stepper.blowup_grad_factor=1", "stepper.tail_fraction_max=0",

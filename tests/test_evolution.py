@@ -76,7 +76,7 @@ def test_evolve_rejects_mismatched_inputs(canonical, params):
     u0 = _rng_field(canonical.grid, 5)
     other_grid = make_grid(N=2, n=64, L=16.0)
     with pytest.raises(ValueError):
-        evolve(u0, params, make_multipliers(other_grid, params, kernel_mode="sampled"),
+        evolve(u0, params, make_multipliers(other_grid, params),
                StepperConfig(t_end=0.01))
     from fhartree.params import PhysParams
 
@@ -128,7 +128,7 @@ def test_strang_step_on_the_orthant_matches_full_grid(canonical, monkeypatch):
 @pytest.fixture(scope="module")
 def small(params):
     grid = make_grid(N=2, n=32, L=16.0)
-    return grid, make_multipliers(grid, params, kernel_mode="sampled")
+    return grid, make_multipliers(grid, params)
 
 
 # dt drawn from +-[1e-4, 5e-2]
@@ -403,7 +403,7 @@ def test_wave_packet_moves_at_group_velocity(params):
     spectral width of the envelope (about 1% here).
     """
     g = make_grid(N=2, n=256, L=64.0)
-    m = make_multipliers(g, params, kernel_mode="exact")
+    m = make_multipliers(g, params)
     dk = 2.0 * np.pi / g.L
     k0 = round(2.0 / dk) * dk
     vals = 0.01 * np.exp(-g.r_mesh**2 / 9.0) * np.exp(1j * k0 * g.x_mesh[0])
@@ -590,8 +590,7 @@ def _reference_strang(hat, half, what_half, dt, nonlinear, mask):
         np.cos(phase, out=rot.real)
         np.sin(phase, out=rot.imag)
         rot *= vals
-        vals = rot
-    hat = np.fft.fftn(vals)
+        hat = np.fft.fftn(rot)
     hat *= half
     if mask is not None:
         hat *= mask
@@ -602,7 +601,7 @@ def _reference_strang(hat, half, what_half, dt, nonlinear, mask):
 def small_3d():
     p = PhysParams(N=3, s=0.7, gamma=1.6)
     grid = make_grid(N=3, n=16, L=8.0)
-    return grid, make_multipliers(grid, p, kernel_mode="sampled")
+    return grid, make_multipliers(grid, p)
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])

@@ -57,7 +57,7 @@ def test_mass_carrier_invariant(canonical):
 
 def test_quartic_matches_direct_double_sum(params):
     g = make_grid(N=2, n=32, L=8.0)
-    m = make_multipliers(g, params, kernel_mode="sampled")
+    m = oracles.sampled_multipliers(g, params)
     vals = np.exp(-g.r_mesh**2) * (1.0 + 0.3 * np.sin(g.x_mesh[0]))
     u = field_from_values(g, vals.astype(complex))
     K = oracles.sampled_kernel(32, 8.0, params.gamma)
@@ -70,7 +70,7 @@ def test_parseval_v_matches_physical_sum(N, n, L):
     # V summed on the half spectrum of rho = |u|^2 against h^N sum (W * rho) rho,
     # the convolution through the complex pair; white noise fills every mode
     g = make_grid(N=N, n=n, L=L)
-    m = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6), kernel_mode="sampled")
+    m = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6))
     rng = np.random.default_rng(23)
     for _ in range(3):
         vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)

@@ -186,7 +186,7 @@ def test_carried_spectrum_matches_six_transform_iteration(canonical, monkeypatch
 
     p3 = PhysParams(N=3, s=0.7, gamma=1.6)
     grid = make_grid(N=3, n=16, L=12.0)
-    mult = make_multipliers(grid, p3, kernel_mode="sampled")
+    mult = make_multipliers(grid, p3)
     want, iterations = _six_transform_iterate(p3, grid, mult)
     gs = solve_ground_state(p3, grid, opts=SolverOptions(), mult=mult)
     assert gs.iterations == iterations
@@ -213,7 +213,7 @@ def test_mixed_iteration_matches_plain_at_tight_tolerance(canonical, monkeypatch
 def test_mixed_iteration_count(canonical, s, gamma):
     # the plain iteration takes 76, 119 and 52 iterations here
     p = PhysParams(N=2, s=s, gamma=gamma)
-    mult = make_multipliers(canonical.grid, p, kernel_mode="exact")
+    mult = make_multipliers(canonical.grid, p)
     gs = solve_ground_state(p, canonical.grid, opts=SolverOptions(), mult=mult)
     assert gs.converged
     assert gs.iterations <= 30
@@ -252,18 +252,18 @@ def _reference_iterate(p, tr, mult, q, opts):
     return ghat.copy(), False, deltas, gammas
 
 
-_BUFFERED_CASES = [(2, 64, 16.0, "exact"), (3, 16, 12.0, "sampled")]
+_BUFFERED_CASES = [pytest.param(2, 64, 16.0, id="2-64-16.0-exact"),
+                   pytest.param(3, 16, 12.0, id="3-16-12.0-exact")]
 
 
-@pytest.mark.parametrize("N, n, L, kernel_mode", _BUFFERED_CASES)
+@pytest.mark.parametrize("N, n, L", _BUFFERED_CASES)
 @pytest.mark.parametrize("explicit_seed", [False, True])
-def test_buffered_iteration_matches_allocating_loop(N, n, L, kernel_mode, explicit_seed,
-                                                    monkeypatch):
+def test_buffered_iteration_matches_allocating_loop(N, n, L, explicit_seed, monkeypatch):
     # on the whole grid: forced for the default seed, which is mirror-even;
     # the explicit seed is off-centre and takes the whole grid by itself
     p = PhysParams(N=N, s=0.7, gamma=1.6)
     grid = make_grid(N=N, n=n, L=L)
-    mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
+    mult = make_multipliers(grid, p)
     seed = None
     if explicit_seed:
         bump = random_smooth_field(grid, np.random.default_rng(5), n_bumps=2, span=1.0)
@@ -285,11 +285,11 @@ def test_buffered_iteration_matches_allocating_loop(N, n, L, kernel_mode, explic
         np.testing.assert_array_equal(seed.values, seed_before)
 
 
-@pytest.mark.parametrize("N, n, L, kernel_mode", _BUFFERED_CASES)
-def test_buffered_orthant_iteration_matches_allocating_loop(N, n, L, kernel_mode):
+@pytest.mark.parametrize("N, n, L", _BUFFERED_CASES)
+def test_buffered_orthant_iteration_matches_allocating_loop(N, n, L):
     p = PhysParams(N=N, s=0.7, gamma=1.6)
     grid = make_grid(N=N, n=n, L=L)
-    mult = make_multipliers(grid, p, kernel_mode=kernel_mode)
+    mult = make_multipliers(grid, p)
     opts = SolverOptions()
     q = ground_state._seed_array(grid, None, opts)
     tr = spectral.step_transform(grid, q)
@@ -323,7 +323,7 @@ def _assert_same_certificate(got, want):
     assert np.max(np.abs(q - q_full)) <= 1e-13 * np.max(np.abs(q_full))
 
 
-_SOLVE_CASES = ("128-exact", "16cubed-sampled", "tol-1e-14", "warm-start")
+_SOLVE_CASES = ("128-exact", "16cubed-exact", "tol-1e-14", "warm-start")
 
 
 @pytest.mark.filterwarnings("ignore:ground-state tail")
@@ -335,10 +335,10 @@ def test_orthant_solve_matches_full_grid_solve(canonical, case, monkeypatch):
     force_orthant_path(monkeypatch, "fft" if case.endswith("-fft") else "dense")
     case = case.removesuffix("-fft")
     p, grid, mult, seed, opts = canonical.p, canonical.grid, canonical.mult, None, SolverOptions()
-    if case == "16cubed-sampled":
+    if case == "16cubed-exact":
         p = PhysParams(N=3, s=0.7, gamma=1.6)
         grid = make_grid(N=3, n=16, L=12.0)
-        mult = make_multipliers(grid, p, kernel_mode="sampled")
+        mult = make_multipliers(grid, p)
     elif case == "tol-1e-14":
         opts = SolverOptions(tol=1e-14)
     elif case == "warm-start":
@@ -457,7 +457,7 @@ def test_seed_width_does_not_change_fixed_point(canonical):
 def test_second_parameter_set(canonical):
     # s = 0.6, gamma = 1.4 sits inside the admissible window 2s < gamma < 4s
     p2 = PhysParams(N=2, s=0.6, gamma=1.4)
-    m2 = make_multipliers(canonical.grid, p2, kernel_mode="exact")
+    m2 = make_multipliers(canonical.grid, p2)
     gs2 = solve_ground_state(p2, canonical.grid, opts=SolverOptions(), mult=m2)
     assert gs2.converged
     assert gs2.el_residual < 1e-10
@@ -472,7 +472,7 @@ def test_three_dimensional_solve_smoke():
     # N=3 runs the real transform pair over three axes
     p3 = PhysParams(N=3, s=0.7, gamma=1.6)
     grid = make_grid(N=3, n=16, L=12.0)
-    mult = make_multipliers(grid, p3, kernel_mode="sampled")
+    mult = make_multipliers(grid, p3)
     gs = solve_ground_state(p3, grid, opts=SolverOptions(), mult=mult)
     assert gs.converged
     assert gs.el_residual < 1e-10

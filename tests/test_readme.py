@@ -1,10 +1,13 @@
-"""The README's library example runs as written against the current API."""
+"""The README's library example runs as written against the current API, and
+its config-key list names exactly the keys the config accepts."""
 from __future__ import annotations
 
 import re
 from pathlib import Path
 
 import pytest
+
+from fhartree.config import _DEFAULTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,15 @@ def test_library_example_runs_verbatim(capsys):
     roundtrip, run = capsys.readouterr().out.splitlines()
     assert float(roundtrip) < 1e-13
     assert run.split()[0] == "Soliton"
+
+
+def test_config_key_list_matches_defaults():
+    # "Sections/keys: `physics.N/s/gamma`, `grid.n/L`, ..." up to the
+    # sentence's end, against the keys a config file or override may set
+    text = README.read_text(encoding="utf-8").split("Sections/keys:", 1)[1]
+    sentence = re.split(r"\.\s", text, maxsplit=1)[0]
+    listed = {}
+    for item in re.findall(r"`([^`]*)`", sentence):
+        section, keys = "".join(item.split()).split(".", 1)
+        listed[section] = keys.split("/")
+    assert listed == {section: list(keys) for section, keys in _DEFAULTS.items()}

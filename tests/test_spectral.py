@@ -1,6 +1,5 @@
 """Grid construction, transform convention, multipliers, kernel modes."""
 
-import inspect
 import math
 import warnings
 
@@ -14,7 +13,6 @@ from scipy.special import gammainc
 import oracles
 from conftest import force_orthant_path
 from fhartree import spectral
-from fhartree.config import load_config
 from fhartree.params import PhysParams
 from fhartree.spectral import (
     CONVENTION_TAG,
@@ -30,8 +28,6 @@ from fhartree.spectral import (
     make_multipliers,
     parseval_weight,
     random_smooth_field,
-    riesz_cell_average,
-    sample_riesz_kernel,
     sobolev_norm,
     to_fourier,
     to_physical,
@@ -191,34 +187,12 @@ def test_lp_norm_on_gaussian():
 
 
 # --------------------------------------------------------------------------
-# kernel modes
-
-
-def test_riesz_cell_average_matches_polar_quadrature():
-    for h in (0.25, 0.125):
-        got = riesz_cell_average(1.6, h, 2)
-        want = oracles.riesz_origin_average(1.6, h)
-        assert abs(got - want) / want < 1e-12
-
-
-def test_sampled_kernel_matches_direct_construction():
-    g = make_grid(N=2, n=32, L=8.0)
-    got = sample_riesz_kernel(g, 1.6)
-    want = oracles.sampled_kernel(32, 8.0, 1.6)
-    assert np.max(np.abs(got - want)) / np.max(want) < 1e-13
-
-
-def test_sampled_kernel_validation():
-    g = make_grid(N=2, n=32, L=8.0)
-    with pytest.raises(ValueError):
-        sample_riesz_kernel(g, 2.5)  # not locally integrable in 2-D
-    with pytest.raises(ValueError):
-        sample_riesz_kernel(g, -0.3)
+# the exact kernel
 
 
 def test_exact_kernel_matches_quadrature_oracle():
     g = make_grid(N=2, n=16, L=4.0)
-    hat = build_hartree_kernel(g, 1.6, mode="exact")
+    hat = build_hartree_kernel(g, 1.6)
     dk = 2.0 * np.pi / 4.0
     for a, b in [(0, 0), (1, 0), (0, 4), (2, 3), (5, 5), (8, 0), (8, 8)]:
         want = oracles.exact_kernel_coefficient(4.0, 1.6, a * dk, b * dk)
@@ -231,17 +205,17 @@ def test_exact_kernel_matches_quadrature_oracle():
 @pytest.mark.parametrize("n, L", [(16, 4.0), (128, 32.0), (256, 32.0), (512, 64.0)])
 def test_exact_kernel_node_insensitive(n, L, monkeypatch):
     g = make_grid(N=2, n=n, L=L)
-    default = build_hartree_kernel(g, 1.6, mode="exact")
+    default = build_hartree_kernel(g, 1.6)
     monkeypatch.setattr(spectral, "_T_NODES", 24)
     monkeypatch.setattr(spectral, "_CELL_NODES", 12)
-    finer = build_hartree_kernel(g, 1.6, mode="exact")
+    finer = build_hartree_kernel(g, 1.6)
     assert np.max(np.abs(default - finer)) / np.max(np.abs(finer)) < (5e-14 if n == 16 else 2e-15)
 
 
 @pytest.mark.parametrize("k", [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 2, 1)],
                          ids=lambda k: "-".join(map(str, k)))
 def test_exact_kernel_matches_3d_quadrature_oracle(k):
-    hat = build_hartree_kernel(make_grid(N=3, n=16, L=4.0), 2.0, mode="exact")
+    hat = build_hartree_kernel(make_grid(N=3, n=16, L=4.0), 2.0)
     want = oracles.exact_kernel_coefficient_3d(4.0, 2.0, tuple(2.0 * np.pi / 4.0 * np.array(k)))
     assert abs(hat[k] - want) <= 1e-10 * abs(want)
 
@@ -262,7 +236,7 @@ def test_exact_kernel_zero_mode_matches_closed_form(N, gamma):
             face = dblquad(lambda z, y: (a * a + y * y + z * z) ** (-0.5 * gamma),
                            -a, a, -a, a, **tol)[0]
             want = 6.0 / (3.0 - gamma) * a * face
-    got = build_hartree_kernel(make_grid(N=N, n=16, L=L), gamma, mode="exact")[(0,) * N]
+    got = build_hartree_kernel(make_grid(N=N, n=16, L=L), gamma)[(0,) * N]
     assert abs(got - want) <= 2e-15 * want
 
 
@@ -276,13 +250,12 @@ def test_lower_gamma_matches_scipy(a):
 
 def test_kernel_table_is_real_even_positive():
     g = make_grid(N=2, n=32, L=8.0)
-    for mode in ("sampled", "exact"):
-        hat = build_hartree_kernel(g, 1.6, mode=mode)
-        assert hat.dtype == np.float64
-        # evenness: hat(-k) = hat(k)
-        flipped = np.roll(hat[::-1, ::-1], (1, 1), axis=(0, 1))
-        assert np.max(np.abs(hat - flipped)) < 1e-12 * np.max(np.abs(hat))
-        assert hat[0, 0] > 0.0
+    hat = build_hartree_kernel(g, 1.6)
+    assert hat.dtype == np.float64
+    # evenness: hat(-k) = hat(k)
+    flipped = np.roll(hat[::-1, ::-1], (1, 1), axis=(0, 1))
+    assert np.max(np.abs(hat - flipped)) < 1e-12 * np.max(np.abs(hat))
+    assert hat[0, 0] > 0.0
 
 
 # An independent 2-D exact kernel by cell quadrature: per-cell Gauss-Legendre
@@ -357,7 +330,7 @@ def _reference_exact_kernel(grid, gamma, nodes=20):
 def test_exact_kernel_matches_per_node_fft_loop(n, L, nodes):
     g = make_grid(N=2, n=n, L=L)
     want = _reference_exact_kernel(g, 1.6, nodes=nodes)
-    got = build_hartree_kernel(g, 1.6, mode="exact")
+    got = build_hartree_kernel(g, 1.6)
     assert np.max(np.abs(got - want.real)) / np.max(np.abs(want.real)) <= 1e-12
 
 
@@ -388,19 +361,13 @@ def test_random_smooth_field_matches_dense_bumps(N, n, L):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_unknown_kernel_mode_rejected():
-    g = make_grid(N=2, n=32, L=8.0)
-    with pytest.raises(ValueError):
-        build_hartree_kernel(g, 1.6, mode="spectral")
-
-
 # --------------------------------------------------------------------------
 # Hartree potential vs the literal double sum
 
 
 def test_hartree_potential_equals_double_sum(params):
     g = make_grid(N=2, n=32, L=8.0)
-    mult = make_multipliers(g, params, kernel_mode="sampled")
+    mult = oracles.sampled_multipliers(g, params)
     u = _rng_field(g, seed=21)
     rho = np.abs(u.values) ** 2
     got = hartree_potential(u, mult)
@@ -432,7 +399,7 @@ def test_apply_multiplier_diagonal_action():
 
 def test_grad_kernel_hat_built_on_first_read(params):
     g = make_grid(N=2, n=32, L=8.0)
-    mult = make_multipliers(g, params, kernel_mode="sampled")
+    mult = make_multipliers(g, params)
     assert "grad_kernel_hat" not in vars(mult)
     grad = mult.grad_kernel_hat
     assert "grad_kernel_hat" in vars(mult)
@@ -444,24 +411,14 @@ def test_grad_kernel_hat_built_on_first_read(params):
 
 def test_multiplier_set_tables(params):
     g = make_grid(N=2, n=32, L=8.0)
-    mult = make_multipliers(g, params, kernel_mode="exact")
+    mult = make_multipliers(g, params)
     assert mult.kernel_zero_mode > 0
     assert mult.frac_lap_s[0, 0] == 0.0
     assert CONVENTION_TAG  # non-empty, embedded in artifacts
 
 
-def test_make_multipliers_defaults_to_the_config_kernel(params):
-    # a library caller who omits the mode gets the kernel every command uses
-    mode = load_config().kernel_mode
-    assert inspect.signature(make_multipliers).parameters["kernel_mode"].default == mode
-    g = make_grid(N=2, n=16, L=4.0)
-    want = make_multipliers(g, params, kernel_mode=mode).hartree_kernel_hat
-    assert np.array_equal(make_multipliers(g, params).hartree_kernel_hat, want)
-
-
 def test_build_hartree_kernel_defaults_to_the_multiplier_kernel(params):
-    # the two public kernel entry points build the same table by default
-    assert inspect.signature(build_hartree_kernel).parameters["mode"].default == "exact"
+    # the two public kernel entry points build the same table
     g = make_grid(N=2, n=16, L=4.0)
     want = make_multipliers(g, params).hartree_kernel_hat
     assert np.array_equal(build_hartree_kernel(g, params.gamma), want)
@@ -568,7 +525,7 @@ def test_orthant_sums_match_full_grid_sums(orthant, params):
     table = g.xi_sq**0.7
     spec, spec_full = f * f, np.fft.ifftshift(tr.expand(f * f))
     assert close(tr.sum_weights(table) @ spec.ravel(), full.sum_weights(table) @ spec_full.ravel())
-    kernel = make_multipliers(g, PhysParams(N=g.N, s=0.7, gamma=1.6), kernel_mode="exact")
+    kernel = make_multipliers(g, PhysParams(N=g.N, s=0.7, gamma=1.6))
     kernel = kernel.hartree_kernel_hat
     got = tr.quadratic_form(tr.pairing_weights(kernel), f, hat=tr.real_spectrum())
     want = full.quadratic_form(full.pairing_weights(kernel), f_full, hat=full.real_spectrum())
@@ -579,9 +536,8 @@ def test_orthant_sums_match_full_grid_sums(orthant, params):
 def test_step_tables_are_exactly_even(N, n, L):
     # the orthant path reads a table only at k >= 0
     g = make_grid(N=N, n=n, L=L)
-    mult = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6), kernel_mode="exact")
-    sampled = build_hartree_kernel(g, 1.6, mode="sampled")
-    for table in (mult.hartree_kernel_hat, sampled, mult.frac_lap_s, dealias_mask(g),
+    mult = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6))
+    for table in (mult.hartree_kernel_hat, mult.frac_lap_s, dealias_mask(g),
                   dealias_mask(g, 2.0 / 3.0)):
         for axis in range(N):  # k -> -k in FFT order along each axis
             assert np.array_equal(table, np.roll(np.flip(table, axis), 1, axis))
