@@ -31,13 +31,10 @@ import numpy as np
 
 from .params import PhysParams
 from .spectral import (
+    FullGrid,
     GridSpec,
     MultiplierSet,
     SpectralField,
-    _half,
-    _half_pairing,
-    _irfftn,
-    _rfftn,
     gauss_jacobi,
     parseval_weight,
     to_fourier,
@@ -198,12 +195,13 @@ def balakrishnan_check(
     """
     grid = u.grid
     quad.require_covers(grid)
+    tr = FullGrid(grid)
     parts = [u.values.real]
     if np.any(u.values.imag):
         parts.append(u.values.imag)
-    power = sum(hat.real**2 + hat.imag**2 for hat in map(_rfftn, parts))
-    dens = _half_pairing(grid, power)  # Parseval density on the half spectrum
-    q = _half(grid.xi_sq)
+    power = sum(hat.real**2 + hat.imag**2 for hat in map(tr.rfft, parts))
+    dens = tr.spectrum_weights(power)  # Parseval density on the half spectrum
+    q = tr.spectrum_table(grid.xi_sq)
     grad_dens = q * dens  # |xi|^2 |u_hat|^2, the gradient spectral density
     rhs = float(p.s * np.sum(q**p.s * dens))
     cs2 = np.sin(np.pi * p.s) / np.pi
@@ -305,7 +303,8 @@ def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
     # (Delta^2 psi)(x/R) does not (h^N sum lap2 = -13.0 at 256^2, L=32),
     # and that sum becomes a divergent |u_hat(0)|^2 m^{s-2} term of the
     # m-integral.
-    lap2 = R**2 * _irfftn(_half(grid.xi_sq) ** 2 * _rfftn(R**2 * psi0), grid.shape)
+    tr = FullGrid(grid)
+    lap2 = R**2 * tr.irfft(tr.spectrum_table(grid.xi_sq) ** 2 * tr.rfft(R**2 * psi0))
     return CutoffPhi(
         grid=grid,
         R=float(R),
@@ -321,10 +320,11 @@ def localized_virial(u: SpectralField, phi: CutoffPhi) -> float:
     if u.grid != phi.grid:
         raise ValueError("field and cutoff live on different grids")
     grid = u.grid
-    hat = np.fft.fftn(u.values)
+    tr = FullGrid(grid)
+    hat = tr.fft(u.values)
     acc = 0.0
     for xi, g in zip(grid.xi_mesh, phi.grad):
-        du = np.fft.ifftn(1j * xi * hat)
+        du = tr.ifft(1j * xi * hat)
         acc += float(np.sum((np.conj(u.values) * g * du).imag))
     return 2.0 * grid.h**grid.N * acc
 
@@ -381,22 +381,22 @@ def virial_rhs(
         raise ValueError("field, cutoff, and multipliers must share one grid")
     grid = u.grid
     quad.require_covers(grid)
-    shape = grid.shape
+    tr = FullGrid(grid)
     hN = grid.h**grid.N
-    q = _half(grid.xi_sq)
-    ixi = [1j * _half(xi) for xi in grid.xi_mesh]
+    q = tr.spectrum_table(grid.xi_sq)
+    ixi = [1j * tr.spectrum_table(xi) for xi in grid.xi_mesh]
     parts = [u.values.real]
     if np.any(u.values.imag):
         parts.append(u.values.imag)
-    hats = [_rfftn(f) for f in parts]
+    hats = [tr.rfft(f) for f in parts]
 
     # |grad u_m|^2 weight: 8 on the ball, 4 psi'' on the annulus
     grad_w = 8.0 * phi.ball_mask + 4.0 * phi.psi_pp_annulus
     lap2 = phi.lap2 / phi.R**2
     inv = np.empty(q.shape)
-    rhat = np.empty(q.shape, dtype=np.complex128)
+    rhat = tr.real_spectrum()
     dhat = np.empty_like(rhat)
-    d = np.empty(shape)  # d_j u_m, then u_m; after the loop each real output
+    d = np.empty(grid.shape)  # d_j u_m, then u_m; after the loop each real output
     main = 0.0
     for m_k, w_k in zip(quad.nodes, quad.weights):
         np.divide(1.0, np.add(q, m_k, out=inv), out=inv)
@@ -404,18 +404,18 @@ def virial_rhs(
         for hat in hats:
             np.multiply(hat, inv, out=rhat)
             for ix in ixi:
-                _irfftn(np.multiply(ix, rhat, out=dhat), shape, out=d)
+                tr.irfft(np.multiply(ix, rhat, out=dhat), out=d)
                 acc += _weighted_sum(grad_w, d, d)
-            _irfftn(rhat, shape, out=d)
+            tr.irfft(rhat, out=d)
             acc -= _weighted_sum(lap2, d, d)
         main += w_k * acc
     main *= np.sin(np.pi * p.s) / np.pi * hN
 
     rho = sum(f**2 for f in parts)
-    rho_hat = _rfftn(rho)
+    rho_hat = tr.rfft(rho)
     interaction = 0.0
     for g, gk in zip(phi.grad, mult.grad_kernel_hat):
-        conv = _irfftn(np.multiply(_half(gk), rho_hat, out=dhat), shape, out=d)
+        conv = tr.irfft(np.multiply(tr.spectrum_table(gk), rho_hat, out=dhat), out=d)
         interaction += _weighted_sum(g, conv, rho)
     interaction *= 2.0 * hN
 
@@ -423,10 +423,11 @@ def virial_rhs(
     ds_s = q ** (0.5 * p.s)
     ds_tail = 0.0
     for hat in hats:
-        ds = _irfftn(np.multiply(ds_s, hat, out=dhat), shape, out=d)
+        ds = tr.irfft(np.multiply(ds_s, hat, out=dhat), out=d)
         ds_tail += hN * float(np.sum(ds[out] ** 2))
     l2_tail = hN * float(np.sum(rho[out])) / phi.R**2
-    pot = _irfftn(np.multiply(_half(mult.hartree_kernel_hat), rho_hat, out=dhat), shape, out=d)
+    pot = tr.irfft(np.multiply(tr.spectrum_table(mult.hartree_kernel_hat), rho_hat, out=dhat),
+                   out=d)
     v_tail = hN * float(np.sum(pot[out] * rho[out]))
     return VirialRHS(main=main, interaction=interaction, a_r_bound=ds_tail + l2_tail + v_tail)
 
@@ -476,6 +477,7 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
     radius |x| > 0.4 L, where the weight's sawtooth jump corrupts the spectrum.
     """
     grid = u.grid
+    tr = FullGrid(grid)
     rho = u.values.real**2 + u.values.imag**2
     total = float(np.sum(rho))
     if total > 0.0:
@@ -496,7 +498,7 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
     acc = 0.0
     for x in grid.x_mesh:
         np.multiply(x, u.values, out=hat)
-        np.fft.fftn(hat, out=hat)
+        tr.fft(hat, out=hat)
         np.square(hat.real, out=dens)
         np.square(hat.imag, out=imag_sq)
         dens += imag_sq

@@ -341,11 +341,11 @@ def strang_step(
     """
     tr = step_transform(u.grid, u.values)
     half = _half_step_phase(tr.restrict(mult.frac_lap_s), dt)
-    what_r = tr.real_table(mult.hartree_kernel_hat)
+    what_s = tr.spectrum_table(mult.hartree_kernel_hat)
     mask = None if mask is None else tr.restrict(mask)
     work = _StepWork(tr)
     hat = tr.fft(tr.reduce(u.values))
-    _strang(hat, half, what_r, dt, nonlinear, mask, work)
+    _strang(hat, half, what_s, dt, nonlinear, mask, work)
     return SpectralField(grid=u.grid, values=tr.expand(_to_boundary(hat, half, mask, work)))
 
 
@@ -360,7 +360,7 @@ def _free_half_step(hat: np.ndarray, half: np.ndarray, mask: np.ndarray | None) 
 def _strang(
     hat: np.ndarray,
     half: np.ndarray,
-    what_r: np.ndarray,
+    what_s: np.ndarray,
     dt: float,
     nonlinear: bool,
     mask: np.ndarray | None,
@@ -377,7 +377,7 @@ def _strang(
     work.vals, its density into work.rho, the Hartree phase into
     work.phase (through the real spectrum work.rhat), the rotated field
     into work.rot.  half is the half-step phase and mask the dealias mask,
-    both restricted by work.tr; what_r is work.tr.real_table of the
+    both restricted by work.tr; what_s is work.tr.spectrum_table of the
     Hartree kernel.
     """
     tr = work.tr
@@ -385,7 +385,7 @@ def _strang(
     vals = tr.ifft(hat, out=work.vals)
     rho = _abs_sq(vals, work.rho, work.phase)
     if nonlinear:
-        phase = tr.real_multiply(what_r, rho, out=work.phase, hat=work.rhat)
+        phase = tr.real_multiply(what_s, rho, out=work.phase, hat=work.rhat)
         phase *= dt
         rot = work.rot  # exp(i phase) from real cos/sin
         np.cos(phase, out=rot.real)
@@ -461,7 +461,7 @@ def evolve(
     hN = grid.h**grid.N
     plancherel = parseval_weight(grid) * hN * hN  # |raw fft|^2 -> physical L^2 mass
     xi2s = tr.restrict(mult.frac_lap_s)
-    what_r = tr.real_table(mult.hartree_kernel_hat)
+    what_s = tr.spectrum_table(mult.hartree_kernel_hat)
     mask = tr.restrict(dealias_mask(grid)) if cfg.dealias else None
     qc = p.q_c
 
@@ -614,7 +614,7 @@ def evolve(
             half, half_dt = _half_step_phase(xi2s, dt_step), dt_step
         t += dt_step
         n_steps += 1
-        _strang(hat, half, what_r, dt_step, cfg.nonlinear, mask, work)  # rho: midpoint
+        _strang(hat, half, what_s, dt_step, cfg.nonlinear, mask, work)  # rho: midpoint
         owed = half
         if n_steps % cfg.record_every != 0 and t < t_stop:
             continue

@@ -16,11 +16,9 @@ import numpy as np
 
 from .params import PhysParams
 from .spectral import (
+    FullGrid,
     MultiplierSet,
     SpectralField,
-    _half,
-    _pairing_weights,
-    _quadratic_form,
     lp_norm,
     sobolev_norm,
     to_fourier,
@@ -80,7 +78,8 @@ def hartree_energy(u: SpectralField, mult: MultiplierSet) -> float:
     Summed by Parseval on the half spectrum of |u|^2, the code by which
     evolve's samples take V."""
     rho = u.values.real**2 + u.values.imag**2
-    return _quadratic_form(_pairing_weights(u.grid, _half(mult.hartree_kernel_hat)), rho)
+    tr = FullGrid(u.grid)
+    return tr.quadratic_form(tr.pairing_weights(mult.hartree_kernel_hat), rho)
 
 
 def energy(u: SpectralField, mult: MultiplierSet) -> float:

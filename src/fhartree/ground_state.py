@@ -410,7 +410,7 @@ def _iterate(
     lhat = 1.0 + tr.spectrum_table(grid.xi_sq) ** p.s  # symbol of L = 1 + (-Delta)^s
     lpair = tr.spectrum_weights(lhat)  # <q, Lq> = sum lpair |q_hat|^2
     lhat_inv = np.reciprocal(lhat, out=lhat)  # L^{-1}, in place of L
-    what = tr.real_table(mult.hartree_kernel_hat)
+    what = tr.spectrum_table(mult.hartree_kernel_hat)
     mixer = _Anderson(tr, ANDERSON_DEPTH)
 
     norm = _l2_norm(tr, q)
@@ -467,7 +467,7 @@ def _certify(
     # the memory peak of the solver loop
     q_vals = tr.irfft(qhat)
     rho = q_vals * q_vals
-    conv = tr.real_multiply(tr.real_table(mult.hartree_kernel_hat), rho)
+    conv = tr.real_multiply(tr.spectrum_table(mult.hartree_kernel_hat), rho)
     m = hN * tr.pairwise_total(rho)
     g = np.sum(tr.spectrum_weights(xi2s) * _power(qhat))  # ||Q||_{Hs-dot}^2
     rho *= conv

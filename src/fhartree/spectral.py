@@ -12,22 +12,24 @@ Parseval reads  ||u||_2^2 = h^N sum_j |u_j|^2 = w * sum_k |u_hat_k|^2  with
 w = parseval_weight(grid) = L^{-N}; every norm in the package goes through
 that one function.
 
-Applying a diagonal Fourier multiplier through this convention is exactly
-equivalent to ``ifftn(T * fftn(u))`` on the centered-coordinate arrays (the
-centering phases cancel), which is what the hot paths use.  A real even
-table applied to a real array (the Hartree kernel on a density, the
-solver's symbols on its real iterate) goes through the real pair instead:
-``_real_multiply(_half(T), f)``; a quadratic form <f, T f> of a real array
-is summed on its half spectrum with the weights of ``_half_pairing``
-(``_quadratic_form`` takes one forward transform for it).
-
-The step loop of ``evolution`` and the ground-state solver reach their
-transforms through one seam, ``step_transform``: ``FullGrid`` makes the
-calls above on the whole grid, and ``Orthant`` runs a state that is
-mirror-even in every axis on the (n/2+1)^N points x >= 0, origin first,
-with weighted sums.  A small orthant transforms by one dense cosine
-product per axis (a BLAS matrix product), a large one by 1-D FFTs of the
-mirror extension along each axis.
+Every transform of the package goes through one seam with two
+implementations, ``FullGrid`` and ``Orthant``.  Both offer the complex
+pair (``fft``/``ifft``), the real pair (``rfft``/``irfft``), the Hartree
+kernel or a solver symbol on a real array (``real_multiply`` with a
+``spectrum_table``), and quadratic forms <f, T f> summed on the spectrum
+with Parseval weights (``spectrum_weights``, ``pairing_weights``,
+``quadratic_form``).  ``FullGrid`` works on the whole grid: numpy's
+n-dimensional pair, and for a real array the real pair on the half
+spectrum, columns [..., :n//2+1].  A diagonal multiplier applied through
+the convention above is exactly ``ifft(T * fft(u))`` on the
+centered-coordinate arrays (the centering phases cancel).  ``Orthant``
+runs a state that is mirror-even in every axis on the (n/2+1)^N points
+x >= 0, origin first, with weighted sums.  A small orthant transforms by
+one dense cosine product per axis (a BLAS matrix product), a large one by
+1-D FFTs of the mirror extension along each axis.  The step loop of
+``evolution`` and the ground-state solver take their seam from
+``step_transform``, the orthant when their states allow it; every other
+layer builds ``FullGrid(grid)``.
 """
 from __future__ import annotations
 
@@ -163,12 +165,12 @@ def to_fourier(u: SpectralField) -> np.ndarray:
     """The spectrum u_hat(xi_k) of the forward convention, taken on the
     centered coordinates, as a plain array in FFT (numpy standard) order,
     the order of grid.xi_mesh."""
-    return u.grid.h**u.grid.N * np.fft.fftn(np.fft.ifftshift(u.values))
+    return u.grid.h**u.grid.N * FullGrid(u.grid).fft(np.fft.ifftshift(u.values))
 
 
 def to_physical(grid: GridSpec, hat: np.ndarray) -> SpectralField:
     """The field on grid whose spectrum is hat: the inverse of to_fourier."""
-    vals = np.fft.fftshift(np.fft.ifftn(hat)) * (grid.n / grid.L) ** grid.N
+    vals = np.fft.fftshift(FullGrid(grid).ifft(hat)) * (grid.n / grid.L) ** grid.N
     return SpectralField(grid=grid, values=vals)
 
 
@@ -178,77 +180,13 @@ def apply_multiplier(u: SpectralField, table: np.ndarray) -> SpectralField:
     Exactly equivalent to to_physical(u.grid, table * to_fourier(u)); the
     centering phases cancel for diagonal tables, so the raw FFT pair is used.
     """
-    vals = np.fft.ifftn(table * np.fft.fftn(u.values))
+    tr = FullGrid(u.grid)
+    vals = tr.ifft(table * tr.fft(u.values))
     return SpectralField(grid=u.grid, values=vals)
 
 
-def _half(table: np.ndarray) -> np.ndarray:
-    """Columns [..., :n//2+1] of a real even Fourier table: the half
-    spectrum that the real transform pair works on."""
-    return table[..., : table.shape[-1] // 2 + 1]
-
-
-def _rfftn(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Raw real forward transform over every axis of f (no h^N weight),
-    into out when given."""
-    return np.fft.rfftn(f, axes=tuple(range(f.ndim)), out=out)
-
-
-def _irfftn(hat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of _rfftn back to a real array of the given shape, into out
-    when given; hat is left unchanged."""
-    return np.fft.irfftn(hat, s=shape, axes=tuple(range(len(shape))), out=out)
-
-
-def _real_multiply(
-    table_half: np.ndarray,
-    f: np.ndarray,
-    out: np.ndarray | None = None,
-    hat: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply a real even multiplier, given on the half spectrum, to a real
-    array: irfftn(table_half * rfftn(f)) over every axis of f.  The result
-    goes into out and the half spectrum into hat when they are given (the
-    step loop reuses both)."""
-    hat = _rfftn(f, out=hat)
-    hat *= table_half
-    return _irfftn(hat, f.shape, out=out)
-
-
-def _half_pairing(grid: GridSpec, table_half: np.ndarray) -> np.ndarray:
-    """Weights P on the half spectrum with
-
-        <f, T f> = h^N sum_j f_j (T f)_j = sum P |rfftn(f)|^2
-
-    for a real array f and a real even table T given on the half spectrum.
-    P is T times the column weights (1, 2, ..., 2, 1), which count twice the
-    columns that stand for their mirror image too, times the Parseval factor
-    w h^{2N} of the raw transform (w = parseval_weight(grid))."""
-    cols = np.full(grid.n // 2 + 1, 2.0 * parseval_weight(grid) * grid.h ** (2 * grid.N))
-    cols[0] *= 0.5
-    cols[-1] *= 0.5
-    return table_half * cols
-
-
-def _pairing_weights(grid: GridSpec, table_half: np.ndarray) -> np.ndarray:
-    """The weights P of _half_pairing, each repeated for the real and the
-    imaginary part of its mode: the weights of _quadratic_form, which sums
-    on the float view of a half spectrum."""
-    return np.repeat(_half_pairing(grid, table_half), 2, axis=-1)
-
-
-def _quadratic_form(weights: np.ndarray, f: np.ndarray, hat: np.ndarray | None = None) -> float:
-    """<f, T f> = sum P |rfftn(f)|^2 of a real array f, for the weights
-    _pairing_weights(grid, T_half); the half spectrum goes into hat when
-    given.  One forward transform and one einsum pass: no inverse
-    transform and no product temporary.  The float view needs a C-ordered
-    half spectrum, which a strided f (a rescaled field) does not give."""
-    flat = np.ascontiguousarray(_rfftn(f, out=hat)).view(np.float64)
-    return float(np.einsum("i,i,i->", weights.ravel(), flat.ravel(), flat.ravel()))
-
-
 # ---------------------------------------------------------------------------
-# Transform seam of the step loop
+# The transform seam
 
 #: A state is mirror-even when it differs from its mirror image in each axis
 #: by at most this many ulp of its peak modulus.
@@ -270,7 +208,7 @@ def is_mirror_even(values: np.ndarray) -> bool:
 
 
 class FullGrid:
-    """The step loop's transforms on the whole grid, in centered order:
+    """Every layer's transforms on the whole grid, in centered order:
     numpy's n-dimensional complex pair, the real pair on the half spectrum,
     and plain sums."""
 
@@ -291,25 +229,22 @@ class FullGrid:
         return table
 
     def spectrum_table(self, table: np.ndarray) -> np.ndarray:
-        """A real even table as it multiplies a real_spectrum() array: its
-        half spectrum."""
-        return _half(table)
-
-    def real_table(self, table: np.ndarray) -> np.ndarray:
-        """A real even table as real_multiply takes it: its half spectrum."""
-        return _half(table)
+        """A table in FFT order as it multiplies an rfft spectrum: columns
+        [..., :n//2+1], the half spectrum that the real pair works on."""
+        return table[..., : self.grid.n // 2 + 1]
 
     def real_spectrum(self) -> np.ndarray:
         """An empty array for the spectrum of the real transform."""
         return np.empty(self.shape[:-1] + (self.grid.n // 2 + 1,), dtype=np.complex128)
 
     def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The spectrum of the real transform of a real array: rfftn."""
-        return _rfftn(f, out=out)
+        """The raw real forward transform rfftn over every axis of f (no h^N
+        weight), into out when given."""
+        return np.fft.rfftn(f, axes=tuple(range(f.ndim)), out=out)
 
     def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The real array whose rfft is hat: irfftn; hat is left unchanged."""
-        return _irfftn(hat, self.shape, out=out)
+        return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(len(self.shape))), out=out)
 
     def fft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.fft.fftn(a, out=out)
@@ -317,24 +252,47 @@ class FullGrid:
     def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.fft.ifftn(a, out=out)
 
-    def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
+    def real_multiply(self, table_s: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
                       hat: np.ndarray | None = None) -> np.ndarray:
-        """The real even multiplier real_table(T) applied to a real array,
-        its spectrum left in hat."""
-        return _real_multiply(table_r, f, out=out, hat=hat)
+        """The real even multiplier spectrum_table(T) applied to a real
+        array: irfft(table_s * rfft(f)).  The result goes into out and the
+        spectrum into hat when they are given (the step loop reuses both)."""
+        hat = self.rfft(f, out=hat)
+        hat *= table_s
+        return self.irfft(hat, out=out)
 
     def spectrum_weights(self, table_s: np.ndarray) -> np.ndarray:
-        """Parseval weights P with <f, T f> = sum P |rfft(f)|^2 for a real
-        even table T given as spectrum_table(T)."""
-        return _half_pairing(self.grid, table_s)
+        """Weights P on the half spectrum with
+
+            <f, T f> = h^N sum_j f_j (T f)_j = sum P |rfft(f)|^2
+
+        for a real array f and a real even table T given as
+        spectrum_table(T).  P is T times the column weights (1, 2, ..., 2,
+        1), which count twice the columns that stand for their mirror image
+        too, times the Parseval factor w h^{2N} of the raw transform
+        (w = parseval_weight(grid))."""
+        grid = self.grid
+        cols = np.full(grid.n // 2 + 1, 2.0 * parseval_weight(grid) * grid.h ** (2 * grid.N))
+        cols[0] *= 0.5
+        cols[-1] *= 0.5
+        return table_s * cols
 
     def pairing_weights(self, table: np.ndarray) -> np.ndarray:
-        """The weights of quadratic_form for a real even table T."""
-        return _pairing_weights(self.grid, _half(table))
+        """The weights of quadratic_form for a real even table T: those of
+        spectrum_weights, each repeated for the real and the imaginary part
+        of its mode."""
+        return np.repeat(self.spectrum_weights(self.spectrum_table(table)), 2, axis=-1)
 
-    def quadratic_form(self, weights: np.ndarray, f: np.ndarray, hat: np.ndarray) -> float:
-        """<f, T f> of a real array, for weights = pairing_weights(T)."""
-        return _quadratic_form(weights, f, hat=hat)
+    def quadratic_form(self, weights: np.ndarray, f: np.ndarray,
+                       hat: np.ndarray | None = None) -> float:
+        """<f, T f> = sum P |rfft(f)|^2 of a real array, for weights =
+        pairing_weights(T); the spectrum goes into hat when given.  One
+        forward transform and one einsum pass over the float view of the
+        spectrum: no inverse transform and no product temporary.  The float
+        view needs a C-ordered spectrum, which a strided f (a rescaled
+        field) does not give."""
+        flat = np.ascontiguousarray(self.rfft(f, out=hat)).view(np.float64)
+        return float(np.einsum("i,i,i->", weights.ravel(), flat.ravel(), flat.ravel()))
 
     def total(self, x: np.ndarray) -> float:
         """The sum of a real array over the grid."""
@@ -382,7 +340,7 @@ def _cosine_matrix(n: int) -> np.ndarray:
 
 
 class Orthant:
-    """The step loop's transforms for mirror-even states (is_mirror_even):
+    """The seam's transforms for mirror-even states (is_mirror_even):
     the orthant of m = n/2+1 points x_k = k h, k = 0..n/2, on each axis,
     origin first, stands for the whole grid.
 
@@ -397,9 +355,9 @@ class Orthant:
     The inverse of an even sequence's transform is the transform divided
     by n, so ifft is the same product with the matrix divided by n.  The
     real transform (rfft), applied twice, is n^N times the identity on the
-    orthant, so its spectrum is a real (n/2+1)^N array.  irfft carries
-    that n^{-N}, a power of two, and so does real_table for the Hartree
-    multiplier.  A sum over the grid weighs each orthant point by the
+    orthant, so its spectrum is a real (n/2+1)^N array, and irfft is rfft
+    times n^{-N}, a power of two.  real_multiply runs rfft, the product
+    and irfft, as FullGrid's does.  A sum over the grid weighs each orthant point by the
     number of grid points it stands for: the product over axes of 1 at
     k = 0 and k = n/2 and 2 between.  Only the work arrays of the path
     taken are allocated, and reused from call to call.
@@ -457,9 +415,6 @@ class Orthant:
 
     def spectrum_table(self, table: np.ndarray) -> np.ndarray:
         return self.restrict(table)
-
-    def real_table(self, table: np.ndarray) -> np.ndarray:
-        return self.restrict(table) * self._scale
 
     def real_spectrum(self) -> np.ndarray:
         return np.empty(self.shape)
@@ -530,11 +485,11 @@ class Orthant:
             x = np.fft.rfft(ext, axis=axis, out=spec).real
         return _copy_into(out, x)
 
-    def real_multiply(self, table_r: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
+    def real_multiply(self, table_s: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
                       hat: np.ndarray | None = None) -> np.ndarray:
-        hat = self.rfft(f, hat)
-        hat *= table_r
-        return self.rfft(hat, out)
+        hat = self.rfft(f, out=hat)
+        hat *= table_s
+        return self.irfft(hat, out=out)
 
     def spectrum_weights(self, table_s: np.ndarray) -> np.ndarray:
         plancherel = parseval_weight(self.grid) * self.grid.h ** (2 * self.grid.N)
@@ -543,7 +498,8 @@ class Orthant:
     def pairing_weights(self, table: np.ndarray) -> np.ndarray:
         return self.spectrum_weights(self.restrict(table)).ravel()
 
-    def quadratic_form(self, weights: np.ndarray, f: np.ndarray, hat: np.ndarray) -> float:
+    def quadratic_form(self, weights: np.ndarray, f: np.ndarray,
+                       hat: np.ndarray | None = None) -> float:
         r = self.rfft(f, hat).ravel()
         return float(np.einsum("i,i,i->", weights, r, r))
 
@@ -806,7 +762,8 @@ def hartree_potential(u: SpectralField, mult: MultiplierSet) -> np.ndarray:
     """The convolution factor W * |u|^2 on u's grid, a real array (the kernel
     table is real and even)."""
     rho = u.values.real**2 + u.values.imag**2
-    return _real_multiply(_half(mult.hartree_kernel_hat), rho)
+    tr = FullGrid(u.grid)
+    return tr.real_multiply(tr.spectrum_table(mult.hartree_kernel_hat), rho)
 
 
 def sobolev_norm(u: SpectralField, alpha: float) -> float:

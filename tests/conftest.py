@@ -11,7 +11,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 

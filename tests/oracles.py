@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 from scipy.special import j0
 
 from fhartree.params import PhysParams

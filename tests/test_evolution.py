@@ -29,7 +29,6 @@ from fhartree.functionals import (
 )
 from fhartree.params import PhysParams
 from fhartree.spectral import (
-    _half,
     dealias_mask,
     field_from_values,
     linear_propagator,
@@ -611,8 +610,9 @@ def test_strang_with_work_arrays_matches_allocating_step(small, small_3d, dim, n
                                                          dealias):
     grid, mult = small if dim == "2d" else small_3d
     mask = dealias_mask(grid) if dealias else None
-    what_half = _half(mult.hartree_kernel_hat)
-    work = evolution._StepWork(spectral.FullGrid(grid))
+    tr = spectral.FullGrid(grid)
+    what_half = tr.spectrum_table(mult.hartree_kernel_hat)
+    work = evolution._StepWork(tr)
     hat = np.fft.fftn(_rng_field(grid, 11).values)
     hat_ref = hat.copy()
     # consecutive steps with a changing dt, a negative one among them

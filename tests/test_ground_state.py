@@ -228,7 +228,7 @@ def _reference_iterate(p, tr, mult, q, opts):
     lhat = 1.0 + tr.spectrum_table(grid.xi_sq) ** p.s
     lpair = tr.spectrum_weights(lhat)
     lhat_inv = np.reciprocal(lhat, out=lhat)
-    what = tr.real_table(mult.hartree_kernel_hat)
+    what = tr.spectrum_table(mult.hartree_kernel_hat)
     mixer = ground_state._Anderson(tr, ground_state.ANDERSON_DEPTH)
     norm = np.sqrt(hN * tr.norm_sq(q))
     qhat = tr.rfft(q)

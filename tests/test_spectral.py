@@ -1,7 +1,9 @@
 """Grid construction, transform convention, multipliers, kernel modes."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,14 +337,14 @@ def test_exact_kernel_matches_per_node_fft_loop(n, L, nodes):
 
 
 @pytest.mark.parametrize("N", [2, 3])
-def test_half_pairing_matches_physical_sum(N):
+def test_spectrum_weights_match_physical_sum(N):
     # a random field fills every column of the half spectrum, Nyquist too
     g = make_grid(N=N, n=16, L=8.0)
+    tr = spectral.FullGrid(g)
     f = np.random.default_rng(5).standard_normal(g.shape)
     table = 1.0 + g.xi_sq**0.7
     want = g.h**N * np.sum(f * np.fft.ifftn(table * np.fft.fftn(f)).real)
-    hat = spectral._rfftn(f)
-    got = np.sum(spectral._half_pairing(g, spectral._half(table)) * np.abs(hat) ** 2)
+    got = np.sum(tr.spectrum_weights(tr.spectrum_table(table)) * np.abs(tr.rfft(f)) ** 2)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -461,17 +463,22 @@ def test_orthant_transforms_match_nd_transforms(orthant):
         out = np.empty(tr.shape, dtype=np.complex128)
         assert transform(a, out=out) is out
         assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
-    # the real transform is the DCT-I; real_table carries its n^-N, so the
-    # pair returns f under a table of ones, with n^-N times the DCT-I of f
-    # left in hat
+    # the real transform is the DCT-I and irfft carries its n^-N, so the
+    # pair returns f under a table of ones, with the DCT-I of f left in hat
     f = _orthant_values(tr, 2, real=True)
     want = np.fft.rfftn(np.fft.ifftshift(tr.expand(f)))[_head(tr)]
     hat, back = tr.real_spectrum(), np.empty(tr.shape)
-    ones = tr.real_table(np.ones(tr.grid.shape))
+    ones = tr.spectrum_table(np.ones(tr.grid.shape))
     assert tr.real_multiply(ones, f, out=back, hat=hat) is back
-    hat *= tr.grid.npoints
     assert np.max(np.abs(hat - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.max(np.abs(back - f)) <= 1e-14 * np.max(np.abs(f))
+    # the Hartree kernel on a density, against the whole grid's real pair
+    full = spectral.FullGrid(tr.grid)
+    kernel = build_hartree_kernel(tr.grid, 1.6)
+    rho = f * f
+    got = tr.expand(tr.real_multiply(tr.spectrum_table(kernel), rho))
+    want = full.real_multiply(full.spectrum_table(kernel), tr.expand(rho))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("N, n", [(2, 32), (2, 128), (2, 256), (3, 16), (3, 64)])
@@ -487,6 +494,39 @@ def test_dense_and_fft_orthant_transforms_agree(N, n, monkeypatch):
         got, want = getattr(dense, name)(x), getattr(fft, name)(x)
         assert got.dtype == want.dtype and got.shape == want.shape == dense.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+
+_FFT_TRANSFORMS = {f"{mod}.fft.{name}" for mod in ("np", "numpy")
+                   for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")}
+
+
+def _transforms_outside_seam(tree):
+    """Line numbers of the numpy.fft transform calls in tree that lie
+    outside the bodies of FullGrid and Orthant."""
+    found = []
+
+    def visit(node, inside):
+        inside = inside or (isinstance(node, ast.ClassDef) and node.name in ("FullGrid", "Orthant"))
+        if not inside and isinstance(node, ast.Call) and ast.unparse(node.func) in _FFT_TRANSFORMS:
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_every_transform_goes_through_the_seam():
+    # FullGrid and Orthant are the only code that calls a numpy.fft
+    # transform; fftfreq and the shifts are index arithmetic
+    probe = ast.parse("class FullGrid:\n    def f(a):\n        return np.fft.rfftn(a)\n"
+                      "def g(a):\n    return np.fft.fftshift(numpy.fft.ifftn(a))\n")
+    assert _transforms_outside_seam(probe) == [5]
+    sources = sorted(Path(spectral.__file__).parent.glob("*.py"))
+    assert sources
+    found = {path.name: _transforms_outside_seam(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_orthant_path_follows_points_per_axis():
