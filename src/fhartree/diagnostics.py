@@ -31,12 +31,12 @@ import numpy as np
 
 from .params import PhysParams
 from .spectral import (
-    FullGrid,
     GridSpec,
     MultiplierSet,
     SpectralField,
     gauss_jacobi,
     parseval_weight,
+    step_transform,
     to_fourier,
     to_physical,
 )
@@ -180,6 +180,14 @@ def auxiliary_field(u: SpectralField, m: float, p: PhysParams) -> SpectralField:
     return to_physical(u.grid, _c_s(p.s) * to_fourier(u) / (u.grid.xi_sq + m))
 
 
+def _real_parts(v: np.ndarray) -> list[np.ndarray]:
+    """The real part of v, and its imaginary part unless that is zero."""
+    parts = [v.real]
+    if np.any(v.imag):
+        parts.append(v.imag)
+    return parts
+
+
 def balakrishnan_check(
     u: SpectralField, p: PhysParams, quad: QuadratureRule
 ) -> tuple[float, float, float]:
@@ -190,15 +198,15 @@ def balakrishnan_check(
     sides weigh |u_hat|^2 by even tables, so they are summed on the half
     spectrum of the real transform of the real and imaginary parts of u,
     part by part (a real u has one part): the cross term of the two parts
-    is odd and cancels.  Raises ValueError when the grid's largest |xi|^2
-    exceeds quad.b/10 or its smallest nonzero |xi|^2 falls below quad.a.
+    is odd and cancels.  A mirror-even u is summed on the orthant
+    (spectral.step_transform).  Raises ValueError when the grid's largest
+    |xi|^2 exceeds quad.b/10 or its smallest nonzero |xi|^2 falls below
+    quad.a.
     """
     grid = u.grid
     quad.require_covers(grid)
-    tr = FullGrid(grid)
-    parts = [u.values.real]
-    if np.any(u.values.imag):
-        parts.append(u.values.imag)
+    tr = step_transform(grid, u.values)
+    parts = _real_parts(tr.reduce(u.values))
     power = sum(hat.real**2 + hat.imag**2 for hat in map(tr.rfft, parts))
     dens = tr.spectrum_weights(power)  # Parseval density on the half spectrum
     q = tr.spectrum_table(grid.xi_sq)
@@ -302,9 +310,11 @@ def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
     # lap2 sums to zero like its continuum counterpart.  The analytic
     # (Delta^2 psi)(x/R) does not (h^N sum lap2 = -13.0 at 256^2, L=32),
     # and that sum becomes a divergent |u_hat(0)|^2 m^{s-2} term of the
-    # m-integral.
-    tr = FullGrid(grid)
-    lap2 = R**2 * tr.irfft(tr.spectrum_table(grid.xi_sq) ** 2 * tr.rfft(R**2 * psi0))
+    # m-integral.  The mirror-even psi0 goes through the orthant, so lap2
+    # is exactly even: an orthant sum reads half of it for the whole.
+    tr = step_transform(grid, psi0)
+    spec = tr.spectrum_table(grid.xi_sq) ** 2 * tr.rfft(tr.reduce(R**2 * psi0))
+    lap2 = R**2 * tr.expand(tr.irfft(spec))
     return CutoffPhi(
         grid=grid,
         R=float(R),
@@ -316,16 +326,26 @@ def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
 
 
 def localized_virial(u: SpectralField, phi: CutoffPhi) -> float:
-    """M_R = 2 Im int conj(u) grad(phi_R) . grad(u) dx (zero for real u)."""
+    """M_R = 2 Im int conj(u) grad(phi_R) . grad(u) dx (zero for real u).
+
+    With u = a + i b, Im(conj(u) d_j u) = a d_j b - b d_j a, so the two
+    real parts go through the real pair, with the derivative of the
+    trigonometric interpolant (grid.deriv_mesh); a mirror-even u runs on
+    the orthant, where each derivative and phi.grad are odd along their
+    axis and their product is even."""
     if u.grid != phi.grid:
         raise ValueError("field and cutoff live on different grids")
     grid = u.grid
-    tr = FullGrid(grid)
-    hat = tr.fft(u.values)
+    tr = step_transform(grid, u.values)
+    v = tr.reduce(u.values)
+    a, b = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
+    a_hat, b_hat = tr.rfft(a), tr.rfft(b)
     acc = 0.0
-    for xi, g in zip(grid.xi_mesh, phi.grad):
-        du = tr.ifft(1j * xi * hat)
-        acc += float(np.sum((np.conj(u.values) * g * du).imag))
+    for axis, (xi, g) in enumerate(zip(grid.deriv_mesh, phi.grad)):
+        xi = tr.spectrum_table(xi)
+        w = tr.point_weights(g)
+        acc += _weighted_sum(w, a, tr.irfft_odd(xi * b_hat, axis))
+        acc -= _weighted_sum(w, b, tr.irfft_odd(xi * a_hat, axis))
     return 2.0 * grid.h**grid.N * acc
 
 
@@ -371,40 +391,43 @@ def virial_rhs(
     with u_m = c_s (-Delta+m)^{-1} u quadratured node by node.  The real
     and imaginary parts of u are resolved separately on the real transform
     pair (a real u has one part); each node costs N+1 inverse transforms
-    per part.  The node loop writes 1/(q+m), the resolvent spectrum, its
-    gradient components and their inverse transforms into arrays allocated
-    once per call; the interaction and tail terms reuse two of them.
-    Raises ValueError when the grid's largest |xi|^2 exceeds quad.b/10 or
-    its smallest nonzero |xi|^2 falls below quad.a.
+    per part.  A mirror-even u runs on the orthant (spectral.step_transform):
+    the derivatives d_j u_m, grad(phi_R) and the convolution's gradient are
+    odd along their axis and go through irfft_odd, and every product the
+    sums form is even.  The derivatives are those of the trigonometric
+    interpolant (grid.deriv_mesh, mult.grad_kernel_hat), on either path.
+    The node loop writes 1/(q+m), the resolvent spectrum, its gradient
+    components and their inverse transforms into arrays allocated once per
+    call; the interaction and tail terms reuse two of them.  Raises
+    ValueError when the grid's largest |xi|^2 exceeds quad.b/10 or its
+    smallest nonzero |xi|^2 falls below quad.a.
     """
     if u.grid != phi.grid or u.grid != mult.grid:
         raise ValueError("field, cutoff, and multipliers must share one grid")
     grid = u.grid
     quad.require_covers(grid)
-    tr = FullGrid(grid)
+    tr = step_transform(grid, u.values)
     hN = grid.h**grid.N
     q = tr.spectrum_table(grid.xi_sq)
-    ixi = [1j * tr.spectrum_table(xi) for xi in grid.xi_mesh]
-    parts = [u.values.real]
-    if np.any(u.values.imag):
-        parts.append(u.values.imag)
+    xis = [tr.spectrum_table(xi) for xi in grid.deriv_mesh]
+    parts = _real_parts(tr.reduce(u.values))
     hats = [tr.rfft(f) for f in parts]
 
     # |grad u_m|^2 weight: 8 on the ball, 4 psi'' on the annulus
-    grad_w = 8.0 * phi.ball_mask + 4.0 * phi.psi_pp_annulus
-    lap2 = phi.lap2 / phi.R**2
+    grad_w = tr.point_weights(8.0 * phi.ball_mask + 4.0 * phi.psi_pp_annulus)
+    lap2 = tr.point_weights(phi.lap2 / phi.R**2)
     inv = np.empty(q.shape)
     rhat = tr.real_spectrum()
     dhat = np.empty_like(rhat)
-    d = np.empty(grid.shape)  # d_j u_m, then u_m; after the loop each real output
+    d = np.empty(tr.shape)  # d_j u_m, then u_m; after the loop each real output
     main = 0.0
     for m_k, w_k in zip(quad.nodes, quad.weights):
         np.divide(1.0, np.add(q, m_k, out=inv), out=inv)
         acc = 0.0
         for hat in hats:
             np.multiply(hat, inv, out=rhat)
-            for ix in ixi:
-                tr.irfft(np.multiply(ix, rhat, out=dhat), out=d)
+            for axis, xi in enumerate(xis):
+                tr.irfft_odd(np.multiply(xi, rhat, out=dhat), axis, out=d)
                 acc += _weighted_sum(grad_w, d, d)
             tr.irfft(rhat, out=d)
             acc -= _weighted_sum(lap2, d, d)
@@ -414,21 +437,22 @@ def virial_rhs(
     rho = sum(f**2 for f in parts)
     rho_hat = tr.rfft(rho)
     interaction = 0.0
-    for g, gk in zip(phi.grad, mult.grad_kernel_hat):
-        conv = tr.irfft(np.multiply(tr.spectrum_table(gk), rho_hat, out=dhat), out=d)
-        interaction += _weighted_sum(g, conv, rho)
+    for axis, (g, gk) in enumerate(zip(phi.grad, mult.grad_kernel_hat)):
+        # gk = i xi_j W_hat; irfft_odd takes xi_j W_hat times the spectrum
+        np.multiply(tr.spectrum_table(gk.imag), rho_hat, out=dhat)
+        interaction += _weighted_sum(tr.point_weights(g), tr.irfft_odd(dhat, axis, out=d), rho)
     interaction *= 2.0 * hN
 
-    out = phi.outside_mask
+    out = tr.point_weights(phi.outside_mask)
     ds_s = q ** (0.5 * p.s)
     ds_tail = 0.0
     for hat in hats:
         ds = tr.irfft(np.multiply(ds_s, hat, out=dhat), out=d)
-        ds_tail += hN * float(np.sum(ds[out] ** 2))
-    l2_tail = hN * float(np.sum(rho[out])) / phi.R**2
+        ds_tail += hN * _weighted_sum(out, ds, ds)
+    l2_tail = hN * float(out @ rho.ravel()) / phi.R**2
     pot = tr.irfft(np.multiply(tr.spectrum_table(mult.hartree_kernel_hat), rho_hat, out=dhat),
                    out=d)
-    v_tail = hN * float(np.sum(pot[out] * rho[out]))
+    v_tail = hN * _weighted_sum(out, pot, rho)
     return VirialRHS(main=main, interaction=interaction, a_r_bound=ds_tail + l2_tail + v_tail)
 
 
@@ -475,9 +499,11 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
     manifestly >= 0 discretely.  The coordinate weight is box-centered and
     non-periodic, so a warning fires when more than 1e-6 of the mass sits at
     radius |x| > 0.4 L, where the weight's sawtooth jump corrupts the spectrum.
+    For a mirror-even u, x_j u is odd along axis j but for its value on the
+    face x_j = -L/2, and the orthant sums the power of both parts
+    (Orthant.odd_power).
     """
     grid = u.grid
-    tr = FullGrid(grid)
     rho = u.values.real**2 + u.values.imag**2
     total = float(np.sum(rho))
     if total > 0.0:
@@ -489,22 +515,13 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
                 stacklevel=2,
             )
     del rho
-    tab = grid.xi_sq ** (1.0 - p.s)
-    w = parseval_weight(grid) * grid.h ** (2 * grid.N)
-    # one complex and two real work arrays serve every axis
-    hat = np.empty(grid.shape, dtype=np.complex128)
-    dens = np.empty(grid.shape)
-    imag_sq = np.empty(grid.shape)
+    tr = step_transform(grid, u.values)
+    v = tr.reduce(u.values)
+    tab = tr.restrict(grid.xi_sq) ** (1.0 - p.s)
     acc = 0.0
-    for x in grid.x_mesh:
-        np.multiply(x, u.values, out=hat)
-        tr.fft(hat, out=hat)
-        np.square(hat.real, out=dens)
-        np.square(hat.imag, out=imag_sq)
-        dens += imag_sq
-        dens *= tab
-        acc += float(np.sum(dens))
-    return w * acc
+    for axis, x in enumerate(grid.x_mesh):
+        acc += tr.total(tab * tr.odd_power(tr.reduce(x) * v, axis))
+    return parseval_weight(grid) * grid.h ** (2 * grid.N) * acc
 
 
 def weighted_virial_of_gaussian(s: float, N: int) -> float:

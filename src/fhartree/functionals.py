@@ -16,11 +16,12 @@ import numpy as np
 
 from .params import PhysParams
 from .spectral import (
-    FullGrid,
     MultiplierSet,
     SpectralField,
     lp_norm,
+    seam_sobolev_norm,
     sobolev_norm,
+    step_transform,
     to_fourier,
 )
 
@@ -76,14 +77,27 @@ def hartree_energy(u: SpectralField, mult: MultiplierSet) -> float:
     """V(u) = int (W * |u|^2)|u|^2 dx; nonnegative since W_hat >= 0.
 
     Summed by Parseval on the half spectrum of |u|^2, the code by which
-    evolve's samples take V."""
-    rho = u.values.real**2 + u.values.imag**2
-    tr = FullGrid(u.grid)
+    evolve's samples take V, on the orthant for a mirror-even u."""
+    return _hartree_energy(step_transform(u.grid, u.values), u, mult)
+
+
+def _hartree_energy(tr, u: SpectralField, mult: MultiplierSet) -> float:
+    v = tr.reduce(u.values)
+    rho = v.real**2 + v.imag**2
     return tr.quadratic_form(tr.pairing_weights(mult.hartree_kernel_hat), rho)
 
 
+def _hs_and_v(u: SpectralField, s: float, mult: MultiplierSet) -> tuple[float, float]:
+    """(||u||_{Hs-dot}, V(u)) on the one seam step_transform picks for u;
+    the symbol |xi|^{2s} is mult's table when mult is built for s."""
+    tr = step_transform(u.grid, u.values)
+    symbol = mult.frac_lap_s if s == mult.s else u.grid.xi_sq**s
+    return seam_sobolev_norm(tr, u, tr.restrict(symbol)), _hartree_energy(tr, u, mult)
+
+
 def energy(u: SpectralField, mult: MultiplierSet) -> float:
-    return 0.5 * sobolev_norm(u, mult.s) ** 2 - 0.25 * hartree_energy(u, mult)
+    hs, v = _hs_and_v(u, mult.s, mult)
+    return 0.5 * hs**2 - 0.25 * v
 
 
 def invariant_pair(u: SpectralField, p: PhysParams, mult: MultiplierSet) -> InvariantPair:
@@ -91,9 +105,10 @@ def invariant_pair(u: SpectralField, p: PhysParams, mult: MultiplierSet) -> Inva
     if m <= 0.0:
         raise ValueError("invariant_pair undefined for the zero field")
     factor = m**p.mass_power
+    hs, v = _hs_and_v(u, p.s, mult)
     return InvariantPair(
-        me=factor * energy(u, mult),
-        grad=factor * sobolev_norm(u, p.s) ** 2,
+        me=factor * (0.5 * hs**2 - 0.25 * v),
+        grad=factor * hs**2,
     )
 
 
@@ -128,9 +143,9 @@ def gn_ratio(v: SpectralField, cgn: float, p: PhysParams, mult: MultiplierSet) -
     if m2 <= 0.0:
         raise ValueError("gn_ratio undefined for the zero field")
     l2 = np.sqrt(m2)
-    hs = sobolev_norm(v, p.s)
+    hs, hartree = _hs_and_v(v, p.s, mult)
     bound = cgn * l2 ** ((4.0 * p.s - p.gamma) / p.s) * hs ** (p.gamma / p.s)
-    return hartree_energy(v, mult) / bound
+    return hartree / bound
 
 
 def scale_solution(u: SpectralField, lam: float, p: PhysParams) -> SpectralField:
@@ -183,8 +198,8 @@ def comparability_check(u: SpectralField, p: PhysParams, mult: MultiplierSet) ->
     Caller is responsible for u being inside K1; outside it the lower bound
     and the gap may legitimately fail, and the report simply says so.
     """
-    g = sobolev_norm(u, p.s) ** 2
-    v = hartree_energy(u, mult)
+    hs, v = _hs_and_v(u, p.s, mult)
+    g = hs**2
     e = 0.5 * g - 0.25 * v
     lower = e - (p.gamma - 2.0 * p.s) / (2.0 * p.gamma) * g
     upper = 0.5 * g - e

@@ -26,10 +26,16 @@ centered-coordinate arrays (the centering phases cancel).  ``Orthant``
 runs a state that is mirror-even in every axis on the (n/2+1)^N points
 x >= 0, origin first, with weighted sums.  A small orthant transforms by
 one dense cosine product per axis (a BLAS matrix product), a large one by
-1-D FFTs of the mirror extension along each axis.  The step loop of
-``evolution`` and the ground-state solver take their seam from
-``step_transform``, the orthant when their states allow it; every other
-layer builds ``FullGrid(grid)``.
+1-D FFTs of the mirror extension along each axis; along an axis where an
+array is odd (a derivative, x_a u), by the sine series of its odd
+extension (``irfft_odd``, ``odd_power``).  The step loop of
+``evolution``, the ground-state solver, and every public functional and
+diagnostic (``sobolev_norm``, ``functionals``, the resolvent and virial
+diagnostics) take their seam from ``step_transform`` once per call, the
+orthant when their states allow it.  The module-level helpers that
+return a spectrum or a field on the whole grid (``to_fourier``,
+``to_physical``, ``apply_multiplier``, ``hartree_potential``) build
+``FullGrid(grid)``.
 """
 from __future__ import annotations
 
@@ -96,6 +102,15 @@ class GridSpec:
     @functools.cached_property
     def xi_sq(self) -> np.ndarray:
         return sum(x**2 for x in self.xi_mesh)
+
+    @functools.cached_property
+    def deriv_mesh(self) -> tuple[np.ndarray, ...]:
+        """xi_mesh with the Nyquist mode xi = -pi n/L set to zero on every
+        axis: the symbol of d/dx_a, divided by i, that differentiates the
+        trigonometric interpolant, so d_a of a mirror-even field is odd
+        along a and even along the other axes."""
+        xi = np.where(np.arange(self.n) == self.n // 2, 0.0, self.xi_axis)
+        return tuple(np.meshgrid(*([xi] * self.N), indexing="ij"))
 
     @property
     def xi_nyquist(self) -> float:
@@ -252,6 +267,17 @@ class FullGrid:
     def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.fft.ifftn(a, out=out)
 
+    def irfft_odd(self, hat: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The real array whose rfft is i hat, for a hat odd along axis
+        (such as grid.deriv_mesh[axis] times an rfft): irfft(1j * hat)."""
+        return self.irfft(1j * hat, out=out)
+
+    def odd_power(self, f: np.ndarray, axis: int) -> np.ndarray:
+        """|fft(f)|^2 of an array f that is odd along axis, but for its face
+        x_a = -L/2, and even along the others (x_a u for a mirror-even u)."""
+        hat = self.fft(f)
+        return hat.real**2 + hat.imag**2
+
     def real_multiply(self, table_s: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
                       hat: np.ndarray | None = None) -> np.ndarray:
         """The real even multiplier spectrum_table(T) applied to a real
@@ -307,6 +333,10 @@ class FullGrid:
         """Flat weights w with w . x.ravel() = sum of table * x over the grid."""
         return table.astype(np.float64).ravel()
 
+    #: sum_weights for a table of centered values, as the working arrays of
+    #: fields are indexed: on the whole grid the same flat table.
+    point_weights = sum_weights
+
     def norm_sq(self, z: np.ndarray) -> float:
         """The sum of |z|^2 over the grid of a real or complex array, in
         one einsum pass over its float view, with no temporary."""
@@ -327,6 +357,21 @@ class FullGrid:
 DENSE_MAX_POINTS = 129
 
 
+@functools.cache
+def _dense_matrices(n: int, N: int) -> tuple:
+    """The matrices of Orthant._dense for the orthant of an n^N grid, one
+    per axis: forward and inverse (divided by n, exact for a power of two)
+    for even arrays, and for arrays odd along each axis in turn.  Built
+    once per (n, N) and read-only."""
+    cos, sin = _cosine_matrix(n), _sine_matrix(n)
+    cos_n, sin_n = cos / n, sin / n
+    for mat in (cos, sin, cos_n, sin_n):
+        mat.flags.writeable = False
+    return ((cos,) * N, (cos_n,) * N,
+            [tuple(sin if b == a else cos for b in range(N)) for a in range(N)],
+            [tuple(sin_n if b == a else cos_n for b in range(N)) for a in range(N)])
+
+
 def _cosine_matrix(n: int) -> np.ndarray:
     """C[k, j] = w_j cos(pi (jk mod n) / (n/2)) on j, k = 0..n/2, with the
     multiplicities w = (1, 2, ..., 2, 1): C @ a is the 1-D DFT of the
@@ -337,6 +382,21 @@ def _cosine_matrix(n: int) -> np.ndarray:
     c = np.cos(np.pi / (n // 2) * (np.outer(j, j) % n))
     c[:, 1:-1] *= 2.0
     return c
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """S[k, j] = -w_j sin(pi (jk mod n) / (n/2)) on j, k = 0..n/2: the 1-D
+    DFT of the odd extension (0, a_1, ..., a_{n/2-1}, 0, -a_{n/2-1}, ...,
+    -a_1) at k = 0..n/2 is i S @ a.  The sine is set to exactly zero where
+    jk is a multiple of n/2, so S ignores a_0 and a_{n/2}, the points that
+    are their own mirror image, and its Nyquist row k = n/2 is zero."""
+    m = n // 2 + 1
+    j = np.arange(m)
+    jk = np.outer(j, j) % n
+    s = -np.sin(np.pi / (n // 2) * jk)
+    s[jk % (n // 2) == 0] = 0.0
+    s[:, 1:-1] *= 2.0
+    return s
 
 
 class Orthant:
@@ -357,10 +417,17 @@ class Orthant:
     real transform (rfft), applied twice, is n^N times the identity on the
     orthant, so its spectrum is a real (n/2+1)^N array, and irfft is rfft
     times n^{-N}, a power of two.  real_multiply runs rfft, the product
-    and irfft, as FullGrid's does.  A sum over the grid weighs each orthant point by the
-    number of grid points it stands for: the product over axes of 1 at
-    k = 0 and k = n/2 and 2 between.  Only the work arrays of the path
-    taken are allocated, and reused from call to call.
+    and irfft, as FullGrid's does.
+
+    An array odd along one axis a (d_a of a mirror-even field, x_a u, the
+    cutoff's gradient component) transforms along a by its odd extension:
+    the matrix _sine_matrix(n) on the dense path, the imaginary part of the
+    rfft of the extension on the FFT path.  Its transform is i times a
+    real array, which irfft_odd takes back.  The products the diagnostics
+    form of odd arrays are even again.  A sum over the grid weighs each
+    orthant point by the number of grid points it stands for: the product
+    over axes of 1 at k = 0 and k = n/2 and 2 between.  Only the work
+    arrays of the path taken are allocated, and reused from call to call.
     """
 
     def __init__(self, grid: GridSpec):
@@ -382,11 +449,21 @@ class Orthant:
         self._mult_2 = np.repeat(mult.ravel(), 2)  # for the float view of a complex array
         self.dense = m <= DENSE_MAX_POINTS
         if self.dense:
-            self._cos = _cosine_matrix(n)
-            self._inverse = self._cos / n  # exact: n is a power of two
-            self._turn = tuple(range(1, N)) + (0,)
-            # the product and its turned copy, with room for a complex array
-            self._work = (np.empty(2 * m**N), np.empty(2 * m**N))
+            self._even, self._even_inverse, self._odd, self._odd_inverse = _dense_matrices(n, N)
+            # the views _dense writes through, on two work arrays with room
+            # for a complex array: a real product comes out turned, axis
+            # first in the next product's input; a complex one goes to prod
+            # and a copy turns it
+            work = (np.empty(2 * m**N), np.empty(2 * m**N))
+            real = (work[1][: m**N], work[0][: m**N])[: N - 1]
+            self._real_dest = tuple(w.reshape(-1, m) for w in real)
+            self._real_src = tuple(w.reshape(m, -1) for w in real)
+            self._prod = work[0].reshape(m, -1)
+            turn = tuple(range(1, N)) + (0,)
+            self._prod_turned = work[0].view(np.complex128).reshape(self.shape).transpose(turn)
+            self._turned = work[1].view(np.complex128).reshape(self.shape)
+            self._turned_src = work[1].reshape(m, -1)
+            self._work = work
             return
         self._axes = []
         for axis in range(N):
@@ -399,6 +476,7 @@ class Orthant:
                 lead + (slice(0, m),),
                 lead + (slice(m, None),),
                 lead + (slice(m - 2, 0, -1),),
+                lead + ([0, m - 1],),
             ))
 
     def reduce(self, values: np.ndarray) -> np.ndarray:
@@ -421,68 +499,104 @@ class Orthant:
 
     def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.dense:
-            return self._dense(self._cos, np.float64, f, out)
+            return self._dense(self._even, np.float64, f, out)
         return self._extended_dct(f, out)
 
     def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.dense:
-            return self._dense(self._inverse, np.float64, hat, out)
+            return self._dense(self._even_inverse, np.float64, hat, out)
         out = self._extended_dct(hat, out)
         out *= self._scale
         return out
 
+    def irfft_odd(self, hat: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The real array, odd along axis, whose transform is i hat."""
+        if self.dense:
+            return self._dense(self._odd_inverse[axis], np.float64, hat, out)
+        out = self._extended_dct(hat, out, odd=axis)
+        out *= self._scale
+        return out
+
+    def odd_power(self, f: np.ndarray, axis: int) -> np.ndarray:
+        """The power of the transform of the odd part of f along axis, plus
+        that of its face x_a = -L/2 (index n/2), which is its own mirror
+        image and is not odd: the cross terms of the two parts cancel in
+        any sum over +-k with an even weight."""
+        if self.dense:
+            odd = self._dense(self._odd[axis], np.complex128, f, None)
+        else:
+            odd = self._extended(np.fft.fft, f, None, odd=axis)
+        face = np.zeros(self.shape, dtype=np.complex128)
+        at_face = (slice(None),) * axis + (-1,)
+        face[at_face] = f[at_face]
+        even = self.fft(face)
+        return odd.real**2 + odd.imag**2 + even.real**2 + even.imag**2
+
     def fft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.dense:
-            return self._dense(self._cos, np.complex128, a, out)
+            return self._dense(self._even, np.complex128, a, out)
         return self._extended(np.fft.fft, a, out)
 
     def ifft(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.dense:
-            return self._dense(self._inverse, np.complex128, a, out)
+            return self._dense(self._even_inverse, np.complex128, a, out)
         return self._extended(np.fft.ifft, a, out)
 
-    def _dense(self, cos: np.ndarray, dtype, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """cos applied along every axis of an orthant array of dtype (float64
-        or complex128), one BLAS product per axis, each of which turns its
-        axis last, so after N products the axes are back in order.  A real
-        array x gives the product as (rest x m) = x^T cos^T, already turned;
-        a complex one goes through its float view, cos @ (m x 2 rest), and a
-        copy turns it."""
+    def _dense(self, mats, dtype, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """mats[axis] applied along every axis of an orthant array of dtype
+        (float64 or complex128), one BLAS product per axis, each of which
+        turns its axis last, so after N products the axes are back in
+        order.  A real array x gives the product as (rest x m) = x^T mat^T,
+        already turned; a complex one goes through its float view, mat @
+        (m x 2 rest), and a copy turns it."""
         a = np.ascontiguousarray(a, dtype=dtype)
-        m, N = self.shape[0], self.grid.N
-        prod, turned = (w[: a.size * a.itemsize // 8] for w in self._work)
         if out is None:
             out = np.empty(self.shape, dtype=dtype)
-        x = a
-        for axis in range(N):
-            dest = out if axis == N - 1 else turned.view(dtype).reshape(self.shape)
-            if dtype is np.float64:
-                np.matmul(x.reshape(m, -1).T, cos.T, out=dest.reshape(-1, m, copy=False))
-                prod, turned = turned, prod
-            else:
-                np.matmul(cos, x.view(np.float64).reshape(m, -1), out=prod.reshape(m, -1))
-                np.copyto(dest, prod.view(dtype).reshape(self.shape).transpose(self._turn))
-            x = dest
+        m = self.shape[0]
+        if dtype is np.float64:
+            srcs = (a.reshape(m, -1),) + self._real_src
+            dests = self._real_dest + (out.reshape(-1, m, copy=False),)
+            for mat, src, dest in zip(mats, srcs, dests):
+                np.matmul(src.T, mat.T, out=dest)
+            return out
+        srcs = (a.view(np.float64).reshape(m, -1),) + (self._turned_src,) * (len(mats) - 1)
+        dests = (self._turned,) * (len(mats) - 1) + (out,)
+        for mat, src, dest in zip(mats, srcs, dests):
+            np.matmul(mat, src, out=self._prod)
+            np.copyto(dest, self._prod_turned)
         return out
 
-    def _extended(self, transform, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    def _extended(self, transform, a: np.ndarray, out: np.ndarray | None,
+                  odd: int | None = None) -> np.ndarray:
         """transform (np.fft.fft or ifft) of a complex orthant array along
-        every axis, by its mirror extension."""
+        every axis, by its mirror extension, odd along axis odd (zero at the
+        points that are their own mirror image)."""
         x = a
-        for axis, (ext, _, _, head, tail, mirror) in enumerate(self._axes):
+        for axis, (ext, _, _, head, tail, mirror, ends) in enumerate(self._axes):
             ext[head] = x
-            ext[tail] = x[mirror]
+            if axis == odd:
+                np.negative(x[mirror], out=ext[tail])
+                ext[ends] = 0.0
+            else:
+                ext[tail] = x[mirror]
             x = transform(ext, axis=axis, out=ext)[head]
         return _copy_into(out, x)
 
-    def _extended_dct(self, f: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    def _extended_dct(self, f: np.ndarray, out: np.ndarray | None,
+                      odd: int | None = None) -> np.ndarray:
         """The DCT-I of a real orthant array over every axis, by the rfft of
-        its mirror extension."""
+        its mirror extension; along axis odd, the rfft of its odd extension
+        divided by i, the imaginary part."""
         x = f
-        for axis, (_, ext, spec, head, tail, mirror) in enumerate(self._axes):
+        for axis, (_, ext, spec, head, tail, mirror, ends) in enumerate(self._axes):
             ext[head] = x
-            ext[tail] = x[mirror]
-            x = np.fft.rfft(ext, axis=axis, out=spec).real
+            if axis == odd:
+                np.negative(x[mirror], out=ext[tail])
+                ext[ends] = 0.0
+                x = np.fft.rfft(ext, axis=axis, out=spec).imag
+            else:
+                ext[tail] = x[mirror]
+                x = np.fft.rfft(ext, axis=axis, out=spec).real
         return _copy_into(out, x)
 
     def real_multiply(self, table_s: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
@@ -511,6 +625,9 @@ class Orthant:
 
     def sum_weights(self, table: np.ndarray) -> np.ndarray:
         return (self.restrict(table) * self._mult).ravel()
+
+    def point_weights(self, values: np.ndarray) -> np.ndarray:
+        return (self.reduce(values) * self._mult).ravel()
 
     def norm_sq(self, z: np.ndarray) -> float:
         flat = z.view(np.float64).ravel()
@@ -716,9 +833,10 @@ class MultiplierSet:
 
     @functools.cached_property
     def grad_kernel_hat(self) -> tuple[np.ndarray, ...]:
-        """Tables i xi_a W_hat(xi), one per axis; built on first use (only the
-        virial diagnostics read them)."""
-        return tuple(1j * xi * self.hartree_kernel_hat for xi in self.grid.xi_mesh)
+        """Tables i xi_a W_hat(xi), one per axis, with xi_a from
+        grid.deriv_mesh (zero at the Nyquist mode); built on first use (only
+        the virial diagnostics read them)."""
+        return tuple(1j * xi * self.hartree_kernel_hat for xi in self.grid.deriv_mesh)
 
     @property
     def kernel_zero_mode(self) -> float:
@@ -767,13 +885,26 @@ def hartree_potential(u: SpectralField, mult: MultiplierSet) -> np.ndarray:
 
 
 def sobolev_norm(u: SpectralField, alpha: float) -> float:
-    """Homogeneous Sobolev seminorm ||u||_{H^alpha-dot}; alpha=0 gives ||u||_2."""
-    hat = to_fourier(u)
-    w = parseval_weight(u.grid)
-    if alpha == 0.0:
-        return float(np.sqrt(w * np.sum(hat.real**2 + hat.imag**2)))
-    dens = u.grid.xi_sq**alpha * (hat.real**2 + hat.imag**2)
-    return float(np.sqrt(w * np.sum(dens)))
+    """Homogeneous Sobolev seminorm ||u||_{H^alpha-dot}; alpha=0 gives ||u||_2.
+
+    Summed by Parseval over to_fourier's spectrum, on the orthant for a
+    mirror-even u (step_transform)."""
+    tr = step_transform(u.grid, u.values)
+    symbol = None if alpha == 0.0 else tr.restrict(u.grid.xi_sq) ** alpha
+    return seam_sobolev_norm(tr, u, symbol)
+
+
+def seam_sobolev_norm(tr: FullGrid | Orthant, u: SpectralField, symbol: np.ndarray | None) -> float:
+    """sobolev_norm on the seam tr, which a caller that needs several
+    quantities of u chooses once, with the symbol |xi|^{2 alpha} as
+    tr.restrict gives it (None for alpha = 0).  The origin-first values
+    (ifftshift) restricted to tr's spectrum are tr.reduce's array on the
+    orthant and the array to_fourier transforms on the whole grid."""
+    hat = u.grid.h**u.grid.N * tr.fft(tr.restrict(np.fft.ifftshift(u.values)))
+    dens = hat.real**2 + hat.imag**2
+    if symbol is not None:
+        dens = symbol * dens
+    return math.sqrt(parseval_weight(u.grid) * tr.total(dens))
 
 
 def lp_norm(u: SpectralField, p: float) -> float:

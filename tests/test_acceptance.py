@@ -1,4 +1,4 @@
-"""End-to-end certification suite: ten numbered checks, one line each.
+"""End-to-end certification suite: eleven numbered checks, one line each.
 
 `pytest tests/test_acceptance.py -v` gives the pass/fail table (one test per
 check); add `-s` to also see the measured residuals behind each verdict.
@@ -6,6 +6,8 @@ The expensive fixtures (n=1024 and n=2048 solves, the t=4 dispersal run, the
 n=512 collapse showcase) are session-scoped, so this module costs a few
 minutes of single-core time on first use.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ import oracles
 
 # the canonical-box tail advisory fires inside run_sweep's own solve
 pytestmark = pytest.mark.filterwarnings("ignore:ground-state tail")
-from fhartree.cli import run_sweep
+from fhartree.cli import main, run_sweep
 from fhartree.config import load_config
 from fhartree.diagnostics import (
     balakrishnan_check,
@@ -37,7 +39,7 @@ from fhartree.spectral import (
 
 
 def _check(idx: int, label: str, ok: bool, detail: str) -> None:
-    print(f"[{idx:2d}/10] {label}: {'PASS' if ok else 'FAIL'} ({detail})")
+    print(f"[{idx:2d}/11] {label}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{label}: {detail}"
 
 
@@ -285,3 +287,17 @@ def test_10_oracle_equivalence(params):
     _check(10, "oracle equivalence", ok,
            f"double_sums=({sum_rels['sampled']:.1e}, {sum_rels['exact']:.1e}) "
            f"fraclap={lap_rel:.1e} norms={norm_rel:.1e}")
+
+
+def test_11_verify_3d(tmp_path):
+    # the whole identity suite in three dimensions, on the 33^3 orthant
+    rc = main(["verify", "physics.N=3", "physics.gamma=2.0", "grid.n=64", "grid.L=16",
+               "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    ok = rc == 0 and report["passed"] and not failed and len(report["checks"]) == 17
+    by_name = {c["name"]: c["measured"] for c in report["checks"]}
+    _check(11, "3-D certification", ok,
+           f"{len(report['checks']) - len(failed)}/{len(report['checks'])} checks, "
+           f"el={by_name['euler_lagrange_residual']:.1e} "
+           f"virial_surrogate={by_name['virial_surrogate']:.1e} failed={failed}")

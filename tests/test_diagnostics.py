@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import force_full_grid
+from fhartree import spectral
 from fhartree.diagnostics import (
     auxiliary_field,
     balakrishnan_check,
@@ -23,11 +25,18 @@ from fhartree.diagnostics import (
     weighted_virial_of_gaussian,
 )
 from fhartree.spectral import gauss_jacobi
-from fhartree.functionals import hartree_energy
+from fhartree.functionals import (
+    comparability_check,
+    energy,
+    gn_ratio,
+    hartree_energy,
+    invariant_pair,
+)
 from fhartree.params import PhysParams
 from fhartree.spectral import (
     field_from_values,
     make_grid,
+    make_multipliers,
     random_smooth_field,
     sobolev_norm,
 )
@@ -441,3 +450,102 @@ def test_scattering_proxies_need_enough_samples():
                                   "v": np.ones(3), "lpc": np.ones(3)})
     with pytest.raises(ValueError):
         scattering_proxies(rec)
+
+
+# --------------------------------------------------------------------------
+# every diagnostic on the transform seam: a mirror-even state runs on the
+# orthant, any other on the whole grid
+
+
+def _seam_values(u, p, mult, quad, phi):
+    """Every public value that takes its transforms from step_transform."""
+    rhs = virial_rhs(u, phi, p, mult, quad)
+    pair = invariant_pair(u, p, mult)
+    comp = comparability_check(u, p, mult)
+    lhs, rhs_b, _ = balakrishnan_check(u, p, quad)
+    return {
+        "virial_main": rhs.main, "virial_interaction": rhs.interaction,
+        "virial_a_r_bound": rhs.a_r_bound, "localized_virial": localized_virial(u, phi),
+        "hartree_energy": hartree_energy(u, mult), "sobolev_norm": sobolev_norm(u, p.s),
+        "l2_norm": sobolev_norm(u, 0.0), "gn_ratio": gn_ratio(u, 0.3, p, mult),
+        "energy": energy(u, mult), "pair_me": pair.me, "pair_grad": pair.grad,
+        "comparability_hs_sq": comp.hs_sq, "comparability_energy": comp.energy,
+        "coercivity_gap": comp.coercivity_gap, "balakrishnan_lhs": lhs,
+        "balakrishnan_rhs": rhs_b, "weighted_virial": weighted_virial(u, p),
+    }
+
+
+def _even_state(g, kind):
+    """A mirror-even state that does not vanish on the box faces, a product
+    of per-axis Lorentzians of different widths, times a radial chirp when
+    complex; reduced to the orthant and expanded, so exactly even."""
+    vals = np.ones(g.shape, dtype=np.complex128)
+    for x, w in zip(g.x_mesh, (2.0, 3.0, 2.5)):
+        vals /= 1.0 + (x / w) ** 2
+    if kind == "complex":
+        vals *= np.exp(0.05j * g.r_mesh**2)
+    tr = spectral.Orthant(g)
+    return field_from_values(g, tr.expand(tr.reduce(vals)))
+
+
+_SEAM_CASES = {"2d-dense": (2, 128, 32.0, 1.6), "2d-fft": (2, 512, 32.0, 1.6),
+               "3d": (3, 32, 16.0, 2.0)}
+
+
+@pytest.mark.filterwarnings("ignore:weighted_virial")
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("case", list(_SEAM_CASES))
+def test_seam_diagnostics_match_the_full_grid(case, kind, monkeypatch):
+    # the orthant value of each moved function against the explicit
+    # whole-grid value of the expanded state
+    N, n, L, gamma = _SEAM_CASES[case]
+    g = make_grid(N=N, n=n, L=L)
+    p = PhysParams(N=N, s=0.7, gamma=gamma)
+    args = (p, make_multipliers(g, p), build_quadrature(p.s), build_cutoff(g))
+    u = _even_state(g, kind)
+    tr = spectral.step_transform(g, u.values)
+    assert type(tr) is spectral.Orthant and tr.dense == (case != "2d-fft")
+    got = _seam_values(u, *args)
+    force_full_grid(monkeypatch)
+    assert type(spectral.step_transform(g, u.values)) is spectral.FullGrid
+    want = _seam_values(u, *args)
+    for name, value in want.items():
+        if kind == "real" and name == "localized_virial":
+            assert got[name] == value == 0.0  # M_R of a real state, on both paths
+        else:
+            assert abs(got[name] - value) <= 1e-13 * abs(value), name
+
+
+@pytest.mark.filterwarnings("ignore:weighted_virial")
+def test_seam_diagnostics_of_a_non_even_state_are_the_full_grid_values(canonical, quad,
+                                                                         monkeypatch):
+    s = canonical
+    u = field_from_values(s.grid, random_smooth_field(s.grid, np.random.default_rng(8)))
+    assert type(spectral.step_transform(s.grid, u.values)) is spectral.FullGrid
+    args = (s.p, s.mult, quad, build_cutoff(s.grid))
+    got = _seam_values(u, *args)
+    force_full_grid(monkeypatch)
+    assert _seam_values(u, *args) == got
+
+
+@pytest.mark.filterwarnings("ignore:weighted_virial")
+def test_each_public_call_chooses_its_seam_once(canonical, quad, monkeypatch):
+    s = canonical
+    scans = []
+    detector = spectral.is_mirror_even
+    monkeypatch.setattr(spectral, "is_mirror_even", lambda v: scans.append(1) or detector(v))
+    phi = build_cutoff(s.grid)
+    calls = (
+        lambda u: gn_ratio(u, s.gs.cgn_a, s.p, s.mult),
+        lambda u: energy(u, s.mult),
+        lambda u: invariant_pair(u, s.p, s.mult),
+        lambda u: comparability_check(u, s.p, s.mult),
+        lambda u: virial_rhs(u, phi, s.p, s.mult, quad),
+        lambda u: localized_virial(u, phi),
+        lambda u: balakrishnan_check(u, s.p, quad),
+        lambda u: weighted_virial(u, s.p),
+    )
+    for call in calls:
+        scans.clear()
+        call(s.gs.q)
+        assert len(scans) == 1

@@ -406,8 +406,9 @@ def test_grad_kernel_hat_built_on_first_read(params):
     grad = mult.grad_kernel_hat
     assert "grad_kernel_hat" in vars(mult)
     assert len(grad) == 2
-    for xi, table in zip(g.xi_mesh, grad):
+    for axis, (xi, table) in enumerate(zip(g.deriv_mesh, grad)):
         assert np.array_equal(table, 1j * xi * mult.hartree_kernel_hat)
+        assert not np.any(np.take(table, g.n // 2, axis=axis))  # the Nyquist mode
     assert mult.grad_kernel_hat is grad
 
 
@@ -481,6 +482,60 @@ def test_orthant_transforms_match_nd_transforms(orthant):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _mirror(a, axis):
+    """a(-x) along axis for a centered array: index j -> n - j, and index 0
+    (x = -L/2, also L/2 on the torus) stays."""
+    return np.roll(np.flip(a, axis), 1, axis)
+
+
+def test_orthant_odd_axis_transforms_match_nd_transforms(orthant):
+    # along an odd axis the orthant transforms by the sine series; each
+    # result is checked against numpy's n-dimensional transform of the
+    # expanded odd array
+    tr, g = orthant, orthant.grid
+    for axis in range(g.N):
+        sign = np.sign(g.x_mesh[axis])  # 0 at x_a = 0, and -1 at the face x_a = -L/2
+        at_ends = (slice(None),) * axis + ([0, -1],)
+        # irfft_odd: a real array, odd along axis, whose transform is i hat
+        hat = _orthant_values(tr, 10 + axis, real=True)
+        hat[at_ends] = 0.0  # an odd spectrum vanishes at k = 0 and k = n/2
+        f = tr.irfft_odd(hat, axis)
+        odd = np.fft.ifftshift(sign * tr.expand(f))
+        want = 1j * np.fft.ifftshift(sign * tr.expand(hat))  # the odd spectrum, in FFT order
+        got = np.fft.fftn(odd)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), axis
+        assert np.max(np.abs(f[at_ends])) <= 1e-14 * np.max(np.abs(f))
+        # odd_power of x_a u for a mirror-even u, whose face x_a = -L/2 is
+        # not odd: the power of the whole grid's transform, averaged over +-k_a
+        v = _orthant_values(tr, 20 + axis)
+        xu = np.fft.ifftshift(g.x_mesh[axis] * tr.expand(v))
+        power = np.abs(np.fft.fftn(xu)) ** 2
+        power = 0.5 * (power + np.roll(np.flip(power, axis), 1, axis))
+        got = tr.odd_power(tr.reduce(g.x_mesh[axis]) * v, axis)
+        assert np.max(np.abs(got - power[_head(tr)])) <= 1e-14 * np.max(power), axis
+
+
+def test_whole_grid_derivative_of_an_even_field_is_odd():
+    # i xi_a with the Nyquist mode zeroed (grid.deriv_mesh) differentiates
+    # the trigonometric interpolant: d_a of a mirror-even field is odd along
+    # a and even along the other axes; with the Nyquist row kept it is not
+    g = make_grid(N=2, n=16, L=4.0)
+    tr, full = spectral.Orthant(g), spectral.FullGrid(g)
+    f = tr.expand(_orthant_values(tr, 9, real=True))
+    hat = full.rfft(f)
+    for axis in range(g.N):
+        d = full.irfft_odd(full.spectrum_table(g.deriv_mesh[axis]) * hat, axis)
+        scale = np.max(np.abs(d))
+        assert np.max(np.abs(d + _mirror(d, axis))) <= 1e-14 * scale
+        other = 1 - axis
+        assert np.max(np.abs(d - _mirror(d, other))) <= 1e-14 * scale
+        # the orthant's sine series gives the same derivative
+        want = tr.irfft_odd(tr.spectrum_table(g.deriv_mesh[axis]) * tr.rfft(tr.reduce(f)), axis)
+        assert np.max(np.abs(tr.reduce(d) - want)) <= 1e-14 * scale
+    kept = full.irfft_odd(full.spectrum_table(g.xi_mesh[0]) * hat, 0)
+    assert np.max(np.abs(kept + _mirror(kept, 0))) > 0.1 * np.max(np.abs(kept))
+
+
 @pytest.mark.parametrize("N, n", [(2, 32), (2, 128), (2, 256), (3, 16), (3, 64)])
 def test_dense_and_fft_orthant_transforms_agree(N, n, monkeypatch):
     # the two paths of one orthant differ only by rounding
@@ -494,6 +549,11 @@ def test_dense_and_fft_orthant_transforms_agree(N, n, monkeypatch):
         got, want = getattr(dense, name)(x), getattr(fft, name)(x)
         assert got.dtype == want.dtype and got.shape == want.shape == dense.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+    for axis in range(N):
+        for name, x in (("irfft_odd", f), ("odd_power", a)):
+            got, want = getattr(dense, name)(x, axis), getattr(fft, name)(x, axis)
+            assert got.dtype == want.dtype == np.float64 and got.shape == dense.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (name, axis)
 
 
 _FFT_TRANSFORMS = {f"{mod}.fft.{name}" for mod in ("np", "numpy")
