@@ -34,15 +34,14 @@ import numpy as np
 from .functionals import hartree_energy, mass
 from .params import PhysParams
 from .spectral import (
-    FullGrid,
     GridSpec,
     MultiplierSet,
     Orthant,
     SpectralField,
     field_from_values,
+    is_mirror_even,
     make_multipliers,
     sobolev_norm,
-    step_transform,
 )
 
 
@@ -100,19 +99,18 @@ class GroundState:
     """Converged profile plus every validation scalar derived from it.
 
     max_imag_frac is the largest imaginary part the iteration produced,
-    relative to the peak of Q.  The iteration runs on real transforms
-    (rfftn/irfftn, or the DCT-I on the orthant), whose outputs are real
-    arrays, so it is 0 by construction; the field stays so reports keep
-    their shape.
+    relative to the peak of Q.  The iteration runs on the DCT-I of the
+    orthant, whose outputs are real arrays, so it is 0 by construction;
+    the field stays so reports keep their shape.
 
     delta_history and gamma_history hold, for every iteration k, the
     relative residual delta_k = ||G(q_k) - q_k|| / ||q_k|| and the
     renormalization factor gamma_k = <q_k, L q_k> / <q_k, N(q_k)>.
 
-    q is on the whole centered grid.  A solve on the orthant (see
-    solve_ground_state) expands it from the orthant, so it is exactly
-    mirror-even, and its radial_asymmetry measures only the axis swap:
-    the reflections are exact by construction.
+    q is on the whole centered grid, expanded from the orthant the solve
+    runs on (see solve_ground_state), so it is exactly mirror-even, and
+    its radial_asymmetry measures only the axis swap: the reflections are
+    exact by construction.
     """
 
     q: SpectralField
@@ -174,11 +172,29 @@ def _seed_values(grid: GridSpec, width: float) -> np.ndarray:
 
 
 def _seed_array(grid: GridSpec, seed: SpectralField | None, opts: SolverOptions) -> np.ndarray:
-    """A fresh real array of the solver's seed on the whole centered grid:
-    the real part of seed, or the default seed of width opts.seed_width."""
+    """A fresh real mirror-even array of the solver's seed on the whole
+    centered grid: the default seed of width opts.seed_width, or the real
+    part q of seed.  A q that is not mirror-even is rolled by whole grid
+    points so that the circular centre of mass of q^2 (the phase of the
+    first Fourier mode of each marginal) sits at x = 0, then averaged with
+    its mirror image axis by axis.  Raises ValueError for a seed that is
+    not finite."""
     if seed is None:
         return _seed_values(grid, opts.seed_width)
-    return seed.values.real.astype(np.float64)
+    if not np.all(np.isfinite(seed.values)):
+        raise ValueError("seed must be finite")
+    q = seed.values.real.astype(np.float64)
+    if is_mirror_even(q):
+        return q
+    rho = q * q
+    axes = tuple(range(grid.N))
+    mode = np.exp(2j * np.pi / grid.L * grid.x_axis)
+    shifts = [-round(np.angle(mode @ rho.sum(axis=axes[:a] + axes[a + 1:])) * grid.n / (2 * np.pi))
+              for a in axes]
+    q = np.roll(q, shifts, axes)
+    for a in axes:  # the mirror image maps index j to (n - j) mod n
+        q = 0.5 * (q + np.roll(np.flip(q, a), 1, a))
+    return q
 
 
 def pohozaev_residuals(
@@ -205,24 +221,14 @@ def _peak(values: np.ndarray) -> float:
 
 
 def _radial_asymmetry(values: np.ndarray) -> float:
-    """Max relative deviation under the grid symmetries fixing |x| (axis
-    reflections about the box center and axis permutations); the
-    reflections give 0 on an array expanded from the orthant."""
+    """Max relative deviation under the swap of the first two axes, the
+    one grid symmetry fixing |x| that the orthant does not impose: the
+    reflections about the box center are exact on an array expanded from
+    the orthant."""
     peak = _peak(values)
     if peak == 0.0:
         return 0.0
-    diff = np.empty_like(values)
-    dev = 0.0
-    for axis in range(values.ndim):
-        # the reflection maps index j to (n - j) mod n: index 0 to itself
-        # and values[1:] to values[:0:-1] along the axis
-        head = (slice(None),) * axis
-        rest, mirror = head + (slice(1, None),), head + (slice(None, 0, -1),)
-        np.subtract(values[rest], values[mirror], out=diff[rest])
-        dev = max(dev, _peak(diff[rest]))
-    np.subtract(values, np.swapaxes(values, 0, 1), out=diff)
-    dev = max(dev, _peak(diff))
-    return dev / peak
+    return _peak(values - np.swapaxes(values, 0, 1)) / peak
 
 
 def _tail_ratio(values: np.ndarray, grid: GridSpec) -> float:
@@ -237,22 +243,9 @@ def _tail_ratio(values: np.ndarray, grid: GridSpec) -> float:
     return float(max(edges) / peak)
 
 
-def _l2_norm(tr: FullGrid | Orthant, values: np.ndarray) -> float:
-    """sqrt(h^N sum values^2) of a real working array of tr, in one einsum
-    pass with no temporary."""
-    return math.sqrt(tr.grid.h**tr.grid.N * tr.norm_sq(values))
-
-
-def _power(hat: np.ndarray) -> np.ndarray:
-    """|hat|^2 of a real or complex spectrum."""
-    if np.iscomplexobj(hat):
-        return hat.real**2 + hat.imag**2
-    return hat * hat
-
-
 class _Anderson:
-    """Anderson mixing of depth m on the spectra of the real transform of
-    tr (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal. 49,
+    """Anderson mixing of depth m on the real orthant spectra of tr
+    (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal. 49,
     2011).
 
     The map outputs g_j = G(q_j) and residuals f_j = g_j - q_j of the last
@@ -263,18 +256,13 @@ class _Anderson:
     solve in the differences f_j - f_newest: Anderson's constrained form,
     which spans the same space as the consecutive differences.
 
-    Inner products are Parseval sums, through einsum over the float view
-    of the spectra: one pass each, with no product temporary.  The weights
-    are tr.pairing_weights of a table of ones given as one row along the
-    last axis: on the whole grid the weight of each column of the half
-    spectrum, once for its real and once for its imaginary part, and on
-    the orthant the weight of each point.
+    Inner products are Parseval sums with the weight of each orthant
+    point, tr.spectrum_weights of a table of ones.
     """
 
-    def __init__(self, tr: FullGrid | Orthant, depth: int):
-        spectrum = tr.real_spectrum()
-        self.weights = tr.pairing_weights(np.ones((1,) * (tr.grid.N - 1) + (tr.grid.n,))).ravel()
-        self.g = np.zeros((depth + 1,) + spectrum.shape, dtype=spectrum.dtype)
+    def __init__(self, tr: Orthant, depth: int):
+        self.weights = tr.spectrum_weights(np.ones(tr.shape)).ravel()
+        self.g = np.zeros((depth + 1,) + tr.shape)
         self.f = np.zeros_like(self.g)
         self.gram = np.zeros((depth + 1, depth + 1))
         self.history: list[int] = []  # ring slots in use, oldest first
@@ -290,9 +278,7 @@ class _Anderson:
         return self.g[slot]
 
     def _pairing(self, a: np.ndarray, b: np.ndarray) -> float:
-        rows = (-1, self.weights.size)
-        a, b = a.view(np.float64).reshape(rows), b.view(np.float64).reshape(rows)
-        return float(np.einsum("j,j->", np.einsum("ij,ij->j", a, b), self.weights))
+        return float(np.einsum("j,j->", (a * b).ravel(), self.weights))
 
     def residual(self, qhat: np.ndarray) -> float:
         """Store f = g - qhat for the newest output g; return ||f||."""
@@ -325,8 +311,7 @@ class _Anderson:
                 coef[old] = x
                 coef[new] = 1.0 - x.sum()
         self.mixed = len(self.history) > 1
-        view = None if out is None else out.view(np.float64)
-        return np.einsum("k,k...->...", coef, self.g.view(np.float64), out=view).view(self.g.dtype)
+        return np.einsum("k,k...->...", coef, self.g, out=out)
 
 
 def solve_ground_state(
@@ -339,26 +324,19 @@ def solve_ground_state(
     """Find the fixed point Q of the renormalized map G (module docstring)
     by the Anderson-mixed iteration and certify it.
 
-    The transforms are those of spectral.step_transform for the real seed
-    (the real part of seed, or the default Gaussian): the orthant of n/2+1
-    points per axis (spectral.Orthant) when the seed is mirror-even, as the
-    default seed and a warm start from Q are, and the whole grid otherwise.
-    The iteration carries the spectrum q_hat of the real transform as loop
-    state: rfftn(q) on the half spectrum of the whole grid, the DCT-I of
-    the orthant values on the orthant.  One iteration forms
-    N(q) = (W * q^2) q (a real pair) and its spectrum (one forward
-    transform); the map output is gamma_k^{3/2} L_hat^{-1} times that
-    spectrum, and the next iterate is the inverse transform (one) of the
-    mixed spectrum: 4 real transforms per iteration, for N=2 and N=3.  On
-    the whole grid each is one n-dimensional rfftn or irfftn over n^N
-    points.  On the orthant each is N passes over (n/2+1)^(N-1) lines:
-    up to spectral.DENSE_MAX_POINTS points per axis, one dense cosine
-    product per axis, and above it 1-D rffts of the mirror extensions, of
-    n points per line; every pointwise pass covers (n/2+1)^N points.  The
-    pairing <q, Lq> and the residual norm ||G(q) - q|| are Parseval sums
-    over the spectra, so neither Lq nor G(q) is formed in physical
-    space.  The two paths agree to rounding,
-    not bit for bit.
+    The solve runs on the orthant of n/2+1 points per axis
+    (spectral.Orthant), from the real seed (the real part of seed, or the
+    default Gaussian) made mirror-even by _seed_array, since the Q it
+    converges to is centred and mirror-even.  The iteration carries the
+    spectrum q_hat, the DCT-I of the orthant values, as loop state.  One
+    iteration forms N(q) = (W * q^2) q (a real pair) and its spectrum (one
+    forward transform); the map output is gamma_k^{3/2} L_hat^{-1} times
+    that spectrum, and the next iterate is the inverse transform (one) of
+    the mixed spectrum: 4 real transforms per iteration, each N passes
+    over (n/2+1)^(N-1) lines (dense products or FFTs, see spectral.Orthant),
+    with every pointwise pass over (n/2+1)^N points.  The pairing <q, Lq>
+    and the residual norm ||G(q) - q|| are Parseval sums over the spectra,
+    so neither Lq nor G(q) is formed in physical space.
 
     Mixing runs at depth ANDERSON_DEPTH (0: the plain iteration
     q_{k+1} = G(q_k)) and costs a few passes over the spectrum per
@@ -366,15 +344,16 @@ def solve_ground_state(
     the next step is the plain one.  The iteration stops when
     delta_k = ||G(q_k) - q_k|| / ||q_k|| < opts.tol and returns G(q_k).
 
-    Raises CollapseToZeroError if iterates vanish and NonConvergenceError
+    Raises ValueError for a seed that is zero or not finite,
+    CollapseToZeroError if iterates vanish and NonConvergenceError
     (carrying a partial report of the last map output) if the budget is
     exhausted.
     """
     if mult is None:
         mult = make_multipliers(grid, p)
-    q = _seed_array(grid, seed, opts)
-    tr = step_transform(grid, q)
-    ghat, converged, deltas, gammas = _iterate(p, tr, mult, tr.reduce(q), opts)
+    tr = Orthant(grid)
+    q = tr.reduce(_seed_array(grid, seed, opts))
+    ghat, converged, deltas, gammas = _iterate(p, tr, mult, q, opts)
     gs = _certify(ghat, p, tr, mult, converged, deltas, gammas)
     if not converged:
         raise NonConvergenceError(
@@ -391,7 +370,7 @@ def solve_ground_state(
 
 def _iterate(
     p: PhysParams,
-    tr: FullGrid | Orthant,
+    tr: Orthant,
     mult: MultiplierSet,
     q: np.ndarray,
     opts: SolverOptions,
@@ -413,7 +392,7 @@ def _iterate(
     what = tr.spectrum_table(mult.hartree_kernel_hat)
     mixer = _Anderson(tr, ANDERSON_DEPTH)
 
-    norm = _l2_norm(tr, q)
+    norm = math.sqrt(hN * tr.norm_sq(q))
     if norm <= 0:
         raise ValueError("seed must be nonzero")
     qhat = tr.rfft(q)
@@ -426,7 +405,7 @@ def _iterate(
         np.multiply(q, q, out=nq)
         tr.real_multiply(what, nq, out=nq, hat=hat)
         nq *= q
-        num = np.sum(lpair * _power(qhat))
+        num = np.sum(lpair * (qhat * qhat))
         den = hN * tr.pairwise_total(q * nq)
         if den <= 0:
             raise CollapseToZeroError("nonlinear pairing lost positivity; iterate collapsing")
@@ -440,7 +419,7 @@ def _iterate(
             return ghat.copy(), True, deltas, gammas
         mixer.step(out=qhat)
         tr.irfft(qhat, out=q)
-        norm = _l2_norm(tr, q)
+        norm = math.sqrt(hN * tr.norm_sq(q))
         if norm < 1e-10:
             raise CollapseToZeroError(f"iterate norm {norm:.3e} below 1e-10")
     return ghat.copy(), False, deltas, gammas
@@ -449,7 +428,7 @@ def _iterate(
 def _certify(
     qhat: np.ndarray,
     p: PhysParams,
-    tr: FullGrid | Orthant,
+    tr: Orthant,
     mult: MultiplierSet,
     converged: bool,
     deltas: list[float],
@@ -469,7 +448,7 @@ def _certify(
     rho = q_vals * q_vals
     conv = tr.real_multiply(tr.spectrum_table(mult.hartree_kernel_hat), rho)
     m = hN * tr.pairwise_total(rho)
-    g = np.sum(tr.spectrum_weights(xi2s) * _power(qhat))  # ||Q||_{Hs-dot}^2
+    g = np.sum(tr.spectrum_weights(xi2s) * (qhat * qhat))  # ||Q||_{Hs-dot}^2
     rho *= conv
     v_q = hN * tr.pairwise_total(rho)
     del rho

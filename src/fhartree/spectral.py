@@ -28,9 +28,10 @@ x >= 0, origin first, with weighted sums.  A small orthant transforms by
 one dense cosine product per axis (a BLAS matrix product), a large one by
 1-D FFTs of the mirror extension along each axis; along an axis where an
 array is odd (a derivative, x_a u), by the sine series of its odd
-extension (``irfft_odd``, ``odd_power``).  The step loop of
-``evolution``, the ground-state solver, and every public functional and
-diagnostic (``sobolev_norm``, ``functionals``, the resolvent and virial
+extension (``irfft_odd``, ``odd_power``).  The ground-state solver
+runs on the orthant alone, from a seed it makes mirror-even.  The step
+loop of ``evolution`` and every public functional and diagnostic
+(``sobolev_norm``, ``functionals``, the resolvent and virial
 diagnostics) take their seam from ``step_transform`` once per call, the
 orthant when their states allow it.  The module-level helpers that
 return a spectrum or a field on the whole grid (``to_fourier``,
@@ -210,16 +211,34 @@ MIRROR_EVEN_ULPS = 64
 
 def is_mirror_even(values: np.ndarray) -> bool:
     """Whether a centered array equals its mirror image x -> -x in every
-    axis to within MIRROR_EVEN_ULPS ulp of max|values|.  Along an axis,
-    index 0 (x = -L/2, which is also L/2 on the torus) is its own image
-    and indices 1..n-1 mirror onto themselves reversed.  False when a value
-    is not finite."""
-    tol = MIRROR_EVEN_ULPS * np.finfo(np.float64).eps * np.max(np.abs(values))
-    for axis in range(values.ndim):
-        inner = values[(slice(None),) * axis + (slice(1, None),)]
-        if not np.max(np.abs(inner - np.flip(inner, axis))) <= tol:
-            return False
-    return True
+    axis to within MIRROR_EVEN_ULPS ulp of max|values|, as squared moduli.
+    Along an axis, index j mirrors onto n - j; 0 (x = -L/2, also L/2 on the
+    torus) and n/2 (x = 0) mirror onto themselves.  The line through the
+    box center along each axis goes first: it rejects most arrays that are
+    not even.  False when a value is not finite."""
+    eps = MIRROR_EVEN_ULPS * np.finfo(np.float64).eps
+    tol_sq = eps**2 * np.max(_modulus_sq(values))
+    mid = (values.shape[0] // 2,) * values.ndim
+    lines = [values[mid[:a] + (slice(None),) + mid[a + 1:]] for a in range(values.ndim)]
+    return (bool(np.isfinite(tol_sq))
+            and all(_mirror_gap_within(line, 0, tol_sq) for line in lines)
+            and all(_mirror_gap_within(values, a, tol_sq) for a in range(values.ndim)))
+
+
+def _mirror_gap_within(values: np.ndarray, axis: int, tol_sq: float) -> bool:
+    """Whether |u_j - u_{n-j}|^2 <= tol_sq along axis for j = 1..n/2-1 (the
+    pair (n-j, j) has the same gap, negated): at once when the gaps' sum
+    of squares is, else by the largest gap."""
+    n = values.shape[axis]
+    head = (slice(None),) * axis
+    gap = values[head + (slice(1, n // 2),)] - np.flip(values[head + (slice(n // 2 + 1, None),)], axis)
+    flat = gap.ravel().view(np.float64)
+    return bool(np.einsum("i,i->", flat, flat) <= tol_sq or np.max(_modulus_sq(gap)) <= tol_sq)
+
+
+def _modulus_sq(x: np.ndarray) -> np.ndarray:
+    """|x|^2 of a real or complex array, without the square root of np.abs."""
+    return x.real * x.real + x.imag * x.imag if np.iscomplexobj(x) else x * x
 
 
 class FullGrid:
@@ -322,11 +341,6 @@ class FullGrid:
 
     def total(self, x: np.ndarray) -> float:
         """The sum of a real array over the grid."""
-        return float(np.sum(x))
-
-    def pairwise_total(self, x: np.ndarray) -> float:
-        """total, summed pairwise (np.sum) on either path: the certificate's
-        scalars need its O(log n) rounding, not einsum's running sum."""
         return float(np.sum(x))
 
     def sum_weights(self, table: np.ndarray) -> np.ndarray:
@@ -621,6 +635,8 @@ class Orthant:
         return float(np.einsum("i,i->", self._mult.ravel(), x.ravel()))
 
     def pairwise_total(self, x: np.ndarray) -> float:
+        """total, summed pairwise (np.sum): the solver's certificate needs
+        its O(log n) rounding, not einsum's running sum."""
         return float(np.sum(self._mult * x))
 
     def sum_weights(self, table: np.ndarray) -> np.ndarray:

@@ -44,8 +44,10 @@ class Setup:
 
 
 def force_full_grid(monkeypatch) -> None:
-    """Make evolve() and the ground-state solver run on the whole grid
-    whatever their input: the detector reports no array mirror-even."""
+    """Make evolve() and every public functional and diagnostic run on the
+    whole grid whatever their input: step_transform's detector reports no
+    array mirror-even.  The ground-state solver, which runs on the orthant
+    alone, is not affected."""
     monkeypatch.setattr(spectral, "is_mirror_even", lambda values: False)
 
 

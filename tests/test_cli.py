@@ -113,6 +113,38 @@ def test_ground_state_3d_certificate_on_default_kernel(tmp_path):
     assert abs(report["summary"]["pohozaev_r2"]) <= 1e-3
 
 
+def _seed_snapshot(path, params, values):
+    grid = make_grid(N=2, n=128, L=32.0)
+    return write_snapshot(path, field_from_values(grid, values(grid)), params)
+
+
+def test_ground_state_off_centre_seed_snapshot(tmp_path, params):
+    # a seed away from the box center is centred and made mirror-even
+    def gaussian(g):
+        return np.exp(-((g.x_mesh[0] - 5.0) ** 2 + (g.x_mesh[1] + 3.0) ** 2))
+
+    snap = _seed_snapshot(tmp_path / "seed.bin", params, gaussian)
+    out = tmp_path / "gs"
+    assert main(["ground-state", "--out", str(out), "--seed-snapshot", str(snap)]) == EXIT_OK
+    report = json.loads((out / "ground_state.json").read_text())
+    assert report["converged"] is True
+    assert report["summary"]["iterations"] <= 30
+
+
+@pytest.mark.parametrize("command", [["ground-state", "--seed-snapshot"], ["verify", "--q"]])
+def test_non_finite_seed_snapshot_exits_1(tmp_path, params, capsys, command):
+    def nan_at_one_point(g):
+        values = np.exp(-g.r_mesh**2)
+        values[3, 5] = np.nan
+        return values
+
+    snap = _seed_snapshot(tmp_path / "seed.bin", params, nan_at_one_point)
+    rc = main([command[0], "--out", str(tmp_path / "out"), command[1], str(snap)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be finite" in err
+
+
 # --------------------------------------------------------------- classify
 
 

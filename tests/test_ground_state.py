@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import force_full_grid, force_orthant_path
@@ -102,11 +104,12 @@ def test_pohozaev_residuals_detect_non_solution(canonical):
     assert abs(r1) > 0.1
 
 
-def test_summary_matches_public_functionals(canonical):
-    # every scalar of the one-pass certificate, recomputed through the
-    # public functionals (complex transforms for the Sobolev norms)
-    gs, p, mult, grid = canonical.gs, canonical.p, canonical.mult, canonical.grid
-    q = gs.q
+def _public_certificate(q, p, mult):
+    """Every float scalar of GroundState.summary() but final_alpha_dev,
+    recomputed from the profile q through the public functionals (complex
+    transforms for the Sobolev norms): the values held relative to
+    themselves and the residuals held absolute, as two dicts."""
+    grid = q.grid
     vals = q.values.real
     l2 = np.sqrt(mass(q))
     hs = sobolev_norm(q, p.s)
@@ -117,7 +120,9 @@ def test_summary_matches_public_functionals(canonical):
     cgn_a, cgn_b = _cgn_values(l2, hs, p)
     factor = mass(q) ** p.mass_power
     n = grid.n
-    flipped = [np.roll(np.flip(vals, a), 1, a) for a in (0, 1)] + [vals.T]
+    flipped = [np.roll(np.flip(vals, a), 1, a) for a in range(grid.N)] + [np.swapaxes(vals, 0, 1)]
+    centre = (n // 2,) * grid.N
+    edges = [vals[centre[:a] + (0,) + centre[a + 1:]] for a in range(grid.N)]
     want = {
         "l2": l2,
         "hs": hs,
@@ -127,19 +132,27 @@ def test_summary_matches_public_functionals(canonical):
         "cgn_b": cgn_b,
         "me_Q": factor * e_q,
         "grad_Q": factor * hs**2,
-        "tail_ratio": max(abs(vals[0, n // 2]), abs(vals[n // 2, 0])) / np.max(np.abs(vals)),
+        "tail_ratio": max(abs(e) for e in edges) / np.max(np.abs(vals)),
     }
     # cgn_discrepancy is a cancelled two-route difference (~1e-5): held
     # relative to itself it would pin the summation order, while cgn_a and
     # cgn_b above already pin both routes
     residuals = {
         "cgn_discrepancy": abs(cgn_a - cgn_b) / cgn_a,
-        "el_residual": np.sqrt(grid.h**2 * np.sum(lhs**2)) / l2,
+        "el_residual": np.sqrt(grid.h**grid.N * np.sum(lhs**2)) / l2,
         "pohozaev_r1": r1,
         "pohozaev_r2": r2,
         "radial_asymmetry": max(np.max(np.abs(vals - f)) for f in flipped) / np.max(np.abs(vals)),
         "max_imag_frac": 0.0,
     }
+    return want, residuals
+
+
+def test_summary_matches_public_functionals(canonical):
+    # every scalar of the one-pass certificate, recomputed through the
+    # public functionals
+    gs = canonical.gs
+    want, residuals = _public_certificate(gs.q, canonical.p, canonical.mult)
     got = gs.summary()
     # final_alpha_dev belongs to the last iteration, not to Q alone
     floats = {k for k, v in got.items() if isinstance(v, float)} - {"final_alpha_dev"}
@@ -150,9 +163,11 @@ def test_summary_matches_public_functionals(canonical):
         assert abs(got[key] - value) <= 1e-12, key
 
 
-def _six_transform_iterate(p, grid, mult, opts=SolverOptions()):
-    """The solver's iteration before the spectrum was carried: N(q), Lq and
-    L^{-1} N(q) each through an rfftn/irfftn pair, 6 real transforms."""
+def _six_transform_iterate(p, grid, mult, opts=SolverOptions(), seed=None):
+    """The solver's iteration before the spectrum was carried, on the whole
+    grid from the real part of seed (default: the default seed): N(q), Lq
+    and L^{-1} N(q) each through an rfftn/irfftn pair, 6 real transforms.
+    Returns the last map output, the iteration count and the last gamma."""
     hN = grid.h**grid.N
     axes = tuple(range(grid.N))
 
@@ -161,7 +176,7 @@ def _six_transform_iterate(p, grid, mult, opts=SolverOptions()):
         return np.fft.irfftn(half * np.fft.rfftn(f, axes=axes), s=f.shape, axes=axes)
 
     lhat = 1.0 + grid.xi_sq**p.s
-    q = default_seed(grid, opts.seed_width).values.real.astype(np.float64)
+    q = (default_seed(grid, opts.seed_width) if seed is None else seed).values.real.copy()
     for it in range(1, opts.max_iter + 1):
         nq = multiply(mult.hartree_kernel_hat, q * q) * q
         lq = multiply(lhat, q)
@@ -170,7 +185,7 @@ def _six_transform_iterate(p, grid, mult, opts=SolverOptions()):
         delta = np.sqrt(hN * np.sum((q_next - q) ** 2)) / np.sqrt(hN * np.sum(q**2))
         q = q_next
         if delta < opts.tol:
-            return q, it
+            return q, it, gamma_k
     raise AssertionError("reference iteration did not converge")
 
 
@@ -178,7 +193,7 @@ def _six_transform_iterate(p, grid, mult, opts=SolverOptions()):
 def test_carried_spectrum_matches_six_transform_iteration(canonical, monkeypatch):
     # depth 0 is the plain iteration the reference runs
     monkeypatch.setattr(ground_state, "ANDERSON_DEPTH", 0)
-    want, iterations = _six_transform_iterate(canonical.p, canonical.grid, canonical.mult)
+    want, iterations, _ = _six_transform_iterate(canonical.p, canonical.grid, canonical.mult)
     gs = solve_ground_state(canonical.p, canonical.grid, opts=SolverOptions(), mult=canonical.mult)
     got = gs.q.values.real
     assert gs.iterations == iterations
@@ -187,7 +202,7 @@ def test_carried_spectrum_matches_six_transform_iteration(canonical, monkeypatch
     p3 = PhysParams(N=3, s=0.7, gamma=1.6)
     grid = make_grid(N=3, n=16, L=12.0)
     mult = make_multipliers(grid, p3)
-    want, iterations = _six_transform_iterate(p3, grid, mult)
+    want, iterations, _ = _six_transform_iterate(p3, grid, mult)
     gs = solve_ground_state(p3, grid, opts=SolverOptions(), mult=mult)
     assert gs.iterations == iterations
     got = gs.q.values.real
@@ -222,7 +237,7 @@ def test_mixed_iteration_count(canonical, s, gamma):
 def _reference_iterate(p, tr, mult, q, opts):
     """ground_state._iterate as it was before its arrays were reused: a
     fresh array for every transform, N(q) and mixed iterate, on the
-    transforms tr."""
+    orthant transforms tr."""
     grid = tr.grid
     hN = grid.h**grid.N
     lhat = 1.0 + tr.spectrum_table(grid.xi_sq) ** p.s
@@ -236,7 +251,7 @@ def _reference_iterate(p, tr, mult, q, opts):
     for _ in range(opts.max_iter):
         nq = tr.real_multiply(what, q * q)
         nq *= q
-        num = np.sum(lpair * (qhat.real**2 + qhat.imag**2))
+        num = np.sum(lpair * qhat**2)
         den = hN * tr.pairwise_total(q * nq)
         gamma_k = num / den
         ghat = np.multiply(tr.rfft(nq), gamma_k**1.5 * lhat_inv, out=mixer.output_slot())
@@ -258,9 +273,9 @@ _BUFFERED_CASES = [pytest.param(2, 64, 16.0, id="2-64-16.0-exact"),
 
 @pytest.mark.parametrize("N, n, L", _BUFFERED_CASES)
 @pytest.mark.parametrize("explicit_seed", [False, True])
-def test_buffered_iteration_matches_allocating_loop(N, n, L, explicit_seed, monkeypatch):
-    # on the whole grid: forced for the default seed, which is mirror-even;
-    # the explicit seed is off-centre and takes the whole grid by itself
+def test_buffered_iteration_matches_allocating_loop(N, n, L, explicit_seed):
+    # from the default seed and from an off-centre seed, which the solver
+    # centres and makes mirror-even first
     p = PhysParams(N=N, s=0.7, gamma=1.6)
     grid = make_grid(N=N, n=n, L=L)
     mult = make_multipliers(grid, p)
@@ -269,15 +284,14 @@ def test_buffered_iteration_matches_allocating_loop(N, n, L, explicit_seed, monk
         bump = random_smooth_field(grid, np.random.default_rng(5), n_bumps=2, span=1.0)
         seed = field_from_values(grid, default_seed(grid, 1.3).values + 0.1 * bump)
         seed_before = seed.values.copy()
-    else:
-        force_full_grid(monkeypatch)
+        assert not spectral.is_mirror_even(seed.values.real)
     opts = SolverOptions()
-    q = ground_state._seed_array(grid, seed, opts)
-    tr = spectral.step_transform(grid, q)
-    assert type(tr) is spectral.FullGrid
+    tr = spectral.Orthant(grid)
+    q = tr.reduce(ground_state._seed_array(grid, seed, opts))
     want = _reference_iterate(p, tr, mult, q.copy(), opts)
     got = ground_state._iterate(p, tr, mult, q, opts)
     assert got[1] == want[1] is True
+    assert got[0].dtype == np.float64 and got[0].shape == (n // 2 + 1,) * N
     np.testing.assert_array_equal(got[0], want[0])
     assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
     if explicit_seed:
@@ -286,16 +300,19 @@ def test_buffered_iteration_matches_allocating_loop(N, n, L, explicit_seed, monk
 
 
 @pytest.mark.parametrize("N, n, L", _BUFFERED_CASES)
-def test_buffered_orthant_iteration_matches_allocating_loop(N, n, L):
+def test_buffered_orthant_iteration_matches_allocating_loop(N, n, L, monkeypatch):
+    # the cases above transform by dense cosine products; here the orthant
+    # transforms by FFTs of the mirror extension
+    force_orthant_path(monkeypatch, "fft")
     p = PhysParams(N=N, s=0.7, gamma=1.6)
     grid = make_grid(N=N, n=n, L=L)
     mult = make_multipliers(grid, p)
     opts = SolverOptions()
-    q = ground_state._seed_array(grid, None, opts)
-    tr = spectral.step_transform(grid, q)
-    assert type(tr) is spectral.Orthant
-    want = _reference_iterate(p, tr, mult, tr.reduce(q), opts)
-    got = ground_state._iterate(p, tr, mult, tr.reduce(q), opts)
+    tr = spectral.Orthant(grid)
+    assert not tr.dense
+    q = tr.reduce(ground_state._seed_array(grid, None, opts))
+    want = _reference_iterate(p, tr, mult, q.copy(), opts)
+    got = ground_state._iterate(p, tr, mult, q, opts)
     assert got[1] == want[1] is True
     assert got[0].dtype == np.float64 and got[0].shape == (n // 2 + 1,) * N
     np.testing.assert_array_equal(got[0], want[0])
@@ -303,24 +320,25 @@ def test_buffered_orthant_iteration_matches_allocating_loop(N, n, L):
 
 
 # --------------------------------------------------------------------------
-# the orthant and the whole grid
+# the orthant against the whole-grid oracles
 
-#: Certificate scalars held to 1e-12 relative between the two paths; the
+#: Certificate scalars held to 1e-12 relative against the oracles; the
 #: residuals and cancelled differences are held to 1e-14 absolute.
-_RELATIVE = ("l2", "hs", "v_q", "e_q", "cgn_a", "cgn_b", "me_Q", "grad_Q", "tail_ratio")
-_ABSOLUTE = ("el_residual", "pohozaev_r1", "pohozaev_r2", "cgn_discrepancy", "final_alpha_dev",
-             "radial_asymmetry")
+_ABSOLUTE = ("el_residual", "pohozaev_r1", "pohozaev_r2", "cgn_discrepancy", "radial_asymmetry")
 
 
-def _assert_same_certificate(got, want):
-    a, b = got.summary(), want.summary()
-    assert a["converged"] == b["converged"] and a["iterations"] == b["iterations"]
-    for key in _RELATIVE:
-        assert abs(a[key] - b[key]) <= 1e-12 * abs(b[key]), key
+def _assert_matches_whole_grid(gs, q_want, mult, monkeypatch):
+    """gs's Q to 1e-13 of its peak against the profile q_want of the whole
+    grid, and its certificate to the bounds above against the certificate
+    of its Q through the public functionals forced on the whole grid."""
+    assert np.max(np.abs(gs.q.values - q_want)) <= 1e-13 * np.max(np.abs(q_want))
+    force_full_grid(monkeypatch)
+    want, residuals = _public_certificate(gs.q, gs.params, mult)
+    got = gs.summary()
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-12 * abs(value), key
     for key in _ABSOLUTE:
-        assert abs(a[key] - b[key]) <= 1e-14, key
-    q, q_full = got.q.values, want.q.values
-    assert np.max(np.abs(q - q_full)) <= 1e-13 * np.max(np.abs(q_full))
+        assert abs(got[key] - residuals[key]) <= 1e-14, key
 
 
 _SOLVE_CASES = ("128-exact", "16cubed-exact", "tol-1e-14", "warm-start")
@@ -329,9 +347,11 @@ _SOLVE_CASES = ("128-exact", "16cubed-exact", "tol-1e-14", "warm-start")
 @pytest.mark.filterwarnings("ignore:ground-state tail")
 @pytest.mark.parametrize("case", [*_SOLVE_CASES, *(f"{c}-fft" for c in _SOLVE_CASES)])
 def test_orthant_solve_matches_full_grid_solve(canonical, case, monkeypatch):
-    # the same solve on the orthant, by dense cosine products and, "-fft",
-    # by FFTs, and forced on the whole grid: the same iterations, Q and its
-    # certificate to rounding, and an exactly mirror-even Q from the orthant
+    # the plain iteration on the orthant, by dense cosine products and,
+    # "-fft", by FFTs, against the six-transform iteration on the whole
+    # grid: the same iterations, Q and its certificate to rounding, and an
+    # exactly mirror-even Q
+    monkeypatch.setattr(ground_state, "ANDERSON_DEPTH", 0)
     force_orthant_path(monkeypatch, "fft" if case.endswith("-fft") else "dense")
     case = case.removesuffix("-fft")
     p, grid, mult, seed, opts = canonical.p, canonical.grid, canonical.mult, None, SolverOptions()
@@ -343,31 +363,36 @@ def test_orthant_solve_matches_full_grid_solve(canonical, case, monkeypatch):
         opts = SolverOptions(tol=1e-14)
     elif case == "warm-start":
         seed = canonical.gs.q
-    q0 = ground_state._seed_array(grid, seed, opts)
-    assert type(spectral.step_transform(grid, q0)) is spectral.Orthant
     orth = solve_ground_state(p, grid, seed=seed, opts=opts, mult=mult)
-    force_full_grid(monkeypatch)
-    assert type(spectral.step_transform(grid, q0)) is spectral.FullGrid
-    full = solve_ground_state(p, grid, seed=seed, opts=opts, mult=mult)
-    _assert_same_certificate(orth, full)
+    q_want, iterations, gamma = _six_transform_iterate(p, grid, mult, opts, seed)
+    assert orth.converged and orth.iterations == iterations
     if case == "warm-start":
         assert orth.iterations <= 3
+    assert abs(orth.final_alpha_dev - abs(gamma**1.5 - 1.0)) <= 1e-14
     q = orth.q.values
     for axis in range(grid.N):
         inner = q[(slice(None),) * axis + (slice(1, None),)]
         assert np.array_equal(inner, np.flip(inner, axis))
+    _assert_matches_whole_grid(orth, q_want, mult, monkeypatch)
 
 
-def test_orthant_certificate_matches_full_grid_certificate(canonical):
-    # _certify of one Q on each path, from the spectrum each path takes of it
+def test_orthant_certificate_matches_full_grid_certificate(canonical, monkeypatch):
+    # _certify of one Q on the orthant, by dense cosine products and by
+    # FFTs, from the spectrum each path takes of it
     s = canonical
     q = s.gs.q.values.real
     deltas, gammas = list(s.gs.delta_history), list(s.gs.gamma_history)
     certs = []
-    for tr in (spectral.Orthant(s.grid), spectral.FullGrid(s.grid)):
+    for path in ("dense", "fft"):
+        force_orthant_path(monkeypatch, path)
+        tr = spectral.Orthant(s.grid)
+        assert tr.dense == (path == "dense")
         qhat = tr.rfft(tr.reduce(q))
         certs.append(ground_state._certify(qhat, s.p, tr, s.mult, True, deltas, gammas))
-    _assert_same_certificate(*certs)
+    for cert in certs:
+        assert cert.iterations == s.gs.iterations
+        assert cert.final_alpha_dev == s.gs.final_alpha_dev
+        _assert_matches_whole_grid(cert, q, s.mult, monkeypatch)
 
 
 def test_solver_history_covers_every_iteration(canonical):
@@ -382,30 +407,26 @@ def test_solver_history_covers_every_iteration(canonical):
 
 
 def test_anderson_safeguard_drops_history_on_residual_rise():
-    # on the half spectrum of the whole grid (complex) and on the orthant (real)
-    for seam in (spectral.FullGrid, spectral.Orthant):
-        mixer = ground_state._Anderson(seam(make_grid(N=2, n=16, L=8.0)), depth=3)
-        rng = np.random.default_rng(7)
-        shape, dtype = mixer.g.shape[1:], mixer.g.dtype
-        assert dtype == (np.complex128 if seam is spectral.FullGrid else np.float64)
+    mixer = ground_state._Anderson(spectral.Orthant(make_grid(N=2, n=16, L=8.0)), depth=3)
+    rng = np.random.default_rng(7)
+    shape = mixer.g.shape[1:]
+    assert mixer.g.dtype == np.float64
 
-        def push(scale):
-            # a map output whose residual against a zero iterate has norm ~scale
-            g = mixer.output_slot()
-            g[...] = scale * rng.standard_normal(shape)
-            if dtype == np.complex128:
-                g.imag = scale * rng.standard_normal(shape)
-            return g.copy(), mixer.residual(np.zeros(shape, dtype=dtype))
+    def push(scale):
+        # a map output whose residual against a zero iterate has norm ~scale
+        g = mixer.output_slot()
+        g[...] = scale * rng.standard_normal(shape)
+        return g.copy(), mixer.residual(np.zeros(shape))
 
-        g1, r1 = push(1.0)
-        np.testing.assert_array_equal(mixer.step(), g1)  # one output: the plain step
-        g2, r2 = push(0.5)
-        mixer.step()
-        assert mixer.mixed and len(mixer.history) == 2
-        g3, r3 = push(10.0)  # the mixed step raised the residual
-        assert r3 > r2
-        np.testing.assert_array_equal(mixer.step(), g3)
-        assert not mixer.mixed and len(mixer.history) == 1
+    g1, r1 = push(1.0)
+    np.testing.assert_array_equal(mixer.step(), g1)  # one output: the plain step
+    g2, r2 = push(0.5)
+    mixer.step()
+    assert mixer.mixed and len(mixer.history) == 2
+    g3, r3 = push(10.0)  # the mixed step raised the residual
+    assert r3 > r2
+    np.testing.assert_array_equal(mixer.step(), g3)
+    assert not mixer.mixed and len(mixer.history) == 1
 
 
 # --------------------------------------------------------------------------
@@ -441,6 +462,82 @@ def test_zero_seed_rejected(canonical):
     with pytest.raises(ValueError):
         solve_ground_state(canonical.p, canonical.grid, seed=z,
                            opts=SolverOptions(), mult=canonical.mult)
+
+
+def _gaussian_at(grid, centre, width_sq=1.0):
+    return np.exp(-sum((x - c) ** 2 for x, c in zip(grid.x_mesh, centre)) / width_sq)
+
+
+#: Seeds that are not mirror-even, at the canonical grid unless the case
+#: says 16^3: (values of the grid, the Orthant path or None).
+_OFF_CENTRE_SEEDS = {
+    "bump": (lambda g: np.exp(-g.r_mesh**2 / 1.69) + 0.1 * _gaussian_at(g, (0.5, -0.2), 0.8), None),
+    "at-0.7,-0.3": (lambda g: _gaussian_at(g, (0.7, -0.3)), None),
+    "at-5,-3": (lambda g: _gaussian_at(g, (5.0, -3.0)), None),
+    "at-12,12": (lambda g: _gaussian_at(g, (12.0, 12.0)), None),
+    "at-0.7,-0.3-fft": (lambda g: _gaussian_at(g, (0.7, -0.3)), "fft"),
+    "16cubed-at-0.7,-0.3,0.4": (lambda g: _gaussian_at(g, (0.7, -0.3, 0.4)), None),
+}
+
+
+@pytest.fixture(scope="module")
+def cubic():
+    p = PhysParams(N=3, s=0.7, gamma=1.6)
+    grid = make_grid(N=3, n=16, L=12.0)
+    mult = make_multipliers(grid, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # box-truncation advisory at L=12
+        gs = solve_ground_state(p, grid, mult=mult)
+    return p, grid, mult, gs
+
+
+def _off_centre_setup(case, canonical, cubic):
+    if case.startswith("16cubed"):
+        return cubic
+    return canonical.p, canonical.grid, canonical.mult, canonical.gs
+
+
+@pytest.mark.filterwarnings("ignore:ground-state tail")
+@pytest.mark.parametrize("case", list(_OFF_CENTRE_SEEDS))
+def test_off_centre_seed_converges_to_the_centred_profile(canonical, cubic, case, monkeypatch):
+    # the solver centres the seed and averages it with its mirror images,
+    # so it converges as fast as from the default seed, to the same Q
+    values, path = _OFF_CENTRE_SEEDS[case]
+    p, grid, mult, base = _off_centre_setup(case, canonical, cubic)
+    if path is not None:
+        force_orthant_path(monkeypatch, path)
+    seed = field_from_values(grid, values(grid))
+    assert not spectral.is_mirror_even(seed.values)
+    before = seed.values.copy()
+    gs = solve_ground_state(p, grid, seed=seed, opts=SolverOptions(), mult=mult)
+    assert gs.converged and gs.iterations <= 30
+    q_base = base.q.values
+    assert np.max(np.abs(gs.q.values - q_base)) <= 1e-11 * np.max(np.abs(q_base))
+    assert gs.radial_asymmetry < 1e-12
+    np.testing.assert_array_equal(seed.values, before)
+
+
+@pytest.mark.filterwarnings("ignore:ground-state tail")
+def test_solver_builds_no_whole_grid_transforms(canonical, cubic, monkeypatch):
+    def refuse(self, grid):
+        raise AssertionError("the solver built a FullGrid")
+
+    monkeypatch.setattr(spectral.FullGrid, "__init__", refuse)
+    dense_max = spectral.DENSE_MAX_POINTS
+    for case, (values, path) in _OFF_CENTRE_SEEDS.items():
+        p, grid, mult, _ = _off_centre_setup(case, canonical, cubic)
+        monkeypatch.setattr(spectral, "DENSE_MAX_POINTS", {None: dense_max, "fft": 0}[path])
+        seed = field_from_values(grid, values(grid))
+        assert solve_ground_state(p, grid, seed=seed, opts=SolverOptions(), mult=mult).converged
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imag-nan"])
+def test_non_finite_seed_rejected(canonical, bad):
+    values = default_seed(canonical.grid).values.copy()
+    values[3, 5] += bad
+    with pytest.raises(ValueError, match="seed must be finite"):
+        solve_ground_state(canonical.p, canonical.grid, seed=field_from_values(canonical.grid, values),
+                           opts=SolverOptions(max_iter=2), mult=canonical.mult)
 
 
 @pytest.mark.filterwarnings("ignore:ground-state tail")
