@@ -25,6 +25,7 @@ dichotomy classification.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -163,29 +164,35 @@ class GroundState:
 
 def default_seed(grid: GridSpec, width: float = 1.0) -> SpectralField:
     """Radial positive Gaussian seed exp(-|x|^2 / width^2)."""
-    return field_from_values(grid, _seed_values(grid, width))
+    return field_from_values(grid, _seed_values(grid.r_mesh, width))
 
 
-def _seed_values(grid: GridSpec, width: float) -> np.ndarray:
-    """The real values of default_seed, without the complex copy."""
-    return np.exp(-(grid.r_mesh**2) / width**2)
+def _seed_values(r: np.ndarray, width: float) -> np.ndarray:
+    """The real values of default_seed at the distances r to the box
+    center: grid.r_mesh on the whole grid, Orthant.r_mesh on the orthant,
+    the same arithmetic at each point."""
+    return np.exp(-(r**2) / width**2)
 
 
-def _seed_array(grid: GridSpec, seed: SpectralField | None, opts: SolverOptions) -> np.ndarray:
-    """A fresh real mirror-even array of the solver's seed on the whole
-    centered grid: the default seed of width opts.seed_width, or the real
-    part q of seed.  A q that is not mirror-even is rolled by whole grid
-    points so that the circular centre of mass of q^2 (the phase of the
-    first Fourier mode of each marginal) sits at x = 0, then averaged with
-    its mirror image axis by axis.  Raises ValueError for a seed that is
-    not finite."""
+def _seed_array(tr: Orthant, seed: SpectralField | None, opts: SolverOptions) -> np.ndarray:
+    """A fresh real array of the solver's seed on the orthant tr: the
+    default seed of width opts.seed_width, built on the orthant alone and
+    bit for bit tr.reduce of default_seed's values, or the real part q of
+    seed, which arrives on the whole centered grid.  A q that is not
+    mirror-even is rolled by whole grid points so that the circular centre
+    of mass of q^2 (the phase of the first Fourier mode of each marginal)
+    sits at x = 0, averaged with its mirror image axis by axis, and its
+    orthant averaged over every permutation of the axes, so it has every
+    symmetry of the centred profile.  Raises ValueError for a seed that
+    is not finite."""
     if seed is None:
-        return _seed_values(grid, opts.seed_width)
+        return _seed_values(tr.r_mesh, opts.seed_width)
     if not np.all(np.isfinite(seed.values)):
         raise ValueError("seed must be finite")
+    grid = tr.grid
     q = seed.values.real.astype(np.float64)
     if is_mirror_even(q):
-        return q
+        return tr.reduce(q)
     rho = q * q
     axes = tuple(range(grid.N))
     mode = np.exp(2j * np.pi / grid.L * grid.x_axis)
@@ -194,7 +201,9 @@ def _seed_array(grid: GridSpec, seed: SpectralField | None, opts: SolverOptions)
     q = np.roll(q, shifts, axes)
     for a in axes:  # the mirror image maps index j to (n - j) mod n
         q = 0.5 * (q + np.roll(np.flip(q, a), 1, a))
-    return q
+    q = tr.reduce(q)
+    perms = list(itertools.permutations(axes))
+    return sum(np.transpose(q, perm) for perm in perms) / len(perms)
 
 
 def pohozaev_residuals(
@@ -221,24 +230,24 @@ def _peak(values: np.ndarray) -> float:
 
 
 def _radial_asymmetry(values: np.ndarray) -> float:
-    """Max relative deviation under the swap of the first two axes, the
-    one grid symmetry fixing |x| that the orthant does not impose: the
-    reflections about the box center are exact on an array expanded from
-    the orthant."""
+    """Max relative deviation of orthant values under the swap of the
+    first two axes, the one grid symmetry fixing |x| that the orthant does
+    not impose.  The whole grid expanded from them has the same values,
+    and the same swapped differences, so the same maxima."""
     peak = _peak(values)
     if peak == 0.0:
         return 0.0
     return _peak(values - np.swapaxes(values, 0, 1)) / peak
 
 
-def _tail_ratio(values: np.ndarray, grid: GridSpec) -> float:
-    """Profile magnitude at the on-axis box boundary relative to the peak."""
+def _tail_ratio(values: np.ndarray) -> float:
+    """Profile magnitude at the on-axis box boundary x_a = -L/2 (orthant
+    index n/2) relative to the peak, from orthant values."""
     peak = _peak(values)
-    idx_mid = grid.n // 2
     edges = []
-    for axis in range(grid.N):
-        sel = [idx_mid] * grid.N
-        sel[axis] = 0  # x_axis[0] = -L/2
+    for axis in range(values.ndim):
+        sel = [0] * values.ndim
+        sel[axis] = -1
         edges.append(abs(values[tuple(sel)]))
     return float(max(edges) / peak)
 
@@ -327,7 +336,10 @@ def solve_ground_state(
     The solve runs on the orthant of n/2+1 points per axis
     (spectral.Orthant), from the real seed (the real part of seed, or the
     default Gaussian) made mirror-even by _seed_array, since the Q it
-    converges to is centred and mirror-even.  The iteration carries the
+    converges to is centred and mirror-even.  The default seed and the
+    symbol |xi|^2 (Orthant.xi_sq) are built on the orthant from one axis,
+    so no whole-grid array but mult's Hartree kernel table exists until
+    Q is expanded for GroundState.q.  The iteration carries the
     spectrum q_hat, the DCT-I of the orthant values, as loop state.  One
     iteration forms N(q) = (W * q^2) q (a real pair) and its spectrum (one
     forward transform); the map output is gamma_k^{3/2} L_hat^{-1} times
@@ -352,7 +364,7 @@ def solve_ground_state(
     if mult is None:
         mult = make_multipliers(grid, p)
     tr = Orthant(grid)
-    q = tr.reduce(_seed_array(grid, seed, opts))
+    q = _seed_array(tr, seed, opts)
     ghat, converged, deltas, gammas = _iterate(p, tr, mult, q, opts)
     gs = _certify(ghat, p, tr, mult, converged, deltas, gammas)
     if not converged:
@@ -386,7 +398,7 @@ def _iterate(
     rings among them, are freed on return."""
     grid = tr.grid
     hN = grid.h**grid.N
-    lhat = 1.0 + tr.spectrum_table(grid.xi_sq) ** p.s  # symbol of L = 1 + (-Delta)^s
+    lhat = 1.0 + tr.xi_sq**p.s  # symbol of L = 1 + (-Delta)^s
     lpair = tr.spectrum_weights(lhat)  # <q, Lq> = sum lpair |q_hat|^2
     lhat_inv = np.reciprocal(lhat, out=lhat)  # L^{-1}, in place of L
     what = tr.spectrum_table(mult.hartree_kernel_hat)
@@ -437,11 +449,12 @@ def _certify(
     """Every certificate scalar of the real profile Q whose spectrum on the
     transforms tr is qhat, from Q = tr.irfft(qhat) and one convolution
     W * Q^2 (4 real transforms in all), each sum pairwise; deltas and
-    gammas are the solver history.  Q is expanded once to the whole
-    centered grid, for GroundState.q, tail_ratio and radial_asymmetry."""
+    gammas are the solver history.  tail_ratio and radial_asymmetry are
+    read off the orthant values, whose maxima are the whole grid's, and Q
+    is expanded once, straight into the complex array of GroundState.q."""
     grid = tr.grid
     hN = grid.h**grid.N
-    xi2s = tr.spectrum_table(grid.xi_sq) ** p.s
+    xi2s = tr.xi_sq**p.s
     # each transient is dropped once used, so the certificate stays below
     # the memory peak of the solver loop
     q_vals = tr.irfft(qhat)
@@ -465,7 +478,6 @@ def _certify(
     lhs *= lhs
     el = np.sqrt(hN * tr.pairwise_total(lhs)) / l2
     del lhs
-    q_vals = tr.expand(q_vals)
 
     r1, r2 = _pohozaev(g, m, v_q, p)
 
@@ -483,7 +495,7 @@ def _certify(
     )
 
     return GroundState(
-        q=field_from_values(grid, q_vals),
+        q=field_from_values(grid, tr.expand(q_vals.astype(np.complex128))),
         params=p,
         l2=float(l2),
         hs=float(hs),
@@ -498,7 +510,7 @@ def _certify(
         iterations=len(deltas),
         converged=converged,
         final_alpha_dev=abs(gammas[-1] ** 1.5 - 1.0),
-        tail_ratio=_tail_ratio(q_vals, grid),
+        tail_ratio=_tail_ratio(q_vals),
         radial_asymmetry=_radial_asymmetry(q_vals),
         max_imag_frac=0.0,
         threshold_report=thr,

@@ -59,7 +59,9 @@ def write_snapshot(
         zlib.crc32(payload),
         CONVENTION_TAG.encode("utf-8").ljust(64, b"\0"),
     )
-    path.write_bytes(header + payload.tobytes())
+    with path.open("wb") as fh:  # the payload goes out from its own buffer, uncopied
+        fh.write(header)
+        fh.write(payload)
     meta = {
         "N": grid.N,
         "n": grid.n,

@@ -29,7 +29,9 @@ one dense cosine product per axis (a BLAS matrix product), a large one by
 1-D FFTs of the mirror extension along each axis; along an axis where an
 array is odd (a derivative, x_a u), by the sine series of its odd
 extension (``irfft_odd``, ``odd_power``).  The ground-state solver
-runs on the orthant alone, from a seed it makes mirror-even.  The step
+runs on the orthant alone, from a seed it makes mirror-even, with the
+orthant's own |xi|^2 and |x| (``Orthant.xi_sq``, ``Orthant.r_mesh``)
+built from one axis: no whole-grid mesh of ``GridSpec``.  The step
 loop of ``evolution`` and every public functional and diagnostic
 (``sobolev_norm``, ``functionals``, the resolvent and virial
 diagnostics) take their seam from ``step_transform`` once per call, the
@@ -442,6 +444,7 @@ class Orthant:
     orthant point by the number of grid points it stands for: the product
     over axes of 1 at k = 0 and k = n/2 and 2 between.  Only the work
     arrays of the path taken are allocated, and reused from call to call.
+    xi_sq and r_mesh, built from one axis, stand in for GridSpec's meshes.
     """
 
     def __init__(self, grid: GridSpec):
@@ -492,6 +495,18 @@ class Orthant:
                 lead + (slice(m - 2, 0, -1),),
                 lead + ([0, m - 1],),
             ))
+
+    @functools.cached_property
+    def xi_sq(self) -> np.ndarray:
+        """|xi|^2 on the orthant k = 0..n/2, bit for bit
+        restrict(grid.xi_sq), from one axis of wavenumbers."""
+        return _sum_of_squares(self.grid.xi_axis[: self.shape[0]], self.grid.N)
+
+    @property
+    def r_mesh(self) -> np.ndarray:
+        """Distance to the box center on the orthant, bit for bit
+        reduce(grid.r_mesh), from one axis of coordinates."""
+        return np.sqrt(_sum_of_squares(self.grid.x_axis[self._to_orthant], self.grid.N))
 
     def reduce(self, values: np.ndarray) -> np.ndarray:
         """The orthant of a centered mirror-even array, origin first."""
@@ -649,6 +664,14 @@ class Orthant:
         flat = z.view(np.float64).ravel()
         weights = self._mult_2 if np.iscomplexobj(z) else self._mult.ravel()
         return float(np.einsum("i,i,i->", weights, flat, flat))
+
+
+def _sum_of_squares(axis: np.ndarray, N: int) -> np.ndarray:
+    """The N-dimensional array of sum_a axis[j_a]^2, added axis by axis
+    in the order of GridSpec's sum over its meshes, so it is bit for bit
+    that sum at the same points."""
+    sq = axis**2
+    return functools.reduce(np.add.outer, [sq] * N)
 
 
 def _copy_into(out: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -839,13 +862,20 @@ def build_hartree_kernel(grid: GridSpec, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """Precomputed Fourier tables for one (grid, s, gamma) combination."""
+    """Fourier tables for one (grid, s, gamma) combination: the Hartree
+    kernel, built with the set, and the tables derived from the grid's
+    meshes, built on first read (the ground-state solver reads none of
+    them, so a certification run builds no whole-grid mesh)."""
 
     grid: GridSpec
     s: float
     gamma: float
-    frac_lap_s: np.ndarray
     hartree_kernel_hat: np.ndarray
+
+    @functools.cached_property
+    def frac_lap_s(self) -> np.ndarray:
+        """The symbol |xi|^{2s} of (-Delta)^s on the whole grid."""
+        return self.grid.xi_sq**self.s
 
     @functools.cached_property
     def grad_kernel_hat(self) -> tuple[np.ndarray, ...]:
@@ -862,16 +892,10 @@ class MultiplierSet:
 
 
 def make_multipliers(grid: GridSpec, p: PhysParams) -> MultiplierSet:
-    """The tables of (grid, p), with the exact Hartree kernel
-    (build_hartree_kernel)."""
+    """The tables of (grid, p): the exact Hartree kernel
+    (build_hartree_kernel) now, |xi|^{2s} on first read."""
     what = build_hartree_kernel(grid, p.gamma)
-    return MultiplierSet(
-        grid=grid,
-        s=p.s,
-        gamma=p.gamma,
-        frac_lap_s=grid.xi_sq**p.s,
-        hartree_kernel_hat=what,
-    )
+    return MultiplierSet(grid=grid, s=p.s, gamma=p.gamma, hartree_kernel_hat=what)
 
 
 # ---------------------------------------------------------------------------

@@ -543,7 +543,8 @@ def test_orthant_evolve_loads_no_scipy():
         "g = spectral.make_grid(2, 32, 8.0)",
         "u0 = spectral.field_from_values(g, np.exp(-g.r_mesh**2))",
         "assert type(spectral.step_transform(g, u0.values)) is spectral.Orthant",
-        "seed = ground_state._seed_array(g, None, ground_state.SolverOptions())",
+        "tr = spectral.Orthant(g)",
+        "seed = tr.expand(ground_state._seed_array(tr, None, ground_state.SolverOptions()))",
         "assert type(spectral.step_transform(g, seed)) is spectral.Orthant",
         "mult = spectral.make_multipliers(g, p)",
         "warnings.simplefilter('ignore')  # the box-tail advisory at L=8",

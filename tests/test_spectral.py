@@ -412,6 +412,32 @@ def test_grad_kernel_hat_built_on_first_read(params):
     assert mult.grad_kernel_hat is grad
 
 
+#: Grids of the orthant twin tests: the dense and the FFT path in 2-D, and 3-D.
+_TWIN_GRIDS = [(2, 16, 4.0), (2, 128, 32.0), (2, 512, 64.0), (3, 16, 8.0), (3, 32, 12.0)]
+
+
+@pytest.mark.parametrize("N, n, L", _TWIN_GRIDS)
+def test_orthant_meshes_match_the_whole_grid_bit_for_bit(N, n, L):
+    # the orthant builds |xi|^2 and |x| from one axis, with the whole
+    # grid's arithmetic at each point
+    g = make_grid(N=N, n=n, L=L)
+    tr = spectral.Orthant(g)
+    assert tr.xi_sq.shape == tr.r_mesh.shape == tr.shape
+    assert np.array_equal(tr.xi_sq, tr.restrict(g.xi_sq))
+    assert np.array_equal(tr.r_mesh, tr.reduce(g.r_mesh))
+    assert tr.xi_sq is tr.xi_sq
+
+
+@pytest.mark.parametrize("N, n, L", _TWIN_GRIDS)
+def test_frac_lap_s_is_built_on_first_read(N, n, L):
+    g = make_grid(N=N, n=n, L=L)
+    mult = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6))
+    assert "frac_lap_s" not in vars(mult) and "xi_sq" not in vars(g)
+    table = mult.frac_lap_s
+    assert np.array_equal(table, g.xi_sq**0.7)
+    assert mult.frac_lap_s is table
+
+
 def test_multiplier_set_tables(params):
     g = make_grid(N=2, n=32, L=8.0)
     mult = make_multipliers(g, params)
