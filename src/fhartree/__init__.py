@@ -23,6 +23,7 @@ from .functionals import (
     SetMembership,
     classify_membership,
     energy,
+    hartree_energy,
     invariant_pair,
     mass,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "classify_membership",
     "energy",
     "evolve",
+    "hartree_energy",
     "invariance_audit",
     "invariant_pair",
     "load_config",

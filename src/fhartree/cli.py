@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -264,6 +265,8 @@ def _initial_state(cfg: RunConfig, args: argparse.Namespace, gs) -> tuple[Spectr
             raise ConfigError(
                 f"--gaussian expects AMP,WIDTH[,K], got {args.gaussian!r}"
             ) from None
+        if not all(map(math.isfinite, (amp, width, carrier))):
+            raise ConfigError(f"--gaussian values must be finite, got {args.gaussian!r}")
         if width <= 0.0:
             raise ConfigError("--gaussian width must be positive")
         dk = 2.0 * np.pi / grid.L
@@ -273,8 +276,8 @@ def _initial_state(cfg: RunConfig, args: argparse.Namespace, gs) -> tuple[Spectr
         return u0, {"source": "gaussian", "amplitude": amp, "width": width,
                     "carrier": carrier}
     c = 1.0 if args.c is None else args.c
-    if c <= 0.0:
-        raise ConfigError(f"amplitude c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ConfigError(f"amplitude c must be positive and finite, got {c}")
     u0 = field_from_values(grid, c * gs.q.values)
     return u0, {"source": "scaled-ground-state", "c": c}
 
@@ -466,8 +469,8 @@ def run_sweep(
     cs = tuple(float(c) for c in amplitudes)
     if not cs:
         raise ConfigError("sweep amplitude grid is empty")
-    if any(c <= 0.0 for c in cs):
-        raise ConfigError("sweep amplitudes must be positive")
+    if not all(math.isfinite(c) and c > 0.0 for c in cs):
+        raise ConfigError("sweep amplitudes must be positive and finite")
 
     pairs = []
     for s, gamma in sg_pairs or ((cfg.physics.s, cfg.physics.gamma),):

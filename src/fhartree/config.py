@@ -10,6 +10,7 @@ default; a config file only needs the keys it changes.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -166,6 +167,8 @@ class SweepSpec:
     k: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.c_lo) and math.isfinite(self.c_hi)):
+            raise ConfigError(f"sweep bounds must be finite, got [{self.c_lo}, {self.c_hi}]")
         if self.c_lo <= 0.0:
             raise ConfigError(f"c_lo must be positive, got {self.c_lo}")
         if self.c_hi < self.c_lo:

@@ -1,5 +1,4 @@
-"""Resolvent-based norm identities, localized virial quantities, and
-dispersal proxies.
+"""Resolvent-based norm identities and localized virial quantities.
 
 The fractional Laplacian admits a resolvent representation through the
 auxiliary field u_m = c_s (-Delta + m)^{-1} u with c_s = sqrt(sin(pi s)/pi):
@@ -37,8 +36,6 @@ from .spectral import (
     gauss_jacobi,
     parseval_weight,
     step_transform,
-    to_fourier,
-    to_physical,
 )
 
 #: Seams of the default m-rule: Gauss-Jacobi on [0, a], log-axis panels on
@@ -166,18 +163,6 @@ def build_quadrature(
         a=float(a),
         b=float(b),
     )
-
-
-def _c_s(s: float) -> float:
-    """Normalization sqrt(sin(pi s)/pi) making the m-integral identity exact."""
-    return float(np.sqrt(np.sin(np.pi * s) / np.pi))
-
-
-def auxiliary_field(u: SpectralField, m: float, p: PhysParams) -> SpectralField:
-    """Resolvent smoothing u_m = c_s (-Delta + m)^{-1} u."""
-    if m <= 0.0:
-        raise ValueError(f"resolvent parameter m must be positive, got {m}")
-    return to_physical(u.grid, _c_s(p.s) * to_fourier(u) / (u.grid.xi_sq + m))
 
 
 def _real_parts(v: np.ndarray) -> list[np.ndarray]:
@@ -325,30 +310,6 @@ def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
     )
 
 
-def localized_virial(u: SpectralField, phi: CutoffPhi) -> float:
-    """M_R = 2 Im int conj(u) grad(phi_R) . grad(u) dx (zero for real u).
-
-    With u = a + i b, Im(conj(u) d_j u) = a d_j b - b d_j a, so the two
-    real parts go through the real pair, with the derivative of the
-    trigonometric interpolant (grid.deriv_mesh); a mirror-even u runs on
-    the orthant, where each derivative and phi.grad are odd along their
-    axis and their product is even."""
-    if u.grid != phi.grid:
-        raise ValueError("field and cutoff live on different grids")
-    grid = u.grid
-    tr = step_transform(grid, u.values)
-    v = tr.reduce(u.values)
-    a, b = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
-    a_hat, b_hat = tr.rfft(a), tr.rfft(b)
-    acc = 0.0
-    for axis, (xi, g) in enumerate(zip(grid.deriv_mesh, phi.grad)):
-        xi = tr.spectrum_table(xi)
-        w = tr.point_weights(g)
-        acc += _weighted_sum(w, a, tr.irfft_odd(xi * b_hat, axis))
-        acc -= _weighted_sum(w, b, tr.irfft_odd(xi * a_hat, axis))
-    return 2.0 * grid.h**grid.N * acc
-
-
 @dataclass(frozen=True)
 class VirialRHS:
     """The two computable pieces of d/dt M_R and the reported remainder scale.
@@ -456,42 +417,6 @@ def virial_rhs(
     return VirialRHS(main=main, interaction=interaction, a_r_bound=ds_tail + l2_tail + v_tail)
 
 
-@dataclass(frozen=True)
-class VirialAudit:
-    """Positivity audit of d/dt M_R along a run that started inside K1."""
-
-    applicable: bool
-    all_positive: bool
-    min_total: float
-    c_delta: float  # min(main + interaction) / ||u0||_{Hs-dot}^2
-
-    @property
-    def ok(self) -> bool:
-        return (not self.applicable) or self.all_positive
-
-
-def virial_lower_bound_audit(rec, totals) -> VirialAudit:
-    """Check main + interaction > 0 at every sampled state of a K1 run and
-    report the empirical coercivity constant min(totals)/||u0||_{Hs-dot}^2.
-
-    rec is the RunRecord of the evolution; totals are VirialRHS.total values
-    evaluated at states sampled from the same run (the record itself does
-    not retain fields).
-    """
-    vals = np.asarray([float(v) for v in totals])
-    if vals.size == 0:
-        raise ValueError("no virial values supplied")
-    applicable = rec.series["membership"][0] == "K1"
-    hs0_sq = float(rec.series["hs"][0]) ** 2
-    min_total = float(np.min(vals))
-    return VirialAudit(
-        applicable=applicable,
-        all_positive=bool(np.all(vals > 0.0)),
-        min_total=min_total,
-        c_delta=min_total / hs0_sq if hs0_sq > 0.0 else float("nan"),
-    )
-
-
 def weighted_virial(u: SpectralField, p: PhysParams) -> float:
     """P = sum_j Re <x_j u, (-Delta)^{1-s} (x_j u)>, nonnegative by construction.
 
@@ -532,42 +457,3 @@ def weighted_virial_of_gaussian(s: float, N: int) -> float:
       = pi^{N/2} Gamma(2 - s + N/2) / Gamma(N/2)   (pi Gamma(3 - s) for N=2).
     """
     return math.pi ** (0.5 * N) * math.gamma(2.0 - s + 0.5 * N) / math.gamma(0.5 * N)
-
-
-@dataclass(frozen=True)
-class ScatteringReport:
-    """Finite-time dispersal proxies extracted from a RunRecord.
-
-    v_ratio and lpc_ratio compare the final sample against t=0; the rate
-    fields are average growth rates of the running space-time norm over the
-    first and last quarters of the run (a dispersing solution accumulates
-    ever more slowly, so rate_final < rate_initial).
-    """
-
-    v_ratio: float
-    lpc_ratio: float
-    strichartz_final: float
-    rate_initial: float
-    rate_final: float
-
-
-def scattering_proxies(rec) -> ScatteringReport:
-    t = rec.series["time"]
-    if t.size < 4:
-        raise ValueError("need at least 4 samples for quarter-window rates")
-    stri = rec.series["strichartz_accum"]
-    t_q1 = t[0] + 0.25 * (t[-1] - t[0])
-    t_q3 = t[0] + 0.75 * (t[-1] - t[0])
-    i1 = int(np.searchsorted(t, t_q1))
-    i3 = int(np.searchsorted(t, t_q3))
-    i1 = max(1, min(i1, t.size - 1))
-    i3 = max(i1, min(i3, t.size - 2))
-    rate_initial = float((stri[i1] - stri[0]) / (t[i1] - t[0]))
-    rate_final = float((stri[-1] - stri[i3]) / (t[-1] - t[i3]))
-    return ScatteringReport(
-        v_ratio=rec.v_ratio_final,
-        lpc_ratio=rec.ratio("lpc"),
-        strichartz_final=float(stri[-1]),
-        rate_initial=rate_initial,
-        rate_final=rate_final,
-    )

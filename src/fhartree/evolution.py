@@ -282,15 +282,10 @@ def wrap_time(grid, s: float) -> float:
     return float(grid.L / (4.0 * speed))
 
 
-def adapt_dt(u: SpectralField, cfg: StepperConfig, mult: MultiplierSet) -> float:
-    """Effective step: nominal dt shrunk so the worst-case nonlinear phase
-    increment max|u|^2 * W_hat(0) * dt stays below phase_cap, never below
-    dt_min."""
-    return _adapted_dt(float(np.max(u.values.real**2 + u.values.imag**2)), cfg, mult)
-
-
 def _adapted_dt(amp: float, cfg: StepperConfig, mult: MultiplierSet) -> float:
-    """adapt_dt for a precomputed amplitude amp = max|u|^2."""
+    """Effective step for the amplitude amp = max|u|^2: the nominal dt
+    shrunk so the worst-case nonlinear phase increment amp * W_hat(0) * dt
+    stays below phase_cap, never below dt_min."""
     scale = amp * mult.kernel_zero_mode
     if scale <= 0.0:
         return cfg.dt
@@ -323,30 +318,6 @@ def _abs_sq(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     np.multiply(z.imag, z.imag, out=scratch)
     out += scratch
     return out
-
-
-def strang_step(
-    u: SpectralField,
-    mult: MultiplierSet,
-    dt: float,
-    nonlinear: bool = True,
-    mask: np.ndarray | None = None,
-) -> SpectralField:
-    """One Strang step: half free flow, full Hartree phase, half free flow.
-
-    A thin wrapper of the step evolve() runs, on the transforms evolve()
-    would choose for u: it transforms u once and returns the field at the
-    end of the step.  With mask given, both linear substeps project onto
-    the retained modes (this breaks exact mass conservation).
-    """
-    tr = step_transform(u.grid, u.values)
-    half = _half_step_phase(tr.restrict(mult.frac_lap_s), dt)
-    what_s = tr.spectrum_table(mult.hartree_kernel_hat)
-    mask = None if mask is None else tr.restrict(mask)
-    work = _StepWork(tr)
-    hat = tr.fft(tr.reduce(u.values))
-    _strang(hat, half, what_s, dt, nonlinear, mask, work)
-    return SpectralField(grid=u.grid, values=tr.expand(_to_boundary(hat, half, mask, work)))
 
 
 def _free_half_step(hat: np.ndarray, half: np.ndarray, mask: np.ndarray | None) -> None:
@@ -471,7 +442,7 @@ def evolve(
         a check reads, and H^{s_c}-dot, which only a row reads."""
         grad = mult.frac_lap_s * kept
         return np.stack([tr.sum_weights(kept), tr.sum_weights(grad),
-                         tr.sum_weights(grad * ~dealias_mask(grid, 2.0 / 3.0)),
+                         tr.sum_weights(grad * ~dealias_mask(grid)),
                          tr.sum_weights(grid.xi_sq**p.s_c * kept)])
 
     # the spectrum at t=0 is whole; every later one carries the mask

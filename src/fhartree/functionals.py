@@ -8,7 +8,7 @@ K2 (blow-up) relative to their ground-state values.
 """
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -18,12 +18,13 @@ from .params import PhysParams
 from .spectral import (
     MultiplierSet,
     SpectralField,
-    lp_norm,
     seam_sobolev_norm,
-    sobolev_norm,
     step_transform,
-    to_fourier,
 )
+
+#: Half-width of the band |grad_ratio - 1| < BOUNDARY_TOL that is the
+#: threshold orbit's own (Boundary) and not K1 or K2.
+BOUNDARY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -112,15 +113,16 @@ def invariant_pair(u: SpectralField, p: PhysParams, mult: MultiplierSet) -> Inva
     )
 
 
-def classify_from_ratios(
-    me_ratio: float, grad_ratio: float, boundary_tol: float = 1e-3
-) -> SetMembership:
+def classify_from_ratios(me_ratio: float, grad_ratio: float) -> SetMembership:
     """Membership verdict from the two precomputed threshold ratios.
 
-    The boundary band takes precedence: the ground-state orbit itself has
+    A ratio that is NaN places the state in neither set.  Otherwise the
+    boundary band takes precedence: the ground-state orbit itself has
     both ratios equal to 1 and must report Boundary, not Neither.
     """
-    if abs(grad_ratio - 1.0) < boundary_tol:
+    if math.isnan(me_ratio) or math.isnan(grad_ratio):
+        verdict = "Neither"
+    elif abs(grad_ratio - 1.0) < BOUNDARY_TOL:
         verdict = "Boundary"
     elif me_ratio >= 1.0:
         verdict = "Neither"
@@ -131,10 +133,8 @@ def classify_from_ratios(
     return SetMembership(verdict=verdict, me_ratio=me_ratio, grad_ratio=grad_ratio)
 
 
-def classify_membership(
-    pair: InvariantPair, gs: ThresholdSource, boundary_tol: float = 1e-3
-) -> SetMembership:
-    return classify_from_ratios(pair.me / gs.me_Q, pair.grad / gs.grad_Q, boundary_tol)
+def classify_membership(pair: InvariantPair, gs: ThresholdSource) -> SetMembership:
+    return classify_from_ratios(pair.me / gs.me_Q, pair.grad / gs.grad_Q)
 
 
 def gn_ratio(v: SpectralField, cgn: float, p: PhysParams, mult: MultiplierSet) -> float:
@@ -146,50 +146,6 @@ def gn_ratio(v: SpectralField, cgn: float, p: PhysParams, mult: MultiplierSet) -
     hs, hartree = _hs_and_v(v, p.s, mult)
     bound = cgn * l2 ** ((4.0 * p.s - p.gamma) / p.s) * hs ** (p.gamma / p.s)
     return hartree / bound
-
-
-def scale_solution(u: SpectralField, lam: float, p: PhysParams) -> SpectralField:
-    """Critical rescaling lam^{(N-gamma+2s)/2} u(lam x) by trigonometric interpolation.
-
-    Evaluates the Fourier interpolant of u at the points lam*x_j, one
-    separable synthesis matrix per axis, then applies the amplitude
-    prefactor.  Leaves the L^{p_c} and H^{s_c}-dot norms invariant up to
-    interpolation error for well-resolved, box-contained fields.
-    """
-    if not 0.25 <= lam <= 4.0:
-        raise ValueError(f"lambda must lie in [1/4, 4], got {lam}")
-    grid = u.grid
-    hat = to_fourier(u)
-    # synthesis matrix E[j, k] = exp(i lam x_j xi_k), one axis at a time.
-    # The interpolant is L-periodic, so for lam > 1 the points lam*x_j that
-    # leave [-L/2, L/2) would wrap onto ghost copies of the compressed
-    # profile; zero those rows instead (the true field is ~0 out there).
-    E = np.exp(1j * lam * np.outer(grid.x_axis, grid.xi_axis))
-    inside = (lam * grid.x_axis >= -0.5 * grid.L) & (lam * grid.x_axis < 0.5 * grid.L)
-    E[~inside, :] = 0.0
-    out = hat
-    for axis in range(grid.N):
-        out = np.moveaxis(np.tensordot(E, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
-    out = out * (grid.L ** (-grid.N) * lam ** (0.5 * (grid.N - p.gamma + 2.0 * p.s)))
-    scaled = SpectralField(grid=grid, values=out)
-    _warn_if_support_wraps(scaled)
-    return scaled
-
-
-def _warn_if_support_wraps(u: SpectralField, level: float = 1e-8, frac: float = 0.8) -> None:
-    mod = np.abs(u.values)
-    peak = mod.max()
-    if peak == 0.0:
-        return
-    supported = mod > level * peak
-    if supported.any():
-        r_support = float(u.grid.r_mesh[supported].max())
-        if r_support > frac * 0.5 * u.grid.L:
-            warnings.warn(
-                f"field support radius {r_support:.2f} exceeds {frac:.0%} of the box radius; "
-                "periodic wrap-around may contaminate scaled/weighted quantities",
-                stacklevel=3,
-            )
 
 
 def comparability_check(u: SpectralField, p: PhysParams, mult: MultiplierSet) -> ComparabilityReport:
@@ -212,8 +168,3 @@ def comparability_check(u: SpectralField, p: PhysParams, mult: MultiplierSet) ->
         coercivity_gap=gap,
         coercivity_ratio=gap / g if g > 0 else 0.0,
     )
-
-
-def critical_norms(u: SpectralField, p: PhysParams) -> tuple[float, float]:
-    """(||u||_{H^{s_c}-dot}, ||u||_{L^{p_c}}), the two scale-invariant norms."""
-    return sobolev_norm(u, p.s_c), lp_norm(u, p.p_c)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import hartree_energy, mass
 from .params import PhysParams
 from .spectral import (
     GridSpec,
@@ -42,7 +41,6 @@ from .spectral import (
     field_from_values,
     is_mirror_even,
     make_multipliers,
-    sobolev_norm,
 )
 
 
@@ -162,22 +160,17 @@ class GroundState:
         }
 
 
-def default_seed(grid: GridSpec, width: float = 1.0) -> SpectralField:
-    """Radial positive Gaussian seed exp(-|x|^2 / width^2)."""
-    return field_from_values(grid, _seed_values(grid.r_mesh, width))
-
-
 def _seed_values(r: np.ndarray, width: float) -> np.ndarray:
-    """The real values of default_seed at the distances r to the box
-    center: grid.r_mesh on the whole grid, Orthant.r_mesh on the orthant,
-    the same arithmetic at each point."""
+    """The radial positive Gaussian seed exp(-|x|^2 / width^2) at the
+    distances r to the box center: grid.r_mesh on the whole grid,
+    Orthant.r_mesh on the orthant, the same arithmetic at each point."""
     return np.exp(-(r**2) / width**2)
 
 
 def _seed_array(tr: Orthant, seed: SpectralField | None, opts: SolverOptions) -> np.ndarray:
     """A fresh real array of the solver's seed on the orthant tr: the
     default seed of width opts.seed_width, built on the orthant alone and
-    bit for bit tr.reduce of default_seed's values, or the real part q of
+    bit for bit tr.reduce of its whole-grid values, or the real part q of
     seed, which arrives on the whole centered grid.  A q that is not
     mirror-even is rolled by whole grid points so that the circular centre
     of mass of q^2 (the phase of the first Fourier mode of each marginal)
@@ -206,19 +199,11 @@ def _seed_array(tr: Orthant, seed: SpectralField | None, opts: SolverOptions) ->
     return sum(np.transpose(q, perm) for perm in perms) / len(perms)
 
 
-def pohozaev_residuals(
-    q: SpectralField, p: PhysParams, mult: MultiplierSet
-) -> tuple[float, float]:
-    """Residuals of the two integral identities any profile solution satisfies.
-
-    r1 normalizes  G + M - V  and r2 normalizes
-    ((N-2s)/2) G + (N/2) M - ((2N-gamma)/4) V  by G = ||q||_{Hs-dot}^2.
-    """
-    return _pohozaev(sobolev_norm(q, p.s) ** 2, mass(q), hartree_energy(q, mult), p)
-
-
 def _pohozaev(g: float, m: float, v: float, p: PhysParams) -> tuple[float, float]:
-    """(r1, r2) of pohozaev_residuals from G = ||q||_{Hs-dot}^2, M and V."""
+    """Residuals (r1, r2) of the two integral identities any profile
+    solution satisfies, from G = ||q||_{Hs-dot}^2, M and V: r1 normalizes
+    G + M - V and r2 normalizes ((N-2s)/2) G + (N/2) M - ((2N-gamma)/4) V
+    by G."""
     r1 = (g + m - v) / g
     r2 = ((p.N - 2.0 * p.s) / 2.0 * g + p.N / 2.0 * m - (2.0 * p.N - p.gamma) / 4.0 * v) / g
     return float(r1), float(r2)
@@ -524,25 +509,3 @@ def _cgn_values(l2: float, hs: float, p: PhysParams) -> tuple[float, float]:
     cgn_a = (4.0 * s / gamma) / (l2 ** ((4.0 * s - gamma) / s) * hs ** ((gamma - 2.0 * s) / s))
     cgn_b = ((4.0 * s - gamma) / gamma) ** (gamma / (2.0 * s)) * 4.0 * s / ((4.0 * s - gamma) * l2**2)
     return float(cgn_a), float(cgn_b)
-
-
-def soliton_orbit_check(
-    gs: GroundState,
-    mult: MultiplierSet,
-    T: float,
-    dt: float,
-    record_every: int = 10,
-) -> float:
-    """Evolve Q over [0, T] and return max_t ||u(t) - e^{it} Q||_2 / ||Q||_2.
-
-    Q solves the discrete profile equation exactly, so e^{it} Q is an exact
-    orbit of the semi-discrete system and the deviation isolates the
-    time-integration error (second order in dt).
-    """
-    from .evolution import StepperConfig, evolve
-
-    if T == 0.0:
-        return 0.0
-    cfg = StepperConfig(dt=dt, t_end=T, record_every=record_every, adaptive=False)
-    rec = evolve(gs.q, gs.params, mult, cfg, gs=gs)
-    return float(np.max(rec.series["soliton_deviation"]))

@@ -11,6 +11,7 @@ and its checksum; loading never guesses.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -82,38 +83,47 @@ def read_snapshot(
 ) -> tuple[SpectralField, PhysParams, dict]:
     """Load a snapshot; returns (field, params, sidecar dict).
 
-    Raises SnapshotFormatError on structural damage and SnapshotMismatchError
-    when `expect` is given and the stored (N, s, gamma) differ.
+    The header is read and checked first, and the payload then goes
+    straight from the file into the field's array, so a read holds one
+    payload-sized buffer.  Raises SnapshotFormatError on structural damage
+    and SnapshotMismatchError when `expect` is given and the stored
+    (N, s, gamma) differ.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER_SIZE:
-        raise SnapshotFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, N, n, L, s, gamma, crc, tag = struct.unpack(_HEADER_FMT, raw[:_HEADER_SIZE])
-    if magic == _OLD_MAGIC:
-        raise SnapshotFormatError(
-            f"{path}: format {_OLD_MAGIC.decode()} carries no payload checksum and is "
-            f"no longer read; write the snapshot again ({MAGIC.decode()})"
-        )
-    if magic != MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-    tag_str = tag.rstrip(b"\0").decode("utf-8", errors="replace")
-    if tag_str != CONVENTION_TAG:
-        raise SnapshotFormatError(
-            f"{path}: convention tag {tag_str!r} does not match {CONVENTION_TAG!r}"
-        )
-    try:
-        p = PhysParams(N=N, s=s, gamma=gamma)
-        grid = make_grid(N=N, n=n, L=L)
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{path}: invalid header parameters: {exc}") from exc
-    expected_bytes = _HEADER_SIZE + 16 * grid.npoints
-    if len(raw) != expected_bytes:
-        raise SnapshotFormatError(
-            f"{path}: payload size {len(raw) - _HEADER_SIZE} does not match "
-            f"{n}^{N} complex doubles"
-        )
-    actual = zlib.crc32(memoryview(raw)[_HEADER_SIZE:])
+    with path.open("rb") as fh:
+        head = fh.read(_HEADER_SIZE)
+        if len(head) < _HEADER_SIZE:
+            raise SnapshotFormatError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, N, n, L, s, gamma, crc, tag = struct.unpack(_HEADER_FMT, head)
+        if magic == _OLD_MAGIC:
+            raise SnapshotFormatError(
+                f"{path}: format {_OLD_MAGIC.decode()} carries no payload checksum and is "
+                f"no longer read; write the snapshot again ({MAGIC.decode()})"
+            )
+        if magic != MAGIC:
+            raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
+        tag_str = tag.rstrip(b"\0").decode("utf-8", errors="replace")
+        if tag_str != CONVENTION_TAG:
+            raise SnapshotFormatError(
+                f"{path}: convention tag {tag_str!r} does not match {CONVENTION_TAG!r}"
+            )
+        try:
+            p = PhysParams(N=N, s=s, gamma=gamma)
+            grid = make_grid(N=N, n=n, L=L)
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path}: invalid header parameters: {exc}") from exc
+        payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+        if payload_bytes != 16 * grid.npoints:
+            raise SnapshotFormatError(
+                f"{path}: payload size {payload_bytes} does not match "
+                f"{n}^{N} complex doubles"
+            )
+        vals = np.empty(grid.shape, dtype="<c16")
+        buf = memoryview(vals).cast("B")
+        got = fh.readinto(buf)  # a buffered read fills buf unless the file ends
+        if got != len(buf):
+            raise SnapshotFormatError(f"{path}: payload ends after {got} bytes")
+    actual = zlib.crc32(buf)
     if actual != crc:
         raise SnapshotFormatError(
             f"{path}: payload checksum {actual:08x} does not match the header's {crc:08x}"
@@ -123,7 +133,6 @@ def read_snapshot(
             f"{path}: snapshot holds (N, s, gamma) = ({N}, {s}, {gamma}), "
             f"expected ({expect.N}, {expect.s}, {expect.gamma})"
         )
-    vals = np.frombuffer(raw[_HEADER_SIZE:], dtype="<c16").reshape(grid.shape)
     side = {}
     sc = sidecar_path(path)
     if sc.exists():

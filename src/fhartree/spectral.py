@@ -35,9 +35,8 @@ built from one axis: no whole-grid mesh of ``GridSpec``.  The step
 loop of ``evolution`` and every public functional and diagnostic
 (``sobolev_norm``, ``functionals``, the resolvent and virial
 diagnostics) take their seam from ``step_transform`` once per call, the
-orthant when their states allow it.  The module-level helpers that
-return a spectrum or a field on the whole grid (``to_fourier``,
-``to_physical``, ``apply_multiplier``, ``hartree_potential``) build
+orthant when their states allow it.  ``to_fourier`` and ``to_physical``,
+which return a spectrum or a field on the whole grid, build
 ``FullGrid(grid)``.
 """
 from __future__ import annotations
@@ -190,17 +189,6 @@ def to_physical(grid: GridSpec, hat: np.ndarray) -> SpectralField:
     """The field on grid whose spectrum is hat: the inverse of to_fourier."""
     vals = np.fft.fftshift(FullGrid(grid).ifft(hat)) * (grid.n / grid.L) ** grid.N
     return SpectralField(grid=grid, values=vals)
-
-
-def apply_multiplier(u: SpectralField, table: np.ndarray) -> SpectralField:
-    """Apply a diagonal Fourier multiplier, given in FFT order, to a field.
-
-    Exactly equivalent to to_physical(u.grid, table * to_fourier(u)); the
-    centering phases cancel for diagonal tables, so the raw FFT pair is used.
-    """
-    tr = FullGrid(u.grid)
-    vals = tr.ifft(table * tr.fft(u.values))
-    return SpectralField(grid=u.grid, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -899,29 +887,7 @@ def make_multipliers(grid: GridSpec, p: PhysParams) -> MultiplierSet:
 
 
 # ---------------------------------------------------------------------------
-# Operators
-
-
-def fractional_laplacian(u: SpectralField, alpha: float) -> SpectralField:
-    """(-Delta)^alpha u through the |xi|^{2 alpha} multiplier, 0 <= alpha <= 2."""
-    if not 0.0 <= alpha <= 2.0:
-        raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
-    if alpha == 0.0:
-        return u
-    return apply_multiplier(u, u.grid.xi_sq**alpha)
-
-
-def linear_propagator(u: SpectralField, t: float, s: float) -> SpectralField:
-    """Free evolution exp(-i t (-Delta)^s) u; preserves every |u_hat(xi)|."""
-    return apply_multiplier(u, np.exp(-1j * t * u.grid.xi_sq**s))
-
-
-def hartree_potential(u: SpectralField, mult: MultiplierSet) -> np.ndarray:
-    """The convolution factor W * |u|^2 on u's grid, a real array (the kernel
-    table is real and even)."""
-    rho = u.values.real**2 + u.values.imag**2
-    tr = FullGrid(u.grid)
-    return tr.real_multiply(tr.spectrum_table(mult.hartree_kernel_hat), rho)
+# Norms and masks
 
 
 def sobolev_norm(u: SpectralField, alpha: float) -> float:
@@ -947,19 +913,10 @@ def seam_sobolev_norm(tr: FullGrid | Orthant, u: SpectralField, symbol: np.ndarr
     return math.sqrt(parseval_weight(u.grid) * tr.total(dens))
 
 
-def lp_norm(u: SpectralField, p: float) -> float:
-    """Discrete (h^N-weighted) Lebesgue norm; p=inf gives the max modulus."""
-    mod = np.abs(u.values)
-    if np.isinf(p):
-        return float(np.max(mod))
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    return float((u.grid.h**u.grid.N * np.sum(mod**p)) ** (1.0 / p))
-
-
-def dealias_mask(grid: GridSpec, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Boolean mask keeping modes with |xi_a| < fraction * xi_nyquist on every axis."""
-    cut = fraction * grid.xi_nyquist
+def dealias_mask(grid: GridSpec) -> np.ndarray:
+    """Boolean mask of the 2/3 rule: keeps the modes with |xi_a| < (2/3)
+    xi_nyquist on every axis."""
+    cut = 2.0 / 3.0 * grid.xi_nyquist
     keep = np.ones(grid.shape, dtype=bool)
     for xi in grid.xi_mesh:
         keep &= np.abs(xi) < cut

@@ -21,7 +21,6 @@ from fhartree.diagnostics import (
     balakrishnan_check,
     build_cutoff,
     build_quadrature,
-    localized_virial,
     virial_rhs,
     weighted_virial,
 )
@@ -29,13 +28,12 @@ from fhartree.evolution import StepperConfig, evolve, invariance_audit
 from fhartree.functionals import gn_ratio, hartree_energy
 from fhartree.spectral import (
     field_from_values,
-    fractional_laplacian,
-    hartree_potential,
     make_grid,
     make_multipliers,
     random_smooth_field,
     sobolev_norm,
 )
+from whole_grid import fractional_laplacian, hartree_potential, localized_virial
 
 
 def _check(idx: int, label: str, ok: bool, detail: str) -> None:

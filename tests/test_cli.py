@@ -193,6 +193,28 @@ def test_nonpositive_amplitude_rejected(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--c", "nan"],
+    ["evolve", "--c", "inf"],
+    ["classify", "--gaussian", "nan,1.0"],
+    ["classify", "--gaussian", "1.0,nan"],
+    ["classify", "--gaussian", "1.0,1.0,inf"],
+    ["sweep", "--c-lo", "nan", "--count", "2"],
+    ["sweep", "--c-hi", "inf"],
+    ["sweep", "--c", "0.9", "nan"],
+], ids=["c-nan", "evolve-c-inf", "gaussian-amp-nan", "gaussian-width-nan",
+        "gaussian-carrier-inf", "sweep-c-lo-nan", "sweep-c-hi-inf", "sweep-c-list-nan"])
+def test_non_finite_input_exits_1(tmp_path, argv, capsys):
+    # a NaN amplitude used to classify as K2 with a blow-up prediction, and
+    # an infinite carrier to end in an OverflowError traceback
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert "finite" in captured.err
+    assert "prediction" not in captured.out
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_override_rejected(tmp_path, capsys):
     # grid.kernel_mode chose between two kernels; only the exact one is
     # left, and a leftover setting is an unknown key in an override or a file
@@ -341,6 +363,9 @@ def test_run_sweep_rejects_bad_amplitudes():
         run_sweep(cfg, ())
     with pytest.raises(ConfigError, match="positive"):
         run_sweep(cfg, (0.9, -1.1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            run_sweep(cfg, (0.9, bad))
 
 
 @pytest.mark.parametrize("override", ["stepper.dealias=yes", "stepper.nonlinear=no"])

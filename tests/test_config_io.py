@@ -2,6 +2,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,9 @@ def test_sweep_spec_amplitude_grid():
         {"c_lo": -0.5, "c_hi": 1.0, "k": 3},
         {"c_lo": 1.2, "c_hi": 0.8, "k": 3},
         {"c_lo": 0.8, "c_hi": 1.2, "k": 1},
+        {"c_lo": float("nan"), "c_hi": 1.2, "k": 2},
+        {"c_lo": 0.8, "c_hi": float("nan"), "k": 2},
+        {"c_lo": 0.8, "c_hi": float("inf"), "k": 2},
     ],
 )
 def test_sweep_spec_validation(kwargs):
@@ -342,6 +346,22 @@ def test_snapshot_round_trip_is_exact(tmp_path, params, small_field):
     assert (p.N, p.s, p.gamma) == (params.N, params.s, params.gamma)
     assert side["note"] == "test" and side["value"] == 1.25
     assert side["convention"] == CONVENTION_TAG
+
+
+def test_snapshot_read_holds_one_payload_buffer(tmp_path, params):
+    # the payload goes from the file straight into the field's array; a
+    # read of the whole file and a slice of it held two payloads (~2x)
+    grid = make_grid(N=2, n=256, L=32.0)
+    path = write_snapshot(tmp_path / "q.bin", field_from_values(grid, np.ones(grid.shape)),
+                          params)
+    tracemalloc.start()
+    try:
+        u, _, _ = read_snapshot(path, expect=params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(u.values == 1.0)
+    assert peak < 1.25 * 16 * grid.npoints
 
 
 def test_snapshot_sidecar_optional(tmp_path, params, small_field):

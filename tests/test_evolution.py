@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from fhartree import evolution, spectral
 from fhartree.evolution import (
     StepperConfig,
-    adapt_dt,
+    _adapted_dt,
     evolve,
     invariance_audit,
-    strang_step,
     wrap_time,
 )
 from fhartree.functionals import (
@@ -31,8 +30,6 @@ from fhartree.params import PhysParams
 from fhartree.spectral import (
     dealias_mask,
     field_from_values,
-    linear_propagator,
-    lp_norm,
     make_grid,
     make_multipliers,
     parseval_weight,
@@ -40,6 +37,7 @@ from fhartree.spectral import (
     sobolev_norm,
     to_fourier,
 )
+from whole_grid import linear_propagator, lp_norm, strang_step
 
 
 def _rng_field(grid, seed):
@@ -303,11 +301,18 @@ def test_invariance_audit_boundary_not_applicable(soliton_run):
 # adaptive step
 
 
+def _max_density(u):
+    return float(np.max(u.values.real**2 + u.values.imag**2))
+
+
 def test_adapt_dt_caps_nonlinear_phase(canonical):
-    cfg = StepperConfig(dt=1e-2, t_end=1.0)
+    # the first step of evolve, read off its dt_eff column
+    cfg = StepperConfig(dt=1e-2, t_end=1e-3)
     big = field_from_values(canonical.grid, 5.0 * canonical.gs.q.values)
-    dt_eff = adapt_dt(big, cfg, canonical.mult)
+    rec = evolve(big, canonical.p, canonical.mult, cfg)
+    dt_eff = rec.series["dt_eff"][0]
     assert dt_eff < cfg.dt
+    assert dt_eff == _adapted_dt(_max_density(big), cfg, canonical.mult)
     amp = float(np.max(np.abs(big.values) ** 2))
     assert amp * canonical.mult.kernel_zero_mode * dt_eff <= cfg.phase_cap * (1 + 1e-12)
 
@@ -315,13 +320,13 @@ def test_adapt_dt_caps_nonlinear_phase(canonical):
 def test_adapt_dt_leaves_small_fields_alone(canonical):
     cfg = StepperConfig(dt=1e-3, t_end=1.0)
     tiny = field_from_values(canonical.grid, 1e-4 * canonical.gs.q.values)
-    assert adapt_dt(tiny, cfg, canonical.mult) == cfg.dt
+    assert _adapted_dt(_max_density(tiny), cfg, canonical.mult) == cfg.dt
 
 
 def test_adapt_dt_respects_floor(canonical):
     cfg = StepperConfig(dt=1e-2, dt_min=5e-3, t_end=1.0)
     huge = field_from_values(canonical.grid, 50.0 * canonical.gs.q.values)
-    assert adapt_dt(huge, cfg, canonical.mult) == cfg.dt_min
+    assert _adapted_dt(_max_density(huge), cfg, canonical.mult) == cfg.dt_min
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +456,7 @@ def _reference_evolve(u0, p, mult, cfg, gs):
     hN = grid.h**grid.N
     plancherel = parseval_weight(grid) * hN * hN
     xi2s, xi2sc = mult.frac_lap_s, grid.xi_sq**p.s_c
-    tail = ~dealias_mask(grid, 2.0 / 3.0)
+    tail = ~dealias_mask(grid)
     what = mult.hartree_kernel_hat
     mask = dealias_mask(grid) if cfg.dealias else None
     qc = p.q_c

@@ -18,14 +18,9 @@ from fhartree import spectral
 from fhartree.params import PhysParams
 from fhartree.spectral import (
     CONVENTION_TAG,
-    apply_multiplier,
     build_hartree_kernel,
     dealias_mask,
     field_from_values,
-    fractional_laplacian,
-    hartree_potential,
-    linear_propagator,
-    lp_norm,
     make_grid,
     make_multipliers,
     parseval_weight,
@@ -33,6 +28,13 @@ from fhartree.spectral import (
     sobolev_norm,
     to_fourier,
     to_physical,
+)
+from whole_grid import (
+    apply_multiplier,
+    fractional_laplacian,
+    hartree_potential,
+    linear_propagator,
+    lp_norm,
 )
 
 
@@ -383,7 +385,7 @@ def test_hartree_potential_equals_double_sum(params):
 
 def test_dealias_mask_keeps_low_kills_high():
     g = make_grid(N=2, n=64, L=16.0)
-    mask = dealias_mask(g, 2.0 / 3.0)
+    mask = dealias_mask(g)
     assert mask[0, 0]            # zero mode survives
     assert not mask[32, 32]      # Nyquist corner dies
     frac = mask.sum() / mask.size
@@ -663,8 +665,7 @@ def test_step_tables_are_exactly_even(N, n, L):
     # the orthant path reads a table only at k >= 0
     g = make_grid(N=N, n=n, L=L)
     mult = make_multipliers(g, PhysParams(N=N, s=0.7, gamma=1.6))
-    for table in (mult.hartree_kernel_hat, mult.frac_lap_s, dealias_mask(g),
-                  dealias_mask(g, 2.0 / 3.0)):
+    for table in (mult.hartree_kernel_hat, mult.frac_lap_s, dealias_mask(g)):
         for axis in range(N):  # k -> -k in FFT order along each axis
             assert np.array_equal(table, np.roll(np.flip(table, axis), 1, axis))
 
