@@ -411,7 +411,7 @@ def virial_rhs(
         ds = tr.irfft(np.multiply(ds_s, hat, out=dhat), out=d)
         ds_tail += hN * _weighted_sum(out, ds, ds)
     l2_tail = hN * float(out @ rho.ravel()) / phi.R**2
-    pot = tr.irfft(np.multiply(tr.spectrum_table(mult.hartree_kernel_hat), rho_hat, out=dhat),
+    pot = tr.irfft(np.multiply(tr.even_spectrum(mult.hartree_kernel_orthant), rho_hat, out=dhat),
                    out=d)
     v_tail = hN * _weighted_sum(out, pot, rho)
     return VirialRHS(main=main, interaction=interaction, a_r_bound=ds_tail + l2_tail + v_tail)

@@ -49,6 +49,14 @@ is rebuilt only when the step size changes.  The centering phases of the
 transform convention cancel for diagonal multipliers, so the raw
 transforms are used throughout.
 
+A run builds its tables once, in the working shape of its transforms:
+the half-step symbol |xi|^{2s}, the dealias mask and the weights of a
+check come from the seam's own |xi|^2 and mask (on the orthant built from
+one axis, bit for bit the orthant of the whole-grid tables), and the
+Hartree kernel is the multiplier set's orthant table, read in place.  So
+an orthant run holds no whole-grid array but u0, the ground state it
+tracks and the final state and snapshots it returns.
+
 A run allocates its work arrays once (_StepWork) and writes every
 transform and elementwise pass of the loop into them with out=: the
 carried spectrum hat, the field vals, the rotated field rot, the density
@@ -84,7 +92,6 @@ from .spectral import (
     MultiplierSet,
     Orthant,
     SpectralField,
-    dealias_mask,
     field_from_values,
     parseval_weight,
     step_transform,
@@ -348,8 +355,8 @@ def _strang(
     work.vals, its density into work.rho, the Hartree phase into
     work.phase (through the real spectrum work.rhat), the rotated field
     into work.rot.  half is the half-step phase and mask the dealias mask,
-    both restricted by work.tr; what_s is work.tr.spectrum_table of the
-    Hartree kernel.
+    both in work.tr's working shape; what_s is work.tr.even_spectrum of
+    the Hartree kernel.
     """
     tr = work.tr
     _free_half_step(hat, half, mask)
@@ -431,23 +438,25 @@ def evolve(
     tr = step_transform(grid, u0.values, *((gs.q.values,) if track_soliton else ()))
     hN = grid.h**grid.N
     plancherel = parseval_weight(grid) * hN * hN  # |raw fft|^2 -> physical L^2 mass
-    xi2s = tr.restrict(mult.frac_lap_s)
-    what_s = tr.spectrum_table(mult.hartree_kernel_hat)
-    mask = tr.restrict(dealias_mask(grid)) if cfg.dealias else None
+    # every table in tr's working shape: on the orthant built from one axis
+    xi2s = tr.frac_lap(mult)
+    what_s = tr.even_spectrum(mult.hartree_kernel_orthant)
+    keep = tr.dealias_mask()
+    mask = keep if cfg.dealias else None
     qc = p.q_c
 
     def check_weights(kept: np.ndarray) -> np.ndarray:
         """Rows of weights on |u_hat|^2 over the modes kept (a 0/1 table):
         mass, H^s-dot and its part in the top third of the spectrum, which
         a check reads, and H^{s_c}-dot, which only a row reads."""
-        grad = mult.frac_lap_s * kept
+        grad = xi2s * kept
         return np.stack([tr.sum_weights(kept), tr.sum_weights(grad),
-                         tr.sum_weights(grad * ~dealias_mask(grid)),
-                         tr.sum_weights(grid.xi_sq**p.s_c * kept)])
+                         tr.sum_weights(grad * ~keep),
+                         tr.sum_weights(tr.xi_sq**p.s_c * kept)])
 
     # the spectrum at t=0 is whole; every later one carries the mask
-    whole = check_weights(np.ones(grid.shape))
-    carried = whole if mask is None else check_weights(dealias_mask(grid).astype(np.float64))
+    whole = check_weights(np.ones(tr.shape))
+    carried = whole if mask is None else check_weights(keep.astype(np.float64))
 
     if track_soliton:
         q_hat = tr.fft(tr.reduce(gs.q.values))
@@ -461,7 +470,7 @@ def evolve(
     rho = _abs_sq(vals, work.rho, work.phase)
     scratch = work.phase  # free between steps: the products of checks and rows
     hat_sq = np.empty(tr.shape)  # |u_hat|^2 of a check
-    v_weights = tr.pairing_weights(mult.hartree_kernel_hat)  # V = <rho, W * rho> by Parseval
+    v_weights = tr.pairing_weights(what_s)  # V = <rho, W * rho> by Parseval
     half = half_dt = None  # half-step phase and the dt it was built for
     owed = None  # the half-step phase hat still owes
     t = 0.0

@@ -85,15 +85,16 @@ def hartree_energy(u: SpectralField, mult: MultiplierSet) -> float:
 def _hartree_energy(tr, u: SpectralField, mult: MultiplierSet) -> float:
     v = tr.reduce(u.values)
     rho = v.real**2 + v.imag**2
-    return tr.quadratic_form(tr.pairing_weights(mult.hartree_kernel_hat), rho)
+    weights = tr.pairing_weights(tr.even_spectrum(mult.hartree_kernel_orthant))
+    return tr.quadratic_form(weights, rho)
 
 
 def _hs_and_v(u: SpectralField, s: float, mult: MultiplierSet) -> tuple[float, float]:
     """(||u||_{Hs-dot}, V(u)) on the one seam step_transform picks for u;
-    the symbol |xi|^{2s} is mult's table when mult is built for s."""
+    the symbol |xi|^{2s} is tr.frac_lap(mult) when mult is built for s."""
     tr = step_transform(u.grid, u.values)
-    symbol = mult.frac_lap_s if s == mult.s else u.grid.xi_sq**s
-    return seam_sobolev_norm(tr, u, tr.restrict(symbol)), _hartree_energy(tr, u, mult)
+    symbol = tr.frac_lap(mult) if s == mult.s else tr.xi_sq**s
+    return seam_sobolev_norm(tr, u, symbol), _hartree_energy(tr, u, mult)
 
 
 def energy(u: SpectralField, mult: MultiplierSet) -> float:

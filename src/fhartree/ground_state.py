@@ -323,15 +323,16 @@ def solve_ground_state(
     default Gaussian) made mirror-even by _seed_array, since the Q it
     converges to is centred and mirror-even.  The default seed and the
     symbol |xi|^2 (Orthant.xi_sq) are built on the orthant from one axis,
-    so no whole-grid array but mult's Hartree kernel table exists until
-    Q is expanded for GroundState.q.  The iteration carries the
-    spectrum q_hat, the DCT-I of the orthant values, as loop state.  One
-    iteration forms N(q) = (W * q^2) q (a real pair) and its spectrum (one
-    forward transform); the map output is gamma_k^{3/2} L_hat^{-1} times
-    that spectrum, and the next iterate is the inverse transform (one) of
-    the mixed spectrum: 4 real transforms per iteration, each N passes
-    over (n/2+1)^(N-1) lines (dense products or FFTs, see spectral.Orthant),
-    with every pointwise pass over (n/2+1)^N points.  The pairing <q, Lq>
+    and mult holds the Hartree kernel on its orthant, so no whole-grid
+    array exists until Q is expanded for GroundState.q.  The iteration
+    carries the spectrum q_hat, the DCT-I of the orthant values, as loop
+    state.  One iteration forms N(q) = (W * q^2) q (a real pair) and its
+    spectrum (one forward transform); the map output is gamma_k^{3/2}
+    L_hat^{-1} times that spectrum, and the next iterate is the inverse
+    transform (one) of the mixed spectrum: 4 real transforms per
+    iteration, each N passes over (n/2+1)^(N-1) lines (dense products or
+    FFTs, see spectral.Orthant), with every pointwise pass over
+    (n/2+1)^N points.  The pairing <q, Lq>
     and the residual norm ||G(q) - q|| are Parseval sums over the spectra,
     so neither Lq nor G(q) is formed in physical space.
 
@@ -379,14 +380,15 @@ def _iterate(
     Each transform and N(q) write into arrays allocated once: the iterate q
     (inverse transform output), N(q) (q^2 first, then the convolution and
     the product in place), the spectrum of the real pair (of q^2 and of
-    N(q)) and the spectrum of the mixed iterate.  The arrays, the mixing
-    rings among them, are freed on return."""
+    N(q)), which also takes the products of the two pairings in between,
+    and the spectrum of the mixed iterate.  The arrays, the mixing rings
+    among them, are freed on return."""
     grid = tr.grid
     hN = grid.h**grid.N
     lhat = 1.0 + tr.xi_sq**p.s  # symbol of L = 1 + (-Delta)^s
     lpair = tr.spectrum_weights(lhat)  # <q, Lq> = sum lpair |q_hat|^2
     lhat_inv = np.reciprocal(lhat, out=lhat)  # L^{-1}, in place of L
-    what = tr.spectrum_table(mult.hartree_kernel_hat)
+    what = tr.even_spectrum(mult.hartree_kernel_orthant)
     mixer = _Anderson(tr, ANDERSON_DEPTH)
 
     norm = math.sqrt(hN * tr.norm_sq(q))
@@ -402,8 +404,9 @@ def _iterate(
         np.multiply(q, q, out=nq)
         tr.real_multiply(what, nq, out=nq, hat=hat)
         nq *= q
-        num = np.sum(lpair * (qhat * qhat))
-        den = hN * tr.pairwise_total(q * nq)
+        # both pairings form their products in hat, free until rfft(nq)
+        num = np.sum(np.multiply(np.multiply(qhat, qhat, out=hat), lpair, out=hat))
+        den = hN * tr.pairwise_total(np.multiply(q, nq, out=hat), out=hat)
         if den <= 0:
             raise CollapseToZeroError("nonlinear pairing lost positivity; iterate collapsing")
         gamma_k = num / den
@@ -444,11 +447,11 @@ def _certify(
     # the memory peak of the solver loop
     q_vals = tr.irfft(qhat)
     rho = q_vals * q_vals
-    conv = tr.real_multiply(tr.spectrum_table(mult.hartree_kernel_hat), rho)
+    conv = tr.real_multiply(tr.even_spectrum(mult.hartree_kernel_orthant), rho)
     m = hN * tr.pairwise_total(rho)
     g = np.sum(tr.spectrum_weights(xi2s) * (qhat * qhat))  # ||Q||_{Hs-dot}^2
     rho *= conv
-    v_q = hN * tr.pairwise_total(rho)
+    v_q = hN * tr.pairwise_total(rho, out=rho)
     del rho
     l2 = np.sqrt(m)
     hs = np.sqrt(g)
@@ -461,7 +464,7 @@ def _certify(
     lhs -= conv
     del conv
     lhs *= lhs
-    el = np.sqrt(hN * tr.pairwise_total(lhs)) / l2
+    el = np.sqrt(hN * tr.pairwise_total(lhs, out=lhs)) / l2
     del lhs
 
     r1, r2 = _pohozaev(g, m, v_q, p)

@@ -31,11 +31,13 @@ array is odd (a derivative, x_a u), by the sine series of its odd
 extension (``irfft_odd``, ``odd_power``).  The ground-state solver
 runs on the orthant alone, from a seed it makes mirror-even, with the
 orthant's own |xi|^2 and |x| (``Orthant.xi_sq``, ``Orthant.r_mesh``)
-built from one axis: no whole-grid mesh of ``GridSpec``.  The step
-loop of ``evolution`` and every public functional and diagnostic
-(``sobolev_norm``, ``functionals``, the resolvent and virial
-diagnostics) take their seam from ``step_transform`` once per call, the
-orthant when their states allow it.  ``to_fourier`` and ``to_physical``,
+built from one axis: no whole-grid mesh of ``GridSpec``.  The Hartree
+kernel is held on its orthant too (``MultiplierSet``), and a seam reads
+it through ``even_spectrum``.  The step loop of ``evolution`` and every
+public functional and diagnostic (``sobolev_norm``, ``functionals``, the
+resolvent and virial diagnostics) take their seam from
+``step_transform`` once per call, the orthant when their states allow
+it.  ``to_fourier`` and ``to_physical``,
 which return a spectrum or a field on the whole grid, build
 ``FullGrid(grid)``.
 """
@@ -257,6 +259,26 @@ class FullGrid:
         [..., :n//2+1], the half spectrum that the real pair works on."""
         return table[..., : self.grid.n // 2 + 1]
 
+    def even_spectrum(self, table_o: np.ndarray) -> np.ndarray:
+        """spectrum_table of the table even in every axis whose orthant
+        k = 0..n/2 is table_o (MultiplierSet.hartree_kernel_orthant),
+        expanded to the whole grid on each call."""
+        return self.spectrum_table(even_table(table_o, self.grid.n))
+
+    @property
+    def xi_sq(self) -> np.ndarray:
+        """|xi|^2 as the working spectrum is indexed: grid.xi_sq."""
+        return self.grid.xi_sq
+
+    def frac_lap(self, mult: MultiplierSet) -> np.ndarray:
+        """The symbol |xi|^{2s} of mult as the working spectrum is indexed:
+        mult.frac_lap_s, kept from one whole-grid run to the next."""
+        return mult.frac_lap_s
+
+    def dealias_mask(self) -> np.ndarray:
+        """dealias_mask(grid) as the working spectrum is indexed."""
+        return dealias_mask(self.grid)
+
     def real_spectrum(self) -> np.ndarray:
         """An empty array for the spectrum of the real transform."""
         return np.empty(self.shape[:-1] + (self.grid.n // 2 + 1,), dtype=np.complex128)
@@ -312,11 +334,11 @@ class FullGrid:
         cols[-1] *= 0.5
         return table_s * cols
 
-    def pairing_weights(self, table: np.ndarray) -> np.ndarray:
-        """The weights of quadratic_form for a real even table T: those of
-        spectrum_weights, each repeated for the real and the imaginary part
-        of its mode."""
-        return np.repeat(self.spectrum_weights(self.spectrum_table(table)), 2, axis=-1)
+    def pairing_weights(self, table_s: np.ndarray) -> np.ndarray:
+        """The weights of quadratic_form for a real even table T given as
+        spectrum_table(T): those of spectrum_weights, each repeated for the
+        real and the imaginary part of its mode."""
+        return np.repeat(self.spectrum_weights(table_s), 2, axis=-1)
 
     def quadratic_form(self, weights: np.ndarray, f: np.ndarray,
                        hat: np.ndarray | None = None) -> float:
@@ -334,7 +356,8 @@ class FullGrid:
         return float(np.sum(x))
 
     def sum_weights(self, table: np.ndarray) -> np.ndarray:
-        """Flat weights w with w . x.ravel() = sum of table * x over the grid."""
+        """Flat weights w with w . x.ravel() = sum of table * x over the
+        grid, for a table as the working spectrum is indexed (restrict)."""
         return table.astype(np.float64).ravel()
 
     #: sum_weights for a table of centered values, as the working arrays of
@@ -432,7 +455,13 @@ class Orthant:
     orthant point by the number of grid points it stands for: the product
     over axes of 1 at k = 0 and k = n/2 and 2 between.  Only the work
     arrays of the path taken are allocated, and reused from call to call.
-    xi_sq and r_mesh, built from one axis, stand in for GridSpec's meshes.
+    The FFT path passes over the axes one after another, so its work
+    arrays serve every axis: one real extension and one spectrum for the
+    real transform, and for the complex one two extensions, one of them
+    laid over those two, that the axes take in turn, so that an axis
+    reads the last one's output from the other.  At 2048^2 they take 64
+    MiB in all, as much as each axis had of its own before.  xi_sq, r_mesh
+    and dealias_mask, built from one axis, stand in for GridSpec's meshes.
     """
 
     def __init__(self, grid: GridSpec):
@@ -470,14 +499,20 @@ class Orthant:
             self._turned_src = work[1].reshape(m, -1)
             self._work = work
             return
+        # work arrays shared by the axes (see the class docstring)
+        size = n * m ** (N - 1)  # points of an extension along any axis
+        own = np.empty(size, dtype=np.complex128)
+        pool = np.empty(size // 2 + m**N, dtype=np.complex128)
+        real_ext = pool[: size // 2].view(np.float64)
+        spec = pool[size // 2:].reshape(self.shape)
         self._axes = []
         for axis in range(N):
             ext = (m,) * axis + (n,) + (m,) * (N - 1 - axis)
             lead = (slice(None),) * axis
             self._axes.append((
-                np.empty(ext, dtype=np.complex128),
-                np.empty(ext),
-                np.empty(self.shape, dtype=np.complex128),
+                (pool[:size] if axis % 2 else own).reshape(ext),
+                real_ext.reshape(ext),
+                spec,
                 lead + (slice(0, m),),
                 lead + (slice(m, None),),
                 lead + (slice(m - 2, 0, -1),),
@@ -510,6 +545,21 @@ class Orthant:
 
     def spectrum_table(self, table: np.ndarray) -> np.ndarray:
         return self.restrict(table)
+
+    def even_spectrum(self, table_o: np.ndarray) -> np.ndarray:
+        """The orthant table table_o itself: no copy, so callers must not
+        write into it."""
+        return table_o
+
+    def frac_lap(self, mult: MultiplierSet) -> np.ndarray:
+        """|xi|^{2s} on the orthant, xi_sq ** mult.s: bit for bit
+        restrict(mult.frac_lap_s)."""
+        return self.xi_sq**mult.s
+
+    def dealias_mask(self) -> np.ndarray:
+        """The orthant of dealias_mask(grid), bit for bit, from one axis."""
+        keep = np.abs(self.grid.xi_axis[: self.shape[0]]) < 2.0 / 3.0 * self.grid.xi_nyquist
+        return functools.reduce(np.logical_and.outer, [keep] * self.grid.N)
 
     def real_spectrum(self) -> np.ndarray:
         return np.empty(self.shape)
@@ -626,8 +676,8 @@ class Orthant:
         plancherel = parseval_weight(self.grid) * self.grid.h ** (2 * self.grid.N)
         return table_s * self._mult * plancherel
 
-    def pairing_weights(self, table: np.ndarray) -> np.ndarray:
-        return self.spectrum_weights(self.restrict(table)).ravel()
+    def pairing_weights(self, table_s: np.ndarray) -> np.ndarray:
+        return self.spectrum_weights(table_s).ravel()
 
     def quadratic_form(self, weights: np.ndarray, f: np.ndarray,
                        hat: np.ndarray | None = None) -> float:
@@ -637,13 +687,15 @@ class Orthant:
     def total(self, x: np.ndarray) -> float:
         return float(np.einsum("i,i->", self._mult.ravel(), x.ravel()))
 
-    def pairwise_total(self, x: np.ndarray) -> float:
+    def pairwise_total(self, x: np.ndarray, out: np.ndarray | None = None) -> float:
         """total, summed pairwise (np.sum): the solver's certificate needs
-        its O(log n) rounding, not einsum's running sum."""
-        return float(np.sum(self._mult * x))
+        its O(log n) rounding, not einsum's running sum.  The weighted
+        values go into out when given (x itself, when it is not needed
+        after)."""
+        return float(np.sum(np.multiply(x, self._mult, out=out)))
 
     def sum_weights(self, table: np.ndarray) -> np.ndarray:
-        return (self.restrict(table) * self._mult).ravel()
+        return (table * self._mult).ravel()
 
     def point_weights(self, values: np.ndarray) -> np.ndarray:
         return (self.reduce(values) * self._mult).ravel()
@@ -798,11 +850,12 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float) -> np.ndarray:
     takes the integral, and g is summed by Gauss-Legendre over the grid
     cells of [0, L/2], each at most half an oscillation of the cosine, one
     cell node at a time: no (n/2+1) x 4n cosine table is held.  The table is
-    sum_j w_j g_j x g_j (x g_j) on the orthant k >= 0, expanded to the whole
-    grid by its symmetry in each |k_a|, so it is real and even by
-    construction.  Gaussian sums of this kind for nonlocal potentials: Exl,
-    Mauser & Zhang, J. Comput. Phys. 327 (2016); Beylkin & Monzon, Appl.
-    Comput. Harmon. Anal. 28 (2010).
+    sum_j w_j g_j x g_j (x g_j) on the orthant k = 0..n/2 of every axis,
+    origin first: it depends on each |k_a| only, so it is real and even by
+    construction and its orthant holds all of it (even_table expands it).
+    Gaussian sums of this kind for nonlocal potentials: Exl, Mauser &
+    Zhang, J. Comput. Phys. 327 (2016); Beylkin & Monzon, Appl. Comput.
+    Harmon. Anal. 28 (2010).
     """
     N, n, h = grid.N, grid.n, grid.h
     m = n // 2 + 1
@@ -830,8 +883,7 @@ def _exact_kernel_hat(grid: GridSpec, gamma: float) -> np.ndarray:
     upper[origin] = np.pi ** (0.5 * N) * t_c ** (-alpha) / alpha
     table += upper
     table /= math.gamma(0.5 * gamma)
-    k = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    return table[np.ix_(*([k] * N))]
+    return table
 
 
 def build_hartree_kernel(grid: GridSpec, gamma: float) -> np.ndarray:
@@ -841,28 +893,53 @@ def build_hartree_kernel(grid: GridSpec, gamma: float) -> np.ndarray:
     singularity, so integral identities certify at tight tolerance.
 
     The table is real and even in every axis because the kernel is even on
-    the torus; an orthant run reads it only at k >= 0.
+    the torus, so it is returned on its orthant alone: the (n/2+1)^N modes
+    k = 0..n/2 of every axis, origin first.  even_table expands it to the
+    whole grid in FFT order.
     """
     if gamma >= grid.N or gamma <= 0:
         raise ValueError(f"gamma must lie in (0, N), got {gamma}")
     return _exact_kernel_hat(grid, gamma)
 
 
+def even_table(table: np.ndarray, n: int) -> np.ndarray:
+    """The table in FFT order on the whole grid whose orthant k = 0..n/2
+    of every axis is table, a table even in every axis: the mode k reads
+    the orthant at |k|."""
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)
+    return table[np.ix_(*([k] * table.ndim))]
+
+
 @dataclass(frozen=True)
 class MultiplierSet:
     """Fourier tables for one (grid, s, gamma) combination: the Hartree
-    kernel, built with the set, and the tables derived from the grid's
-    meshes, built on first read (the ground-state solver reads none of
-    them, so a certification run builds no whole-grid mesh)."""
+    kernel, built with the set and held on its orthant, and the whole-grid
+    tables, built when a whole-grid run or a diagnostic reads them (the
+    ground-state solver and an orthant evolve or sweep read none of them,
+    so none of them builds a whole-grid table).
+
+    hartree_kernel_orthant is W_hat on the (n/2+1)^N modes k = 0..n/2 of
+    every axis, origin first (build_hartree_kernel): all of the table,
+    since it is even in every axis.  The seams read it through
+    even_spectrum, the orthant as it is and the whole grid expanded;
+    hartree_kernel_hat is the whole-grid table, expanded on each read and
+    not kept."""
 
     grid: GridSpec
     s: float
     gamma: float
-    hartree_kernel_hat: np.ndarray
+    hartree_kernel_orthant: np.ndarray
+
+    @property
+    def hartree_kernel_hat(self) -> np.ndarray:
+        """W_hat(xi) on the whole grid in FFT order, expanded from the
+        orthant table on each read."""
+        return even_table(self.hartree_kernel_orthant, self.grid.n)
 
     @functools.cached_property
     def frac_lap_s(self) -> np.ndarray:
-        """The symbol |xi|^{2s} of (-Delta)^s on the whole grid."""
+        """The symbol |xi|^{2s} of (-Delta)^s on the whole grid, kept for
+        the whole-grid runs that read it (FullGrid.frac_lap)."""
         return self.grid.xi_sq**self.s
 
     @functools.cached_property
@@ -870,20 +947,23 @@ class MultiplierSet:
         """Tables i xi_a W_hat(xi), one per axis, with xi_a from
         grid.deriv_mesh (zero at the Nyquist mode); built on first use (only
         the virial diagnostics read them)."""
-        return tuple(1j * xi * self.hartree_kernel_hat for xi in self.grid.deriv_mesh)
+        what = self.hartree_kernel_hat
+        return tuple(1j * xi * what for xi in self.grid.deriv_mesh)
 
     @property
     def kernel_zero_mode(self) -> float:
         """W_hat(0) = integral of the kernel over the box; sets the phase
         scale of the Hartree potential for order-one densities."""
-        return float(self.hartree_kernel_hat[(0,) * self.grid.N])
+        return float(self.hartree_kernel_orthant[(0,) * self.grid.N])
 
 
 def make_multipliers(grid: GridSpec, p: PhysParams) -> MultiplierSet:
     """The tables of (grid, p): the exact Hartree kernel
-    (build_hartree_kernel) now, |xi|^{2s} on first read."""
+    (build_hartree_kernel) on its orthant now, read-only since the orthant
+    seams read it in place, and whole-grid tables on first read."""
     what = build_hartree_kernel(grid, p.gamma)
-    return MultiplierSet(grid=grid, s=p.s, gamma=p.gamma, hartree_kernel_hat=what)
+    what.flags.writeable = False
+    return MultiplierSet(grid=grid, s=p.s, gamma=p.gamma, hartree_kernel_orthant=what)
 
 
 # ---------------------------------------------------------------------------
@@ -896,14 +976,14 @@ def sobolev_norm(u: SpectralField, alpha: float) -> float:
     Summed by Parseval over to_fourier's spectrum, on the orthant for a
     mirror-even u (step_transform)."""
     tr = step_transform(u.grid, u.values)
-    symbol = None if alpha == 0.0 else tr.restrict(u.grid.xi_sq) ** alpha
+    symbol = None if alpha == 0.0 else tr.xi_sq**alpha
     return seam_sobolev_norm(tr, u, symbol)
 
 
 def seam_sobolev_norm(tr: FullGrid | Orthant, u: SpectralField, symbol: np.ndarray | None) -> float:
     """sobolev_norm on the seam tr, which a caller that needs several
     quantities of u chooses once, with the symbol |xi|^{2 alpha} as
-    tr.restrict gives it (None for alpha = 0).  The origin-first values
+    tr's working spectrum is indexed (None for alpha = 0).  The origin-first values
     (ifftshift) restricted to tr's spectrum are tr.reduce's array on the
     orthant and the array to_fourier transforms on the whole grid."""
     hat = u.grid.h**u.grid.N * tr.fft(tr.restrict(np.fft.ifftshift(u.values)))
@@ -914,8 +994,8 @@ def seam_sobolev_norm(tr: FullGrid | Orthant, u: SpectralField, symbol: np.ndarr
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean mask of the 2/3 rule: keeps the modes with |xi_a| < (2/3)
-    xi_nyquist on every axis."""
+    """Boolean mask of the 2/3 rule on the whole grid: keeps the modes with
+    |xi_a| < (2/3) xi_nyquist on every axis."""
     cut = 2.0 / 3.0 * grid.xi_nyquist
     keep = np.ones(grid.shape, dtype=bool)
     for xi in grid.xi_mesh:

@@ -55,7 +55,8 @@ def sampled_multipliers(grid: GridSpec, p: PhysParams) -> MultiplierSet:
     table = (grid.h**2 * np.fft.fftn(np.fft.ifftshift(K))).real
     for axis in range(2):
         table = 0.5 * (table + np.roll(np.flip(table, axis), 1, axis))
-    return dataclasses.replace(make_multipliers(grid, p), hartree_kernel_hat=table)
+    orthant = np.ascontiguousarray(table[: grid.n // 2 + 1, : grid.n // 2 + 1])
+    return dataclasses.replace(make_multipliers(grid, p), hartree_kernel_orthant=orthant)
 
 
 def direct_potential(rho: np.ndarray, kernel_centered: np.ndarray, h: float) -> np.ndarray:

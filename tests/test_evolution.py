@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fhartree.functionals import (
     invariant_pair,
     mass,
 )
+from fhartree.ground_state import solve_ground_state
 from fhartree.params import PhysParams
 from fhartree.spectral import (
     dealias_mask,
@@ -1020,3 +1023,33 @@ def test_state_turning_non_finite_stops_at_next_sample(canonical, monkeypatch):
     assert rec.n_steps == 4  # the step-3 state is first checked after step 4
     assert rec.times.size == 3
     assert rec.caveats == ("non-finite state at t=0.004",)
+
+
+def test_orthant_setup_peak_memory_at_256(params, monkeypatch):
+    # the set-up of an orthant run builds its step and check tables on the
+    # orthant and reads the kernel in place: up to the allocation of the
+    # step arrays its traced peak is below three complex arrays of the
+    # whole grid (u0 is one, 1 MiB)
+    grid = make_grid(N=2, n=256, L=32.0)
+    mult = make_multipliers(grid, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the box-truncation advisory
+        gs = solve_ground_state(params, grid, mult=mult)
+    u0 = field_from_values(grid, 0.9 * gs.q.values)
+
+    class SetUpDone(Exception):
+        pass
+
+    def stop(tr):
+        assert type(tr) is spectral.Orthant
+        raise SetUpDone
+
+    monkeypatch.setattr(evolution, "_StepWork", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SetUpDone):
+            evolve(u0, params, mult, StepperConfig(t_end=0.01), gs=gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * u0.values.nbytes

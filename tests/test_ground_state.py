@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -658,3 +659,21 @@ def test_soliton_orbit_check_short_horizon(canonical):
     # of the semi-discrete system and the deviation is the time error
     dev = float(np.max(_soliton_deviation(canonical, 0.1)))
     assert 0.0 < dev < 1e-5
+
+
+def test_solve_peak_memory_at_512():
+    # the kernel stays on its orthant, the FFT path's work arrays serve
+    # every axis and the loop's pairings form their products in its work
+    # arrays: from the kernel build to the expanded Q, the traced peak is
+    # below four complex arrays of the whole grid (Q itself is one, 4 MiB)
+    grid = make_grid(N=2, n=512, L=64.0)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the box-truncation advisory
+            gs = solve_ground_state(PhysParams(N=2, s=0.7, gamma=1.6), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gs.converged
+    assert peak < 4 * gs.q.values.nbytes

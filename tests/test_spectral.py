@@ -14,7 +14,11 @@ from scipy.special import gammainc
 
 import oracles
 from conftest import force_orthant_path
-from fhartree import spectral
+from fhartree import cli, spectral
+from fhartree.cli import run_sweep
+from fhartree.config import load_config
+from fhartree.evolution import StepperConfig, evolve
+from fhartree.ground_state import solve_ground_state
 from fhartree.params import PhysParams
 from fhartree.spectral import (
     CONVENTION_TAG,
@@ -254,7 +258,7 @@ def test_lower_gamma_matches_scipy(a):
 
 def test_kernel_table_is_real_even_positive():
     g = make_grid(N=2, n=32, L=8.0)
-    hat = build_hartree_kernel(g, 1.6)
+    hat = spectral.even_table(build_hartree_kernel(g, 1.6), g.n)
     assert hat.dtype == np.float64
     # evenness: hat(-k) = hat(k)
     flipped = np.roll(hat[::-1, ::-1], (1, 1), axis=(0, 1))
@@ -334,7 +338,7 @@ def _reference_exact_kernel(grid, gamma, nodes=20):
 def test_exact_kernel_matches_per_node_fft_loop(n, L, nodes):
     g = make_grid(N=2, n=n, L=L)
     want = _reference_exact_kernel(g, 1.6, nodes=nodes)
-    got = build_hartree_kernel(g, 1.6)
+    got = spectral.even_table(build_hartree_kernel(g, 1.6), g.n)
     assert np.max(np.abs(got - want.real)) / np.max(np.abs(want.real)) <= 1e-12
 
 
@@ -414,6 +418,101 @@ def test_grad_kernel_hat_built_on_first_read(params):
     assert mult.grad_kernel_hat is grad
 
 
+def _whole_grid_arrays(obj, grid) -> list[str]:
+    """The names of obj's attributes that hold an array of n^N points or
+    more, alone or in a tuple."""
+    def arrays(v):
+        return v if isinstance(v, tuple) else (v,)
+    return [name for name, v in vars(obj).items()
+            if any(isinstance(a, np.ndarray) and a.size >= grid.npoints for a in arrays(v))]
+
+
+def _solve_only(g, p, mult):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the box-truncation advisory
+        return solve_ground_state(p, g, mult=mult)
+
+
+def _solve_and_evolve(g, p, mult):
+    gs = _solve_only(g, p, mult)
+    u0 = field_from_values(g, 0.9 * gs.q.values)
+    rec = evolve(u0, p, mult, StepperConfig(t_end=0.01), gs=gs)
+    assert rec.n_steps > 0
+
+
+def _sweep_one_worker(monkeypatch):
+    built = []
+
+    def spy(grid, p):
+        built.append(make_multipliers(grid, p))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "make_multipliers", spy)
+    cfg = load_config(overrides=["grid.n=64", "grid.L=16", "stepper.t_end=0.01"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = run_sweep(cfg, (0.9, 1.1), max_workers=1)
+    assert [row["membership"] for row in rows] == ["K1", "K2"]
+    (mult,) = built
+    return mult
+
+
+@pytest.mark.parametrize("run", ["solve", "evolve", "sweep"])
+def test_orthant_runs_build_no_whole_grid_table(run, params, monkeypatch):
+    # the kernel is held on its orthant and expanded only when read; the
+    # solver, an orthant evolve and a sweep read it in place and build no
+    # whole-grid table in the multiplier set or the grid
+    if run == "sweep":
+        mult = _sweep_one_worker(monkeypatch)
+        g = mult.grid
+    else:
+        g = make_grid(N=2, n=64, L=16.0)
+        mult = make_multipliers(g, params)
+        (_solve_only if run == "solve" else _solve_and_evolve)(g, params, mult)
+    assert "hartree_kernel_hat" not in vars(mult)
+    assert mult.hartree_kernel_orthant.shape == (g.n // 2 + 1,) * g.N
+    assert _whole_grid_arrays(mult, g) == [] and _whole_grid_arrays(g, g) == []
+    assert mult.hartree_kernel_hat.shape == g.shape  # expanded on read, not kept
+    assert "hartree_kernel_hat" not in vars(mult)
+
+
+@pytest.mark.parametrize("N, n, path", [(2, 512, None), (3, 16, "fft")])
+def test_fft_orthant_work_arrays_do_not_alias(N, n, path, monkeypatch):
+    # the FFT path's axes share one real extension, one spectrum and two
+    # complex extensions: calls interleaved on one orthant give, bit for
+    # bit, what each gives on a fresh orthant, leave their inputs as they
+    # were, and return nothing a later call overwrites
+    if path is not None:
+        force_orthant_path(monkeypatch, path)
+    g = make_grid(N=N, n=n, L=8.0)
+    tr = spectral.Orthant(g)
+    assert not tr.dense
+    rng = np.random.default_rng(27)
+    shape = tr.shape
+
+    def real():
+        return rng.standard_normal(shape)
+
+    def cplx():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    calls = [("rfft", real, lambda t, x: t.rfft(x)),
+             ("irfft", real, lambda t, x: t.irfft(x)),
+             ("fft", cplx, lambda t, x: t.fft(x)),
+             ("ifft", cplx, lambda t, x: t.ifft(x))]
+    for axis in range(N):
+        calls.append((f"irfft_odd{axis}", real, lambda t, x, a=axis: t.irfft_odd(x, a)))
+        calls.append((f"odd_power{axis}", cplx, lambda t, x, a=axis: t.odd_power(x, a)))
+    order = [calls[i] for _ in range(3) for i in rng.permutation(len(calls))]
+    runs = []
+    for name, make, call in order:
+        x = make()
+        runs.append((name, call, x, x.copy(), call(tr, x)))
+    for name, call, x, kept, got in runs:
+        assert np.array_equal(x, kept), name
+        assert np.array_equal(got, call(spectral.Orthant(g), x)), name
+
+
 #: Grids of the orthant twin tests: the dense and the FFT path in 2-D, and 3-D.
 _TWIN_GRIDS = [(2, 16, 4.0), (2, 128, 32.0), (2, 512, 64.0), (3, 16, 8.0), (3, 32, 12.0)]
 
@@ -451,7 +550,7 @@ def test_multiplier_set_tables(params):
 def test_build_hartree_kernel_defaults_to_the_multiplier_kernel(params):
     # the two public kernel entry points build the same table
     g = make_grid(N=2, n=16, L=4.0)
-    want = make_multipliers(g, params).hartree_kernel_hat
+    want = make_multipliers(g, params).hartree_kernel_orthant
     assert np.array_equal(build_hartree_kernel(g, params.gamma), want)
 
 
@@ -503,7 +602,7 @@ def test_orthant_transforms_match_nd_transforms(orthant):
     assert np.max(np.abs(back - f)) <= 1e-14 * np.max(np.abs(f))
     # the Hartree kernel on a density, against the whole grid's real pair
     full = spectral.FullGrid(tr.grid)
-    kernel = build_hartree_kernel(tr.grid, 1.6)
+    kernel = spectral.even_table(build_hartree_kernel(tr.grid, 1.6), tr.grid.n)
     rho = f * f
     got = tr.expand(tr.real_multiply(tr.spectrum_table(kernel), rho))
     want = full.real_multiply(full.spectrum_table(kernel), tr.expand(rho))
@@ -652,11 +751,13 @@ def test_orthant_sums_match_full_grid_sums(orthant, params):
     # a spectral array on the orthant stands for its expansion in FFT order
     table = g.xi_sq**0.7
     spec, spec_full = f * f, np.fft.ifftshift(tr.expand(f * f))
-    assert close(tr.sum_weights(table) @ spec.ravel(), full.sum_weights(table) @ spec_full.ravel())
+    assert close(tr.sum_weights(tr.restrict(table)) @ spec.ravel(),
+                 full.sum_weights(table) @ spec_full.ravel())
     kernel = make_multipliers(g, PhysParams(N=g.N, s=0.7, gamma=1.6))
     kernel = kernel.hartree_kernel_hat
-    got = tr.quadratic_form(tr.pairing_weights(kernel), f, hat=tr.real_spectrum())
-    want = full.quadratic_form(full.pairing_weights(kernel), f_full, hat=full.real_spectrum())
+    got = tr.quadratic_form(tr.pairing_weights(tr.spectrum_table(kernel)), f, hat=tr.real_spectrum())
+    want = full.quadratic_form(full.pairing_weights(full.spectrum_table(kernel)), f_full,
+                               hat=full.real_spectrum())
     assert close(got, want)
 
 
