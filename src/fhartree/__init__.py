@@ -12,8 +12,8 @@ import os
 # (the orthant's cosine products, an m x m matrix times an m x 2m^(N-1) one
 # with m = n/2+1 <= 129, the step loop's check, a few rows of weights times
 # |u_hat|^2, and the exact-kernel build's) and the sweep already
-# runs one process per core, so a BLAS thread pool only spins; an explicit
-# user value still wins.
+# runs one process per core, its parent among them, so a BLAS thread pool
+# only spins; an explicit user value still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import ConfigError, RunConfig, SweepSpec, load_config

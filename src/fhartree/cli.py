@@ -24,7 +24,9 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -462,9 +464,18 @@ def run_sweep(
     (default: the configured one); rows come back ordered by index.
 
     The parent builds the multipliers and solves the ground state once per
-    pair and hands them to every process through the pool initializer, so
-    a task is only (index, c, pair index).  With one worker the same
-    initializer runs in-process.
+    pair, then runs points itself as one of `max_workers` busy processes
+    (default: one per core; never more than there are points).  The other
+    workers - 1 are forked into a pool that receives the per-pair state
+    once, through _init_sweep_worker, so a task is only (index, c, pair
+    index); the parent calls the same initializer for itself.  The tasks
+    wait in one queue in index order.  A pool process is handed the next
+    one when it finishes one, and the parent takes the next when it
+    finishes one, so no process idles while the queue holds work.  With
+    one worker no pool is made and the parent runs every point.  A point
+    that raises, in the parent or in the pool, empties the queue: the
+    points already running finish, their processes exit, and the error is
+    raised.
     """
     cs = tuple(float(c) for c in amplitudes)
     if not cs:
@@ -480,19 +491,53 @@ def run_sweep(
     tasks = [(index, c, sg_index) for index, (sg_index, c)
              in enumerate(itertools.product(range(len(pairs)), cs))]
 
-    workers = max_workers or min(len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        _init_sweep_worker(cfg.stepper, pairs)
-        try:
-            return [_sweep_point(t) for t in tasks]
-        finally:
-            _init_sweep_worker(cfg.stepper, ())
-    # imported here: the other commands do not pay for loading the pool
-    from concurrent.futures import ProcessPoolExecutor
+    workers = min(max_workers or os.cpu_count() or 1, len(tasks))
+    queue = deque(tasks)
+    # guards the queue: the pool runs done-callbacks in its manager thread,
+    # while the parent takes tasks; reentrant, since add_done_callback on a
+    # future that is already done runs the callback at once
+    lock = threading.RLock()
+    futures = []
+    rows = []
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
-                             initargs=(cfg.stepper, pairs)) as ex:
-        return list(ex.map(_sweep_point, tasks))
+    def take() -> tuple | None:
+        with lock:
+            return queue.popleft() if queue else None
+
+    def feed(done=None) -> None:
+        """Submit the next task to the pool, in place of `done`."""
+        with lock:
+            if done is not None and done.exception() is not None:
+                queue.clear()
+            elif queue:
+                futures.append(pool.submit(_sweep_point, queue[0]))
+                queue.popleft()  # only once submitted: a refused task stays for the parent
+                futures[-1].add_done_callback(feed)
+
+    if workers > 1:
+        # imported here: the other commands do not pay for loading the pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_init_sweep_worker,
+                                   initargs=(cfg.stepper, pairs))
+    else:
+        pool = contextlib.nullcontext()
+    _init_sweep_worker(cfg.stepper, pairs)
+    try:
+        with pool:
+            try:
+                for _ in range(workers - 1):
+                    feed()
+                while (task := take()) is not None:
+                    rows.append(_sweep_point(task))
+            except BaseException:
+                with lock:
+                    queue.clear()
+                raise
+        rows += [f.result() for f in futures]
+    finally:
+        _init_sweep_worker(cfg.stepper, ())
+    return sorted(rows, key=lambda row: row["index"])
 
 
 def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:

@@ -194,7 +194,7 @@ def balakrishnan_check(
     parts = _real_parts(tr.reduce(u.values))
     power = sum(hat.real**2 + hat.imag**2 for hat in map(tr.rfft, parts))
     dens = tr.spectrum_weights(power)  # Parseval density on the half spectrum
-    q = tr.spectrum_table(grid.xi_sq)
+    q = tr.spectrum_table(tr.xi_sq)
     grad_dens = q * dens  # |xi|^2 |u_hat|^2, the gradient spectral density
     rhs = float(p.s * np.sum(q**p.s * dens))
     cs2 = np.sin(np.pi * p.s) / np.pi
@@ -298,7 +298,7 @@ def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
     # m-integral.  The mirror-even psi0 goes through the orthant, so lap2
     # is exactly even: an orthant sum reads half of it for the whole.
     tr = step_transform(grid, psi0)
-    spec = tr.spectrum_table(grid.xi_sq) ** 2 * tr.rfft(tr.reduce(R**2 * psi0))
+    spec = tr.spectrum_table(tr.xi_sq) ** 2 * tr.rfft(tr.reduce(R**2 * psi0))
     lap2 = R**2 * tr.expand(tr.irfft(spec))
     return CutoffPhi(
         grid=grid,
@@ -356,7 +356,8 @@ def virial_rhs(
     the derivatives d_j u_m, grad(phi_R) and the convolution's gradient are
     odd along their axis and go through irfft_odd, and every product the
     sums form is even.  The derivatives are those of the trigonometric
-    interpolant (grid.deriv_mesh, mult.grad_kernel_hat), on either path.
+    interpolant (tr.deriv_mesh, tr.grad_kernel), on either path; the
+    orthant builds them from one axis and the kernel's orthant.
     The node loop writes 1/(q+m), the resolvent spectrum, its gradient
     components and their inverse transforms into arrays allocated once per
     call; the interaction and tail terms reuse two of them.  Raises
@@ -369,8 +370,8 @@ def virial_rhs(
     quad.require_covers(grid)
     tr = step_transform(grid, u.values)
     hN = grid.h**grid.N
-    q = tr.spectrum_table(grid.xi_sq)
-    xis = [tr.spectrum_table(xi) for xi in grid.deriv_mesh]
+    q = tr.spectrum_table(tr.xi_sq)
+    xis = [tr.spectrum_table(xi) for xi in tr.deriv_mesh]
     parts = _real_parts(tr.reduce(u.values))
     hats = [tr.rfft(f) for f in parts]
 
@@ -398,9 +399,9 @@ def virial_rhs(
     rho = sum(f**2 for f in parts)
     rho_hat = tr.rfft(rho)
     interaction = 0.0
-    for axis, (g, gk) in enumerate(zip(phi.grad, mult.grad_kernel_hat)):
-        # gk = i xi_j W_hat; irfft_odd takes xi_j W_hat times the spectrum
-        np.multiply(tr.spectrum_table(gk.imag), rho_hat, out=dhat)
+    for axis, (g, gk) in enumerate(zip(phi.grad, tr.grad_kernel(mult))):
+        # the gradient i xi_j W_hat: irfft_odd takes gk = xi_j W_hat times the spectrum
+        np.multiply(tr.spectrum_table(gk), rho_hat, out=dhat)
         interaction += _weighted_sum(tr.point_weights(g), tr.irfft_odd(dhat, axis, out=d), rho)
     interaction *= 2.0 * hN
 
@@ -442,7 +443,7 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
     del rho
     tr = step_transform(grid, u.values)
     v = tr.reduce(u.values)
-    tab = tr.restrict(grid.xi_sq) ** (1.0 - p.s)
+    tab = tr.xi_sq ** (1.0 - p.s)
     acc = 0.0
     for axis, x in enumerate(grid.x_mesh):
         acc += tr.total(tab * tr.odd_power(tr.reduce(x) * v, axis))

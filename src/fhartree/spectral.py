@@ -250,6 +250,11 @@ class FullGrid:
         """A centered copy of a working array."""
         return a.copy()
 
+    def origin_first(self, values: np.ndarray) -> np.ndarray:
+        """A centered array origin first, as to_fourier transforms it:
+        np.fft.ifftshift(values)."""
+        return np.fft.ifftshift(values)
+
     def restrict(self, table: np.ndarray) -> np.ndarray:
         """A table in FFT order, as the working spectrum is indexed."""
         return table
@@ -269,6 +274,18 @@ class FullGrid:
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 as the working spectrum is indexed: grid.xi_sq."""
         return self.grid.xi_sq
+
+    @property
+    def deriv_mesh(self) -> tuple[np.ndarray, ...]:
+        """The symbols of d/dx_a (divided by i) as the working spectrum is
+        indexed: grid.deriv_mesh."""
+        return self.grid.deriv_mesh
+
+    def grad_kernel(self, mult: MultiplierSet) -> tuple[np.ndarray, ...]:
+        """xi_a W_hat, one per axis, as the working spectrum is indexed: the
+        imaginary parts of mult.grad_kernel_hat, kept from one whole-grid
+        run to the next."""
+        return tuple(gk.imag for gk in mult.grad_kernel_hat)
 
     def frac_lap(self, mult: MultiplierSet) -> np.ndarray:
         """The symbol |xi|^{2s} of mult as the working spectrum is indexed:
@@ -526,6 +543,23 @@ class Orthant:
         return _sum_of_squares(self.grid.xi_axis[: self.shape[0]], self.grid.N)
 
     @property
+    def deriv_mesh(self) -> tuple[np.ndarray, ...]:
+        """restrict(grid.deriv_mesh[a]) for each axis a, bit for bit, from
+        one axis of wavenumbers with its Nyquist mode (the last) set to
+        zero: the table of axis a varies along a and broadcasts along the
+        others."""
+        m, N = self.shape[0], self.grid.N
+        xi = self.grid.xi_axis[:m].copy()
+        xi[-1] = 0.0
+        return tuple(xi.reshape((1,) * a + (m,) + (1,) * (N - 1 - a)) for a in range(N))
+
+    def grad_kernel(self, mult: MultiplierSet) -> tuple[np.ndarray, ...]:
+        """xi_a W_hat on the orthant, deriv_mesh[a] times
+        mult.hartree_kernel_orthant: bit for bit the restricted imaginary
+        parts of mult.grad_kernel_hat."""
+        return tuple(xi * mult.hartree_kernel_orthant for xi in self.deriv_mesh)
+
+    @property
     def r_mesh(self) -> np.ndarray:
         """Distance to the box center on the orthant, bit for bit
         reduce(grid.r_mesh), from one axis of coordinates."""
@@ -538,6 +572,11 @@ class Orthant:
     def expand(self, a: np.ndarray) -> np.ndarray:
         """The centered array whose orthant is a."""
         return a[np.ix_(*([self._to_full] * self.grid.N))]
+
+    def origin_first(self, values: np.ndarray) -> np.ndarray:
+        """reduce(values): bit for bit restrict(np.fft.ifftshift(values)),
+        gathered without a whole-grid copy."""
+        return self.reduce(values)
 
     def restrict(self, table: np.ndarray) -> np.ndarray:
         """The orthant k = 0..n/2 of an even table in FFT order."""
@@ -946,7 +985,7 @@ class MultiplierSet:
     def grad_kernel_hat(self) -> tuple[np.ndarray, ...]:
         """Tables i xi_a W_hat(xi), one per axis, with xi_a from
         grid.deriv_mesh (zero at the Nyquist mode); built on first use (only
-        the virial diagnostics read them)."""
+        a whole-grid virial_rhs reads them, through FullGrid.grad_kernel)."""
         what = self.hartree_kernel_hat
         return tuple(1j * xi * what for xi in self.grid.deriv_mesh)
 
@@ -983,10 +1022,9 @@ def sobolev_norm(u: SpectralField, alpha: float) -> float:
 def seam_sobolev_norm(tr: FullGrid | Orthant, u: SpectralField, symbol: np.ndarray | None) -> float:
     """sobolev_norm on the seam tr, which a caller that needs several
     quantities of u chooses once, with the symbol |xi|^{2 alpha} as
-    tr's working spectrum is indexed (None for alpha = 0).  The origin-first values
-    (ifftshift) restricted to tr's spectrum are tr.reduce's array on the
-    orthant and the array to_fourier transforms on the whole grid."""
-    hat = u.grid.h**u.grid.N * tr.fft(tr.restrict(np.fft.ifftshift(u.values)))
+    tr's working spectrum is indexed (None for alpha = 0).  tr.origin_first
+    gives the values to_fourier transforms, on tr's spectrum."""
+    hat = u.grid.h**u.grid.N * tr.fft(tr.origin_first(u.values))
     dens = hat.real**2 + hat.imag**2
     if symbol is not None:
         dens = symbol * dens

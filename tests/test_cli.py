@@ -1,10 +1,14 @@
 """Command-line front end: exit codes, artifacts, determinism."""
+import concurrent.futures
 import dataclasses
+import functools
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -408,9 +412,73 @@ def test_sweep_builds_multipliers_once_per_pair(monkeypatch):
 def test_sweep_rows_do_not_depend_on_worker_count():
     cfg = load_config(overrides=_SMALL_SWEEP)
     serial = run_sweep(cfg, (0.9, 1.1), sg_pairs=_TWO_PAIRS, max_workers=1)
-    pooled = run_sweep(cfg, (0.9, 1.1), sg_pairs=_TWO_PAIRS, max_workers=2)
     assert [r["index"] for r in serial] == [0, 1, 2, 3]
-    assert pooled == serial
+    for workers in (1, 2, 3):
+        assert run_sweep(cfg, (0.9, 1.1), sg_pairs=_TWO_PAIRS, max_workers=workers) == serial
+        assert multiprocessing.active_children() == []
+
+
+def _log_line(path: Path, text: str) -> None:
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(text + "\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_parent_is_one_of_the_workers(monkeypatch, tmp_path, workers):
+    # workers - 1 forked processes (none for one worker), and the parent
+    # runs points too
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    log = tmp_path / "pids"
+    point = cli._sweep_point
+
+    @functools.wraps(point)  # pickled by its name, fhartree.cli._sweep_point
+    def logged(task):
+        _log_line(log, str(os.getpid()))
+        return point(task)
+
+    monkeypatch.setattr(cli, "_sweep_point", logged)
+    rows = run_sweep(load_config(overrides=_SMALL_SWEEP), (0.9, 1.1),
+                     sg_pairs=_TWO_PAIRS, max_workers=workers)
+    pids = log.read_text(encoding="utf-8").split()
+    assert [r["index"] for r in rows] == [0, 1, 2, 3]
+    assert sizes == ([workers - 1] if workers > 1 else [])
+    assert len(pids) == 4 and len(set(pids)) <= workers
+    assert str(os.getpid()) in pids
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing", ["parent", "pool"])
+def test_sweep_error_empties_the_queue(monkeypatch, tmp_path, failing):
+    # the pool process takes index 0 and the parent index 1; the point with
+    # c > 1 raises at once, the other runs until 0.5 s after that, and the
+    # four points still queued must never run
+    log = tmp_path / "evolved"
+
+    def fake_evolve(u0, p, mult, config, gs=None, keep_rows=True):
+        c = float(np.linalg.norm(u0.values) / np.linalg.norm(gs.q.values))
+        _log_line(log, f"{c:.3f}")
+        if c > 1.0:
+            raise RuntimeError("evolve failed for c > 1")
+        deadline = time.monotonic() + 30.0
+        while "1.200" not in log.read_text(encoding="utf-8") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)  # for the failure to reach the queue
+        return SimpleNamespace(verdict="Inconclusive", t_star=None)
+
+    monkeypatch.setattr(cli, "evolve", fake_evolve)  # before the pool forks
+    first = (0.9, 1.2) if failing == "parent" else (1.2, 0.9)
+    cfg = load_config(overrides=_SMALL_SWEEP)
+    with pytest.raises(RuntimeError, match="c > 1"):
+        run_sweep(cfg, first + (0.8,) * 4, max_workers=2)
+    assert sorted(log.read_text(encoding="utf-8").split()) == ["0.900", "1.200"]
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_explicit_amplitude_list(tmp_path):

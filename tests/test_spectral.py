@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from conftest import force_orthant_path
 from fhartree import cli, spectral
 from fhartree.cli import run_sweep
 from fhartree.config import load_config
+from fhartree.diagnostics import build_cutoff, build_quadrature, virial_rhs
 from fhartree.evolution import StepperConfig, evolve
 from fhartree.ground_state import solve_ground_state
 from fhartree.params import PhysParams
@@ -183,6 +185,26 @@ def test_sobolev_norm_small_alpha_limited_by_spectral_cusp():
         got = sobolev_norm(u, alpha) ** 2
         want = oracles.gaussian_hs_sq(alpha, w=1.0)
         assert abs(got - want) / want < 2e-3
+
+
+def test_orthant_sobolev_norm_reads_the_orthant_in_place():
+    # on the orthant, seam_sobolev_norm gathers the origin-first orthant
+    # (restrict(ifftshift(v)), bit for bit) without a whole-grid copy: the
+    # traced peak stays below one copy of the field
+    g = make_grid(N=2, n=256, L=32.0)
+    u = field_from_values(g, np.exp(-g.r_mesh**2) * (1.0 + 0.5j))
+    tr = spectral.Orthant(g)
+    assert np.array_equal(tr.origin_first(u.values), tr.restrict(np.fft.ifftshift(u.values)))
+    symbol = tr.xi_sq**0.7
+    want = spectral.seam_sobolev_norm(spectral.FullGrid(g), u, g.xi_sq**0.7)
+    tracemalloc.start()
+    try:
+        got = spectral.seam_sobolev_norm(tr, u, symbol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) / want < 1e-12
+    assert peak < u.values.nbytes
 
 
 def test_lp_norm_on_gaussian():
@@ -416,6 +438,26 @@ def test_grad_kernel_hat_built_on_first_read(params):
         assert np.array_equal(table, 1j * xi * mult.hartree_kernel_hat)
         assert not np.any(np.take(table, g.n // 2, axis=axis))  # the Nyquist mode
     assert mult.grad_kernel_hat is grad
+
+
+@pytest.mark.parametrize("N, n", [(2, 64), (3, 16)])
+def test_orthant_virial_tables_are_the_restricted_whole_grid_ones(N, n):
+    # virial_rhs on a mirror-even state builds its derivative symbols and
+    # kernel gradients on the orthant, bit for bit the restricted
+    # whole-grid tables, and builds none of those
+    g = make_grid(N=N, n=n, L=8.0)
+    p = PhysParams(N=N, s=0.7, gamma=1.6)
+    mult = make_multipliers(g, p)
+    u = field_from_values(g, np.exp(-g.r_mesh**2).astype(np.complex128))
+    virial_rhs(u, build_cutoff(g), p, mult, build_quadrature(p.s))
+    assert "grad_kernel_hat" not in vars(mult)
+    assert not {"xi_mesh", "xi_sq", "deriv_mesh"} & set(vars(g))
+    tr = spectral.Orthant(g)
+    for xi, gk, whole_xi, whole_gk in zip(tr.deriv_mesh, tr.grad_kernel(mult),
+                                          g.deriv_mesh, mult.grad_kernel_hat):
+        assert np.array_equal(np.broadcast_to(xi, tr.shape), tr.restrict(whole_xi))
+        assert np.array_equal(gk, tr.restrict(whole_gk.imag))
+        assert np.array_equal(np.signbit(gk), np.signbit(tr.restrict(whole_gk.imag)))
 
 
 def _whole_grid_arrays(obj, grid) -> list[str]:
