@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 import threading
 import warnings
@@ -70,6 +71,7 @@ from .snapshots import (
 )
 from .spectral import (
     GridSpec,
+    Orthant,
     SpectralField,
     field_from_values,
     make_multipliers,
@@ -599,15 +601,118 @@ VERIFY_TOLERANCES = {
 }
 
 
+#: One row of verify.json: (name, measured, tol).
+_Row = tuple[str, float, float]
+
+
+def _check(name: str, measured: float, tol: float | None = None) -> _Row:
+    """A row with the tolerance of VERIFY_TOLERANCES unless tol is given."""
+    return name, float(measured), VERIFY_TOLERANCES[name] if tol is None else tol
+
+
+# The check groups of verify, in the order of verify.json.  Each is a
+# function of (cfg, p, grid, mult, gs, quad) that returns its rows, so the
+# arrays it makes die when it returns and verify holds one group's at a
+# time.
+
+
+def _even_gaussian(grid: GridSpec, width_sq: float) -> SpectralField:
+    """exp(-|x|^2 / width_sq), built on the orthant and expanded."""
+    tr = Orthant(grid)
+    values = np.exp(-tr.r_mesh**2 / width_sq).astype(np.complex128)
+    return field_from_values(grid, tr.expand(values))
+
+
+def _verify_certificate(cfg, p, grid, mult, gs, quad) -> list[_Row]:
+    return [
+        _check("euler_lagrange_residual", gs.el_residual),
+        _check("pohozaev_r1", abs(gs.pohozaev[0])),
+        _check("pohozaev_r2", abs(gs.pohozaev[1])),
+        _check("cgn_two_route", abs(gs.cgn_a - gs.cgn_b) / gs.cgn_a),
+        _check("gn_ratio_ground_state", abs(gn_ratio(gs.q, gs.cgn_a, p, mult) - 1.0)),
+    ]
+
+
+def _verify_random_fields(cfg, p, grid, mult, gs, quad) -> list[_Row]:
+    rng = random.Random(cfg.io.seed)
+    excess = max(
+        gn_ratio(field_from_values(grid, random_smooth_field(grid, rng, span=grid.L / 8.0)),
+                 gs.cgn_a, p, mult) - 1.0
+        for _ in range(20)
+    )
+    return [_check("gn_ratio_random_excess", excess)]
+
+
+def _verify_threshold(cfg, p, grid, mult, gs, quad) -> list[_Row]:
+    rep = gs.threshold_report
+    ratio_closed = 2.0 * p.gamma / (p.gamma - 2.0 * p.s)
+    return [
+        _check("threshold_me_two_route", rep.me_discrepancy),
+        _check("threshold_grad_two_route", rep.grad_discrepancy),
+        _check("threshold_ratio_closed_form",
+               abs(gs.grad_Q / gs.me_Q - ratio_closed) / ratio_closed),
+    ]
+
+
+def _verify_balakrishnan(cfg, p, grid, mult, gs, quad) -> list[_Row]:
+    _, _, rel = balakrishnan_check(_even_gaussian(grid, 1.0), p, quad)
+    return [_check("balakrishnan_gaussian", rel)]
+
+
+def _verify_evolution(cfg, p, grid, mult, gs, quad) -> list[_Row]:
+    # short inside-K1 evolution: conservation + flow invariance + comparability
+    u0 = field_from_values(grid, 0.9 * gs.q.values)
+    rec = evolve(u0, p, mult,
+                 StepperConfig(dt=cfg.stepper.dt, t_end=0.2, record_every=10),
+                 gs=gs)
+    audit = invariance_audit(rec)
+    comp0 = comparability_check(u0, p, mult)
+    comp1 = comparability_check(rec.final_state, p, mult)
+    return [
+        _check("mass_drift", rec.mass_drift),
+        _check("energy_drift", rec.energy_drift),
+        _check("flow_invariance_flips", 0.0 if (audit.applicable and not audit.flipped) else 1.0,
+               0.5),
+        _check("comparability_margins",
+               -min(comp0.lower_margin, comp0.upper_margin,
+                    comp1.lower_margin, comp1.upper_margin), 0.0),
+        _check("coercivity_gap", -min(comp0.coercivity_gap, comp1.coercivity_gap), 0.0),
+    ]
+
+
+def _verify_virial(cfg, p, grid, mult, gs, quad) -> list[_Row]:
+    # virial machinery: main+I at Q must reproduce 2*gamma*((4s/gamma)*G - V)
+    # (both sides vanish at Q up to localization error), normalized by G
+    rhs = virial_rhs(gs.q, build_cutoff(grid), p, mult, quad)
+    g_q = gs.hs**2
+    surrogate = 2.0 * p.gamma * ((4.0 * p.s / p.gamma) * g_q - gs.v_q)
+    return [_check("virial_surrogate",
+                   abs(rhs.main + rhs.interaction - surrogate) / (2.0 * p.gamma * g_q))]
+
+
+def _verify_weighted_virial(cfg, p, grid, mult, gs, quad) -> list[_Row]:
+    # weighted virial of exp(-r^2/2) against its closed form
+    p_ref = weighted_virial_of_gaussian(p.s, grid.N)
+    return [_check("weighted_virial_gaussian",
+                   abs(weighted_virial(_even_gaussian(grid, 2.0), p) - p_ref) / p_ref)]
+
+
+_VERIFY_GROUPS = (
+    _verify_certificate,
+    _verify_random_fields,
+    _verify_threshold,
+    _verify_balakrishnan,
+    _verify_evolution,
+    _verify_virial,
+    _verify_weighted_virial,
+)
+
+
 def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     p, grid = cfg.physics, cfg.grid
     mult = make_multipliers(grid, p)
 
-    checks: list[tuple[str, float, float]] = []
-
-    def check(name: str, measured: float, tol: float | None = None) -> None:
-        checks.append((name, float(measured), VERIFY_TOLERANCES[name] if tol is None else tol))
-
+    checks: list[_Row] = []
     # the solver and weighted_virial advisories print as note: lines
     with _notes():
         seed = None
@@ -617,75 +722,17 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         gs = solve_ground_state(p, grid, seed=seed, opts=cfg.solver, mult=mult)
         if seed is not None:
             # warm start from a certified profile must land almost immediately
-            check("warm_start_iterations", gs.iterations, 3.0)
-
-        check("euler_lagrange_residual", gs.el_residual)
-        check("pohozaev_r1", abs(gs.pohozaev[0]))
-        check("pohozaev_r2", abs(gs.pohozaev[1]))
-        check("cgn_two_route", abs(gs.cgn_a - gs.cgn_b) / gs.cgn_a)
-        check("gn_ratio_ground_state", abs(gn_ratio(gs.q, gs.cgn_a, p, mult) - 1.0))
-
-        rng = np.random.default_rng(cfg.io.seed)
-        excess = max(
-            gn_ratio(field_from_values(grid, random_smooth_field(grid, rng, span=grid.L / 8.0)),
-                     gs.cgn_a, p, mult) - 1.0
-            for _ in range(20)
-        )
-        check("gn_ratio_random_excess", excess)
-
-        rep = gs.threshold_report
-        check("threshold_me_two_route", rep.me_discrepancy)
-        check("threshold_grad_two_route", rep.grad_discrepancy)
-        ratio_closed = 2.0 * p.gamma / (p.gamma - 2.0 * p.s)
-        check(
-            "threshold_ratio_closed_form",
-            abs(gs.grad_Q / gs.me_Q - ratio_closed) / ratio_closed,
-        )
-
+            checks.append(_check("warm_start_iterations", gs.iterations, 3.0))
+        del seed
         quad = build_quadrature(p.s)
-        gaussian = field_from_values(grid, np.exp(-grid.r_mesh**2).astype(np.complex128))
-        _, _, rel = balakrishnan_check(gaussian, p, quad)
-        check("balakrishnan_gaussian", rel)
-
-        # short inside-K1 evolution: conservation + flow invariance + comparability
-        u0 = field_from_values(grid, 0.9 * gs.q.values)
-        rec = evolve(u0, p, mult,
-                     StepperConfig(dt=cfg.stepper.dt, t_end=0.2, record_every=10),
-                     gs=gs)
-        check("mass_drift", rec.mass_drift)
-        check("energy_drift", rec.energy_drift)
-        audit = invariance_audit(rec)
-        check("flow_invariance_flips", 0.0 if (audit.applicable and not audit.flipped) else 1.0, 0.5)
-        comp0 = comparability_check(u0, p, mult)
-        comp1 = comparability_check(rec.final_state, p, mult)
-        check("comparability_margins",
-              -min(comp0.lower_margin, comp0.upper_margin,
-                   comp1.lower_margin, comp1.upper_margin), 0.0)
-        check("coercivity_gap", -min(comp0.coercivity_gap, comp1.coercivity_gap), 0.0)
-
-        # virial machinery: main+I at Q must reproduce 2*gamma*((4s/gamma)*G - V)
-        # (both sides vanish at Q up to localization error), normalized by G
-        phi = build_cutoff(grid)
-        rhs = virial_rhs(gs.q, phi, p, mult, quad)
-        g_q = gs.hs**2
-        surrogate = 2.0 * p.gamma * ((4.0 * p.s / p.gamma) * g_q - gs.v_q)
-        check("virial_surrogate",
-              abs(rhs.main + rhs.interaction - surrogate) / (2.0 * p.gamma * g_q))
-        # weighted virial of exp(-r^2/2) against its closed form
-        bump = field_from_values(
-            grid, np.exp(-grid.r_mesh**2 / 2.0).astype(np.complex128)
-        )
-        p_ref = weighted_virial_of_gaussian(p.s, grid.N)
-        check("weighted_virial_gaussian", abs(weighted_virial(bump, p) - p_ref) / p_ref)
+        for group in _VERIFY_GROUPS:
+            checks += group(cfg, p, grid, mult, gs, quad)
 
     failures = 0
-    lines = []
     for name, measured, tol in checks:
         ok = measured <= tol
         failures += 0 if ok else 1
-        line = f"{'PASS' if ok else 'FAIL'}  {name:<32s} measured={measured: .6e}  tol={tol:.1e}"
-        lines.append(line)
-        print(line)
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<32s} measured={measured: .6e}  tol={tol:.1e}")
     print(f"verify: {len(checks) - failures}/{len(checks)} checks passed")
     _write_json(
         out / "verify.json",

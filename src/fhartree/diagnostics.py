@@ -30,8 +30,10 @@ import numpy as np
 
 from .params import PhysParams
 from .spectral import (
+    FullGrid,
     GridSpec,
     MultiplierSet,
+    Orthant,
     SpectralField,
     gauss_jacobi,
     parseval_weight,
@@ -254,59 +256,64 @@ def psi_derivatives(rho: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class CutoffPhi:
-    """Grid tables of the scaled cutoff phi_R(x) = R^2 psi(|x|/R).
+    """Tables of the scaled cutoff phi_R(x) = R^2 psi(|x|/R), held on the
+    orthant.
 
-    grad holds the components of grad phi_R (equal to 2x on |x| <= R);
-    psi_pp_annulus is psi''(|x|/R) masked to the bridge annulus R<|x|<2R;
-    lap2 is (Delta^2 psi)(x/R) = R^2 Delta^2 phi_R, taken spectrally on the
-    grid, so it sums to zero over the grid up to rounding; the ball mask
-    selects |x| <= R.
+    phi_R is radial, so each table is even in every axis and is held on the
+    orthant x >= 0 of spectral.Orthant, (n/2+1)^N points, origin first:
+    slope_orthant is psi'(rho)/rho, rho = |x|/R, so grad phi_R = slope x
+    (equal to 2x on |x| <= R), formed one component at a time (gradient);
+    psi_pp_orthant is psi''(rho) masked to the bridge annulus R<|x|<2R;
+    lap2_orthant is (Delta^2 psi)(x/R) = R^2 Delta^2 phi_R, taken
+    spectrally on the grid, so it sums to zero over the grid up to
+    rounding; ball_orthant selects |x| <= R.  A seam reads them through
+    even_points, the orthant in place and the whole grid expanded on each
+    read, as MultiplierSet's kernel is read through even_spectrum.
     """
 
     grid: GridSpec
     R: float
-    grad: tuple[np.ndarray, ...]
-    psi_pp_annulus: np.ndarray
-    lap2: np.ndarray
-    ball_mask: np.ndarray
+    slope_orthant: np.ndarray
+    psi_pp_orthant: np.ndarray
+    lap2_orthant: np.ndarray
+    ball_orthant: np.ndarray
 
-    @property
-    def outside_mask(self) -> np.ndarray:
-        return ~self.ball_mask
+    def gradient(self, tr: FullGrid | Orthant, axis: int) -> np.ndarray:
+        """d_a phi_R = slope x_a as tr's working arrays are indexed; odd
+        along axis, even along the others."""
+        return tr.even_points(self.slope_orthant) * tr.coordinate(axis)
 
 
 def build_cutoff(grid: GridSpec, R: float | None = None) -> CutoffPhi:
-    """Tabulate the cutoff and its derived fields; R defaults to L/4 so the
-    annulus R<|x|<2R stays inside the box faces."""
+    """Tabulate the cutoff and its derived fields on the orthant (CutoffPhi),
+    from Orthant.r_mesh: no whole-grid mesh or table is built.  Each table
+    is bit for bit the orthant of the one tabulated on the whole grid.  R
+    defaults to L/4 so the annulus R<|x|<2R stays inside the box faces."""
     if R is None:
         R = grid.L / 4.0
     if not 0.0 < 2.0 * R <= grid.L:
         raise ValueError(f"need 0 < 2R <= L, got R={R} on L={grid.L}")
-    rho = grid.r_mesh / R
+    tr = Orthant(grid)
+    rho = tr.r_mesh / R
     psi0, psi1, psi2, _, _ = psi_derivatives(rho)
     # grad phi_R = psi'(rho) x / |x| * R = (psi'(rho)/rho) x; the ratio tends
     # to 2 at the origin where psi' = 2 rho.
     with np.errstate(invalid="ignore", divide="ignore"):
         slope = np.where(rho > 0.0, psi1 / rho, 2.0)
-    grad = tuple(slope * x for x in grid.x_mesh)
     annulus = (rho > 1.0) & (rho < 2.0)
-    psi_pp_annulus = np.where(annulus, psi2, 0.0)
     # Delta^2 of the tabulated phi_R on the grid's own spectrum, so that
     # lap2 sums to zero like its continuum counterpart.  The analytic
     # (Delta^2 psi)(x/R) does not (h^N sum lap2 = -13.0 at 256^2, L=32),
     # and that sum becomes a divergent |u_hat(0)|^2 m^{s-2} term of the
-    # m-integral.  The mirror-even psi0 goes through the orthant, so lap2
-    # is exactly even: an orthant sum reads half of it for the whole.
-    tr = step_transform(grid, psi0)
-    spec = tr.spectrum_table(tr.xi_sq) ** 2 * tr.rfft(tr.reduce(R**2 * psi0))
-    lap2 = R**2 * tr.expand(tr.irfft(spec))
+    # m-integral.  Taken on the orthant, lap2 is exactly even.
+    spec = tr.xi_sq**2 * tr.rfft(R**2 * psi0)
     return CutoffPhi(
         grid=grid,
         R=float(R),
-        grad=grad,
-        psi_pp_annulus=psi_pp_annulus,
-        lap2=lap2,
-        ball_mask=rho <= 1.0,
+        slope_orthant=slope,
+        psi_pp_orthant=np.where(annulus, psi2, 0.0),
+        lap2_orthant=R**2 * tr.irfft(spec),
+        ball_orthant=rho <= 1.0,
     )
 
 
@@ -357,7 +364,10 @@ def virial_rhs(
     odd along their axis and go through irfft_odd, and every product the
     sums form is even.  The derivatives are those of the trigonometric
     interpolant (tr.deriv_mesh, tr.grad_kernel), on either path; the
-    orthant builds them from one axis and the kernel's orthant.
+    orthant builds them from one axis and the kernel's orthant.  The
+    cutoff's tables are read through tr.even_points: in place on the
+    orthant, expanded on the whole grid; each gradient component is
+    phi.gradient, slope times the coordinate.
     The node loop writes 1/(q+m), the resolvent spectrum, its gradient
     components and their inverse transforms into arrays allocated once per
     call; the interaction and tail terms reuse two of them.  Raises
@@ -376,8 +386,9 @@ def virial_rhs(
     hats = [tr.rfft(f) for f in parts]
 
     # |grad u_m|^2 weight: 8 on the ball, 4 psi'' on the annulus
-    grad_w = tr.point_weights(8.0 * phi.ball_mask + 4.0 * phi.psi_pp_annulus)
-    lap2 = tr.point_weights(phi.lap2 / phi.R**2)
+    ball = tr.even_points(phi.ball_orthant)
+    grad_w = tr.sum_weights(8.0 * ball + 4.0 * tr.even_points(phi.psi_pp_orthant))
+    lap2 = tr.sum_weights(tr.even_points(phi.lap2_orthant) / phi.R**2)
     inv = np.empty(q.shape)
     rhat = tr.real_spectrum()
     dhat = np.empty_like(rhat)
@@ -399,13 +410,14 @@ def virial_rhs(
     rho = sum(f**2 for f in parts)
     rho_hat = tr.rfft(rho)
     interaction = 0.0
-    for axis, (g, gk) in enumerate(zip(phi.grad, tr.grad_kernel(mult))):
+    for axis, gk in enumerate(tr.grad_kernel(mult)):
         # the gradient i xi_j W_hat: irfft_odd takes gk = xi_j W_hat times the spectrum
         np.multiply(tr.spectrum_table(gk), rho_hat, out=dhat)
-        interaction += _weighted_sum(tr.point_weights(g), tr.irfft_odd(dhat, axis, out=d), rho)
+        interaction += _weighted_sum(tr.sum_weights(phi.gradient(tr, axis)),
+                                     tr.irfft_odd(dhat, axis, out=d), rho)
     interaction *= 2.0 * hN
 
-    out = tr.point_weights(phi.outside_mask)
+    out = tr.sum_weights(~ball)
     ds_s = q ** (0.5 * p.s)
     ds_tail = 0.0
     for hat in hats:
@@ -427,13 +439,16 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
     radius |x| > 0.4 L, where the weight's sawtooth jump corrupts the spectrum.
     For a mirror-even u, x_j u is odd along axis j but for its value on the
     face x_j = -L/2, and the orthant sums the power of both parts
-    (Orthant.odd_power).
+    (Orthant.odd_power).  The coordinates and |x| come from the seam
+    (tr.coordinate, tr.r_mesh), so the orthant builds no whole-grid mesh.
     """
     grid = u.grid
-    rho = u.values.real**2 + u.values.imag**2
-    total = float(np.sum(rho))
+    tr = step_transform(grid, u.values)
+    v = tr.reduce(u.values)
+    rho = v.real**2 + v.imag**2
+    total = tr.total(rho)
     if total > 0.0:
-        outside = float(np.sum(rho[grid.r_mesh > 0.4 * grid.L]))
+        outside = tr.total(rho * (tr.r_mesh > 0.4 * grid.L))
         if outside > 1e-6 * total:
             warnings.warn(
                 f"weighted_virial: {outside / total:.2e} of the mass lies beyond "
@@ -441,12 +456,10 @@ def weighted_virial(u: SpectralField, p: PhysParams) -> float:
                 stacklevel=2,
             )
     del rho
-    tr = step_transform(grid, u.values)
-    v = tr.reduce(u.values)
     tab = tr.xi_sq ** (1.0 - p.s)
     acc = 0.0
-    for axis, x in enumerate(grid.x_mesh):
-        acc += tr.total(tab * tr.odd_power(tr.reduce(x) * v, axis))
+    for axis in range(grid.N):
+        acc += tr.total(tab * tr.odd_power(tr.coordinate(axis) * v, axis))
     return parseval_weight(grid) * grid.h ** (2 * grid.N) * acc
 
 

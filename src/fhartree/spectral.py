@@ -33,7 +33,8 @@ runs on the orthant alone, from a seed it makes mirror-even, with the
 orthant's own |xi|^2 and |x| (``Orthant.xi_sq``, ``Orthant.r_mesh``)
 built from one axis: no whole-grid mesh of ``GridSpec``.  The Hartree
 kernel is held on its orthant too (``MultiplierSet``), and a seam reads
-it through ``even_spectrum``.  The step loop of ``evolution`` and every
+it through ``even_spectrum``; the virial cutoff's tables likewise
+(``diagnostics.CutoffPhi``, read through ``even_points``).  The step loop of ``evolution`` and every
 public functional and diagnostic (``sobolev_norm``, ``functionals``, the
 resolvent and virial diagnostics) take their seam from
 ``step_transform`` once per call, the orthant when their states allow
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +98,9 @@ class GridSpec:
 
     @functools.cached_property
     def r_mesh(self) -> np.ndarray:
-        """Distance to the box center (the minimum-image distance to x=0)."""
-        return np.sqrt(sum(x**2 for x in self.x_mesh))
+        """Distance to the box center (the minimum-image distance to x=0),
+        from one axis of coordinates: no x_mesh is built."""
+        return np.sqrt(_sum_of_squares(self.x_axis, self.N))
 
     @functools.cached_property
     def xi_mesh(self) -> tuple[np.ndarray, ...]:
@@ -105,7 +108,9 @@ class GridSpec:
 
     @functools.cached_property
     def xi_sq(self) -> np.ndarray:
-        return sum(x**2 for x in self.xi_mesh)
+        """|xi|^2 in FFT order, from one axis of wavenumbers: no xi_mesh is
+        built."""
+        return _sum_of_squares(self.xi_axis, self.N)
 
     @functools.cached_property
     def deriv_mesh(self) -> tuple[np.ndarray, ...]:
@@ -161,18 +166,22 @@ def field_from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
     return SpectralField(grid=grid, values=np.asarray(values, dtype=np.complex128))
 
 
-def random_smooth_field(grid: GridSpec, rng: np.random.Generator, n_bumps: int = 3,
+def random_smooth_field(grid: GridSpec, rng: random.Random, n_bumps: int = 3,
                         span: float = 4.0, widths=(0.8, 2.5)) -> np.ndarray:
     """Superposition of a few random complex Gaussians well inside the box.
 
-    Each bump exp(-|x - x0|^2 / w^2) is the outer product of one 1-D
-    Gaussian per axis, so the exponential is taken on n points per axis,
-    not on the whole mesh."""
+    rng is a stdlib random.Random (verify seeds it with io.seed); each bump
+    takes N + 3 draws from it, in order: the centre x0, uniform in
+    [-span, span] per axis, the width w, uniform in widths, and the real
+    and imaginary parts of its amplitude, standard normal.  The package
+    does not load numpy.random.  Each bump exp(-|x - x0|^2 / w^2) is the
+    outer product of one 1-D Gaussian per axis, so the exponential is
+    taken on n points per axis, not on the whole mesh."""
     vals = np.zeros(grid.shape, dtype=np.complex128)
     for _ in range(n_bumps):
-        x0 = rng.uniform(-span, span, size=grid.N)
+        x0 = [rng.uniform(-span, span) for _ in range(grid.N)]
         w = rng.uniform(*widths)
-        amp = rng.normal() + 1j * rng.normal()
+        amp = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         bump = amp * np.exp(-((grid.x_axis - x0[0]) ** 2) / w**2)
         for j in range(1, grid.N):
             bump = np.multiply.outer(bump, np.exp(-((grid.x_axis - x0[j]) ** 2) / w**2))
@@ -209,7 +218,7 @@ def is_mirror_even(values: np.ndarray) -> bool:
     box center along each axis goes first: it rejects most arrays that are
     not even.  False when a value is not finite."""
     eps = MIRROR_EVEN_ULPS * np.finfo(np.float64).eps
-    tol_sq = eps**2 * np.max(_modulus_sq(values))
+    tol_sq = eps**2 * _max_modulus_sq(values)
     mid = (values.shape[0] // 2,) * values.ndim
     lines = [values[mid[:a] + (slice(None),) + mid[a + 1:]] for a in range(values.ndim)]
     return (bool(np.isfinite(tol_sq))
@@ -226,6 +235,19 @@ def _mirror_gap_within(values: np.ndarray, axis: int, tol_sq: float) -> bool:
     gap = values[head + (slice(1, n // 2),)] - np.flip(values[head + (slice(n // 2 + 1, None),)], axis)
     flat = gap.ravel().view(np.float64)
     return bool(np.einsum("i,i->", flat, flat) <= tol_sq or np.max(_modulus_sq(gap)) <= tol_sq)
+
+
+#: Points per block of _max_modulus_sq: a 256 KiB float temporary.
+_MAX_BLOCK_POINTS = 2**15
+
+
+def _max_modulus_sq(values: np.ndarray) -> float:
+    """max |values|^2, taken block by block over rows of the leading axis,
+    so no whole-array |values|^2 is formed.  A max is exact, so this is
+    bit for bit np.max(_modulus_sq(values)); a NaN propagates."""
+    rows = max(1, _MAX_BLOCK_POINTS // values[0].size)
+    return float(np.max([np.max(_modulus_sq(values[i:i + rows]))
+                         for i in range(0, values.shape[0], rows)]))
 
 
 def _modulus_sq(x: np.ndarray) -> np.ndarray:
@@ -269,6 +291,22 @@ class FullGrid:
         k = 0..n/2 is table_o (MultiplierSet.hartree_kernel_orthant),
         expanded to the whole grid on each call."""
         return self.spectrum_table(even_table(table_o, self.grid.n))
+
+    def even_points(self, table_o: np.ndarray) -> np.ndarray:
+        """The centered table even in every axis whose orthant x >= 0 is
+        table_o (a CutoffPhi table), as the working arrays are indexed:
+        expanded to the whole grid on each call."""
+        return even_points(table_o, self.grid.n)
+
+    def coordinate(self, axis: int) -> np.ndarray:
+        """The coordinate x_a as the working arrays are indexed: grid.x_axis
+        along axis, shaped to broadcast along the others."""
+        return _along(self.grid.x_axis, axis, self.grid.N)
+
+    @property
+    def r_mesh(self) -> np.ndarray:
+        """|x| as the working arrays are indexed: grid.r_mesh."""
+        return self.grid.r_mesh
 
     @property
     def xi_sq(self) -> np.ndarray:
@@ -374,12 +412,9 @@ class FullGrid:
 
     def sum_weights(self, table: np.ndarray) -> np.ndarray:
         """Flat weights w with w . x.ravel() = sum of table * x over the
-        grid, for a table as the working spectrum is indexed (restrict)."""
+        grid, for a table indexed as the working spectrum (restrict) or as
+        the working arrays (reduce, even_points) are."""
         return table.astype(np.float64).ravel()
-
-    #: sum_weights for a table of centered values, as the working arrays of
-    #: fields are indexed: on the whole grid the same flat table.
-    point_weights = sum_weights
 
     def norm_sq(self, z: np.ndarray) -> float:
         """The sum of |z|^2 over the grid of a real or complex array, in
@@ -477,8 +512,9 @@ class Orthant:
     real transform, and for the complex one two extensions, one of them
     laid over those two, that the axes take in turn, so that an axis
     reads the last one's output from the other.  At 2048^2 they take 64
-    MiB in all, as much as each axis had of its own before.  xi_sq, r_mesh
-    and dealias_mask, built from one axis, stand in for GridSpec's meshes.
+    MiB in all, as much as each axis had of its own before.  xi_sq, r_mesh,
+    coordinate and dealias_mask, built from one axis, stand in for
+    GridSpec's meshes.
     """
 
     def __init__(self, grid: GridSpec):
@@ -487,9 +523,7 @@ class Orthant:
         self.grid = grid
         self.shape = (m,) * N
         self._scale = float(n) ** -N
-        # orthant index of each centered index, and centered index of each
-        # orthant index
-        self._to_full = np.abs(np.arange(n) - n // 2)
+        # centered index of each orthant index
         self._to_orthant = (np.arange(m) + n // 2) % n
         count = np.full(m, 2.0)
         count[0] = count[-1] = 1.0
@@ -548,10 +582,9 @@ class Orthant:
         one axis of wavenumbers with its Nyquist mode (the last) set to
         zero: the table of axis a varies along a and broadcasts along the
         others."""
-        m, N = self.shape[0], self.grid.N
-        xi = self.grid.xi_axis[:m].copy()
+        xi = self.grid.xi_axis[: self.shape[0]].copy()
         xi[-1] = 0.0
-        return tuple(xi.reshape((1,) * a + (m,) + (1,) * (N - 1 - a)) for a in range(N))
+        return tuple(_along(xi, a, self.grid.N) for a in range(self.grid.N))
 
     def grad_kernel(self, mult: MultiplierSet) -> tuple[np.ndarray, ...]:
         """xi_a W_hat on the orthant, deriv_mesh[a] times
@@ -565,13 +598,19 @@ class Orthant:
         reduce(grid.r_mesh), from one axis of coordinates."""
         return np.sqrt(_sum_of_squares(self.grid.x_axis[self._to_orthant], self.grid.N))
 
+    def coordinate(self, axis: int) -> np.ndarray:
+        """The coordinate x_a on the orthant, reduce(grid.x_mesh[a]) bit
+        for bit, from one axis: it varies along axis and broadcasts along
+        the others.  Its last point is the face x_a = -L/2."""
+        return _along(self.grid.x_axis[self._to_orthant], axis, self.grid.N)
+
     def reduce(self, values: np.ndarray) -> np.ndarray:
         """The orthant of a centered mirror-even array, origin first."""
         return values[np.ix_(*([self._to_orthant] * self.grid.N))]
 
     def expand(self, a: np.ndarray) -> np.ndarray:
         """The centered array whose orthant is a."""
-        return a[np.ix_(*([self._to_full] * self.grid.N))]
+        return even_points(a, self.grid.n)
 
     def origin_first(self, values: np.ndarray) -> np.ndarray:
         """reduce(values): bit for bit restrict(np.fft.ifftshift(values)),
@@ -589,6 +628,9 @@ class Orthant:
         """The orthant table table_o itself: no copy, so callers must not
         write into it."""
         return table_o
+
+    #: even_points: the orthant table itself, read in place like even_spectrum.
+    even_points = even_spectrum
 
     def frac_lap(self, mult: MultiplierSet) -> np.ndarray:
         """|xi|^{2s} on the orthant, xi_sq ** mult.s: bit for bit
@@ -736,9 +778,6 @@ class Orthant:
     def sum_weights(self, table: np.ndarray) -> np.ndarray:
         return (table * self._mult).ravel()
 
-    def point_weights(self, values: np.ndarray) -> np.ndarray:
-        return (self.reduce(values) * self._mult).ravel()
-
     def norm_sq(self, z: np.ndarray) -> float:
         flat = z.view(np.float64).ravel()
         weights = self._mult_2 if np.iscomplexobj(z) else self._mult.ravel()
@@ -746,11 +785,19 @@ class Orthant:
 
 
 def _sum_of_squares(axis: np.ndarray, N: int) -> np.ndarray:
-    """The N-dimensional array of sum_a axis[j_a]^2, added axis by axis
-    in the order of GridSpec's sum over its meshes, so it is bit for bit
-    that sum at the same points."""
+    """The N-dimensional array of sum_a axis[j_a]^2, added axis by axis:
+    GridSpec's |xi|^2 and |x| from its whole axes, Orthant's from the
+    orthant's points of them, so each orthant table is bit for bit the
+    restricted whole-grid one.  These are the additions, in the same order,
+    of a sum over the N meshes of GridSpec.xi_mesh or x_mesh."""
     sq = axis**2
     return functools.reduce(np.add.outer, [sq] * N)
+
+
+def _along(v: np.ndarray, axis: int, N: int) -> np.ndarray:
+    """A 1-D array v shaped to vary along axis of an N-dimensional array
+    and broadcast along the others."""
+    return v.reshape((1,) * axis + (-1,) + (1,) * (N - 1 - axis))
 
 
 def _copy_into(out: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -939,6 +986,14 @@ def build_hartree_kernel(grid: GridSpec, gamma: float) -> np.ndarray:
     if gamma >= grid.N or gamma <= 0:
         raise ValueError(f"gamma must lie in (0, N), got {gamma}")
     return _exact_kernel_hat(grid, gamma)
+
+
+def even_points(table_o: np.ndarray, n: int) -> np.ndarray:
+    """The centered array on the whole grid, even in every axis, whose
+    orthant x >= 0 (Orthant.reduce, origin first) is table_o: the point j
+    of an axis reads the orthant at |j - n/2|."""
+    k = np.abs(np.arange(n) - n // 2)
+    return table_o[np.ix_(*([k] * table_o.ndim))]
 
 
 def even_table(table: np.ndarray, n: int) -> np.ndarray:

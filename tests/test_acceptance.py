@@ -7,6 +7,7 @@ n=512 collapse showcase) are session-scoped, so this module costs a few
 minutes of single-core time on first use.
 """
 import json
+import random
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_02_sharp_constant_consistency(fine, canonical):
     gs = fine.gs
     two_route = abs(gs.cgn_a - gs.cgn_b) / gs.cgn_a
     dev_q = abs(gn_ratio(gs.q, gs.cgn_a, fine.p, fine.mult) - 1.0)
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     worst = max(
         gn_ratio(
             field_from_values(canonical.grid,
@@ -180,7 +181,7 @@ def test_08_resolvent_identity(canonical):
     default = build_quadrature(p.s)
     _, _, rel_gauss = balakrishnan_check(gauss, p, default)
 
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     worst = max(
         balakrishnan_check(
             field_from_values(grid, random_smooth_field(grid, rng)),
@@ -221,7 +222,7 @@ def test_09_virial_identity(virial_fd):
 
     pos_ok = bool(np.all(totals > 0.0))
 
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     weights = [weighted_virial(snaps[0][1], s.p)] + [
         weighted_virial(
             field_from_values(s.grid, random_smooth_field(s.grid, rng)),
@@ -241,7 +242,7 @@ def test_10_oracle_equivalence(params):
     # FFT pipeline vs literal O(n^4) periodic double sums on a 32^2 grid,
     # for both kernel discretizations
     g32 = make_grid(N=2, n=32, L=8.0)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     vals = random_smooth_field(g32, rng, span=1.5, widths=(0.6, 1.2))
     u32 = field_from_values(g32, vals)
     rho = vals.real**2 + vals.imag**2

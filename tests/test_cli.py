@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -560,6 +561,64 @@ def test_verify_coarse_dt_fails(tmp_path):
     assert report["passed"] is False
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "energy_drift" in failed
+
+
+def test_verify_frees_each_check_groups_arrays(tmp_path, monkeypatch):
+    # each check group's arrays die when it returns: after any group the
+    # traced memory exceeds what it was before the first by less than 1.5
+    # complex fields.  What stays is |xi|^2 and |xi|^{2s}, which the
+    # whole-grid random-field checks cache on the grid and the multiplier
+    # set, one complex field's bytes in all.  The rows keep their order.
+    marks = []
+
+    def traced(group):
+        def run(*args):
+            rows = group(*args)
+            marks.append(tracemalloc.get_traced_memory()[0])
+            return rows
+        return run
+
+    first, *rest = cli._VERIFY_GROUPS
+
+    def start(*args):
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return first(*args)
+
+    monkeypatch.setattr(cli, "_VERIFY_GROUPS", tuple(map(traced, (start, *rest))))
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "grid.n=64", "--out", str(tmp_path)])
+    finally:
+        tracemalloc.stop()
+    assert rc in (EXIT_OK, EXIT_VERIFY)
+    assert len(marks) == 1 + len(rest) + 1
+    field_bytes = 16 * 64**2
+    assert max(marks) - marks[0] < 1.5 * field_bytes
+    names = [c["name"] for c in json.loads((tmp_path / "verify.json").read_text())["checks"]]
+    assert names == [
+        "euler_lagrange_residual", "pohozaev_r1", "pohozaev_r2", "cgn_two_route",
+        "gn_ratio_ground_state", "gn_ratio_random_excess", "threshold_me_two_route",
+        "threshold_grad_two_route", "threshold_ratio_closed_form", "balakrishnan_gaussian",
+        "mass_drift", "energy_drift", "flow_invariance_flips", "comparability_margins",
+        "coercivity_gap", "virial_surrogate", "weighted_virial_gaussian",
+    ]
+
+
+def test_verify_loads_no_numpy_random(tmp_path):
+    # the random fields of gn_ratio_random_excess come from the stdlib
+    # random.Random seeded by io.seed, so no command loads numpy.random
+    code = "\n".join([
+        "import sys",
+        "from fhartree.cli import main",
+        f"rc = main(['verify', 'grid.n=64', '--out', {str(tmp_path)!r}])",
+        "print(rc, 'numpy.random' in sys.modules)",
+    ])
+    out = _run([sys.executable, "-c", code])
+    assert out.returncode == 0, out.stderr
+    rc, loaded = out.stdout.splitlines()[-1].split()
+    assert int(rc) in (EXIT_OK, EXIT_VERIFY)
+    assert (tmp_path / "verify.json").exists()
+    assert loaded == "False"
 
 
 # ------------------------------------------------------------ entry point

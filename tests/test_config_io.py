@@ -133,7 +133,7 @@ def test_broken_invariants_surface_as_config_errors(override):
         "solver.tol=nan",
         "solver.seed_width=nan",
         "solver.seed_width=inf",
-        "io.seed=-1",          # np.random.default_rng would reject it mid-run
+        "io.seed=-1",          # random.Random(-1) draws what random.Random(1) does
     ],
 )
 def test_non_finite_settings_are_config_errors(override):

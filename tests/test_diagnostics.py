@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ def test_norm_identity_on_gaussian(canonical, quad):
 
 
 def test_norm_identity_on_random_field(canonical, quad):
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     u = field_from_values(canonical.grid,
                           random_smooth_field(canonical.grid, rng))
     assert balakrishnan_check(u, canonical.p, quad)[2] < 1e-6
@@ -200,14 +202,72 @@ def test_build_cutoff_geometry(canonical):
     assert phi.R == canonical.grid.L / 4.0
     g = canonical.grid
     c = g.n // 2
+    # the whole-grid tables, centered
+    grad0 = phi.gradient(spectral.FullGrid(g), 0)
+    lap2 = spectral.even_points(phi.lap2_orthant, g.n)
+    ball_mask = spectral.even_points(phi.ball_orthant, g.n)
     # grad phi = 2x on the ball
     i = c + 8  # x = 2 < R = 8
-    assert np.isclose(phi.grad[0][i, c], 2.0 * g.x_axis[i], rtol=1e-12)
-    assert np.isclose(phi.grad[0][c, c], 0.0, atol=1e-14)
+    assert np.isclose(grad0[i, c], 2.0 * g.x_axis[i], rtol=1e-12)
+    assert np.isclose(grad0[c, c], 0.0, atol=1e-14)
     # the spectral bilaplacian table sums to zero, as in the continuum
-    assert abs(np.sum(phi.lap2)) <= 1e-14 * np.sum(np.abs(phi.lap2))
-    assert phi.ball_mask[c, c]
-    assert not phi.ball_mask[0, 0]
+    assert abs(np.sum(lap2)) <= 1e-14 * np.sum(np.abs(lap2))
+    assert ball_mask[c, c]
+    assert not ball_mask[0, 0]
+
+
+def _whole_grid_cutoff(g, R):
+    """build_cutoff's tables tabulated on the whole grid from grid.r_mesh
+    and grid.x_mesh, centered, with lap2 taken on the orthant of psi."""
+    rho = g.r_mesh / R
+    psi0, psi1, psi2, _, _ = psi_derivatives(rho)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slope = np.where(rho > 0.0, psi1 / rho, 2.0)
+    tr = spectral.Orthant(g)
+    spec = tr.restrict(g.xi_sq) ** 2 * tr.rfft(tr.reduce(R**2 * psi0))
+    return {
+        "slope": slope,
+        "grad": [slope * x for x in g.x_mesh],
+        "psi_pp": np.where((rho > 1.0) & (rho < 2.0), psi2, 0.0),
+        "lap2": R**2 * tr.expand(tr.irfft(spec)),
+        "ball": rho <= 1.0,
+    }
+
+
+@pytest.mark.parametrize("N, n, L", [(2, 64, 16.0), (3, 16, 8.0)])
+def test_cutoff_tables_on_the_orthant_are_the_restricted_whole_grid_ones(N, n, L):
+    # the orthant tables and the gradients slope * x_a formed from them on
+    # either seam are bit for bit the whole-grid tables, signs of zero too
+    g = make_grid(N=N, n=n, L=L)
+    phi = build_cutoff(g)
+    want = _whole_grid_cutoff(g, phi.R)
+    tr, full = spectral.Orthant(g), spectral.FullGrid(g)
+    for name, table in (("slope", phi.slope_orthant), ("psi_pp", phi.psi_pp_orthant),
+                        ("lap2", phi.lap2_orthant), ("ball", phi.ball_orthant)):
+        assert table.shape == tr.shape, name
+        assert np.array_equal(table, tr.reduce(want[name])), name
+        assert np.array_equal(full.even_points(table), want[name]), name
+    for axis, whole in enumerate(want["grad"]):
+        for seam, table in ((tr, tr.reduce(whole)), (full, whole)):
+            got = phi.gradient(seam, axis)
+            assert got.shape == table.shape
+            assert np.array_equal(got, table) and np.array_equal(np.signbit(got), np.signbit(table))
+
+
+def test_orthant_diagnostics_build_no_grid_mesh(params, quad):
+    # an orthant build_cutoff, weighted_virial, virial_rhs and
+    # balakrishnan_check read the orthant's own coordinates and symbols: a
+    # fresh grid caches no whole-grid mesh
+    g = make_grid(N=2, n=64, L=16.0)
+    mult = make_multipliers(g, params)
+    tr = spectral.Orthant(g)
+    u = field_from_values(g, tr.expand(np.exp(-tr.r_mesh**2 / 2.0)))
+    assert type(spectral.step_transform(g, u.values)) is spectral.Orthant
+    phi = build_cutoff(g)
+    weighted_virial(u, params)
+    virial_rhs(u, phi, params, mult, quad)
+    balakrishnan_check(u, params, quad)
+    assert not {"x_mesh", "r_mesh", "xi_mesh", "xi_sq", "deriv_mesh"} & set(vars(g))
 
 
 def test_build_cutoff_validation(canonical):
@@ -389,7 +449,7 @@ def test_gaussian_weighted_virial_matches_grid(N, n, L, gamma, tol):
 
 
 def test_weighted_virial_nonnegative_and_quadratic(canonical, params):
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     u = field_from_values(canonical.grid,
                           random_smooth_field(canonical.grid, rng))
     v1 = weighted_virial(u, params)
@@ -493,7 +553,7 @@ def test_seam_diagnostics_match_the_full_grid(case, kind, monkeypatch):
 def test_seam_diagnostics_of_a_non_even_state_are_the_full_grid_values(canonical, quad,
                                                                          monkeypatch):
     s = canonical
-    u = field_from_values(s.grid, random_smooth_field(s.grid, np.random.default_rng(8)))
+    u = field_from_values(s.grid, random_smooth_field(s.grid, random.Random(8)))
     assert type(spectral.step_transform(s.grid, u.values)) is spectral.FullGrid
     args = (s.p, s.mult, quad, build_cutoff(s.grid))
     got = _seam_values(u, *args)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -44,7 +45,7 @@ from whole_grid import linear_propagator, lp_norm, strang_step
 
 
 def _rng_field(grid, seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     return field_from_values(grid, random_smooth_field(grid, rng))
 
 

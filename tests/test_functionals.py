@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -81,7 +83,7 @@ def test_parseval_v_matches_physical_sum(N, n, L):
 def test_quartic_nonnegative_on_random_fields(canonical):
     # the interaction kernel has nonnegative Fourier coefficients, so
     # V(u) >= 0 for every field
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for _ in range(10):
         u = field_from_values(canonical.grid,
                               random_smooth_field(canonical.grid, rng))
@@ -186,7 +188,7 @@ def test_gn_ratio_is_one_at_ground_state(canonical):
 
 
 def test_gn_ratio_below_one_on_random_fields(canonical):
-    rng = np.random.default_rng(1234)
+    rng = random.Random(1234)
     for _ in range(20):
         u = field_from_values(canonical.grid,
                               random_smooth_field(canonical.grid, rng))

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -45,7 +46,7 @@ from whole_grid import (
 
 
 def _rng_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     return field_from_values(grid, random_smooth_field(grid, rng))
 
 
@@ -380,14 +381,14 @@ def test_spectrum_weights_match_physical_sum(N):
 def test_random_smooth_field_matches_dense_bumps(N, n, L):
     # the same draws, each bump evaluated on the whole mesh
     g = make_grid(N=N, n=n, L=L)
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     want = np.zeros(g.shape, dtype=np.complex128)
     for _ in range(3):
-        x0 = rng.uniform(-4.0, 4.0, size=N)
+        x0 = [rng.uniform(-4.0, 4.0) for _ in range(N)]
         w = rng.uniform(0.8, 2.5)
-        amp = rng.normal() + 1j * rng.normal()
+        amp = rng.gauss(0.0, 1.0) + 1j * rng.gauss(0.0, 1.0)
         want += amp * np.exp(-sum((g.x_mesh[j] - x0[j]) ** 2 for j in range(N)) / w**2)
-    got = random_smooth_field(g, np.random.default_rng(31))
+    got = random_smooth_field(g, random.Random(31))
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -756,6 +757,80 @@ def test_every_transform_goes_through_the_seam():
     found = {path.name: _transforms_outside_seam(ast.parse(path.read_text(encoding="utf-8")))
              for path in sources}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _numpy_random_references(tree):
+    """Line numbers in tree that reference numpy.random: a name such as
+    np.random.default_rng, or an import of it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] in (["np", "random"], ["numpy", "random"]) for name in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_src_never_references_numpy_random():
+    # io.seed draws from the stdlib random.Random; loading numpy.random
+    # costs a command ~6 MiB resident
+    probe = ast.parse("import numpy.random\nfrom numpy import random as r\n"
+                      "x = np.random.default_rng(0)\ny: numpy.random.Generator\n"
+                      "import random\nz = random.Random(0)\nfrom numpy import fft\n"
+                      "from numpy.random import default_rng\n")
+    assert _numpy_random_references(probe) == [1, 2, 3, 4, 8]
+    sources = sorted(Path(spectral.__file__).parent.glob("*.py"))
+    assert sources
+    found = {path.name: _numpy_random_references(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("N, n, L", [(2, 64, 10.0), (3, 16, 8.0)])
+def test_grid_tables_from_one_axis(N, n, L):
+    # |xi|^2 and |x| from one axis are bit for bit the sums over the meshes,
+    # and reading them caches no mesh
+    g = make_grid(N=N, n=n, L=L)
+    xi_sq, r = g.xi_sq, g.r_mesh
+    assert not {"xi_mesh", "x_mesh"} & set(vars(g))
+    assert np.array_equal(xi_sq, sum(x**2 for x in g.xi_mesh))
+    assert np.array_equal(r, np.sqrt(sum(x**2 for x in g.x_mesh)))
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (64, 64, 64), (16, 16)])
+def test_max_modulus_sq_by_blocks_is_the_whole_max(shape):
+    # several blocks of leading-axis rows at the first two shapes, one at
+    # the last; a max is exact, and a NaN or an infinity propagates
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for a in (z, z.real.copy()):
+        assert spectral._max_modulus_sq(a) == np.max(spectral._modulus_sq(a))
+    z[(-1,) * len(shape)] = np.inf
+    assert spectral._max_modulus_sq(z) == np.inf
+    z[(shape[0] // 2,) + (0,) * (len(shape) - 1)] = np.nan
+    assert np.isnan(spectral._max_modulus_sq(z))
+    assert not spectral.is_mirror_even(z)
+
+
+def test_is_mirror_even_forms_no_whole_grid_modulus():
+    # the tolerance's max |u|^2 goes block by block, so the largest
+    # temporary is the mirror gap along one axis, half of u
+    g = make_grid(N=2, n=512, L=64.0)
+    tr = spectral.Orthant(g)
+    u = tr.expand(np.exp(-tr.r_mesh**2 / 50.0).astype(np.complex128))
+    tracemalloc.start()
+    try:
+        assert spectral.is_mirror_even(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * u.nbytes
 
 
 def test_orthant_path_follows_points_per_axis():

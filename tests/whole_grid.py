@@ -118,7 +118,7 @@ def localized_virial(u: SpectralField, phi: CutoffPhi) -> float:
     With u = a + i b, Im(conj(u) d_j u) = a d_j b - b d_j a, so the two
     real parts go through the real pair, with the derivative of the
     trigonometric interpolant (grid.deriv_mesh); a mirror-even u runs on
-    the orthant, where each derivative and phi.grad are odd along their
+    the orthant, where each derivative and grad phi_R are odd along their
     axis and their product is even."""
     if u.grid != phi.grid:
         raise ValueError("field and cutoff live on different grids")
@@ -128,9 +128,9 @@ def localized_virial(u: SpectralField, phi: CutoffPhi) -> float:
     a, b = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
     a_hat, b_hat = tr.rfft(a), tr.rfft(b)
     acc = 0.0
-    for axis, (xi, g) in enumerate(zip(grid.deriv_mesh, phi.grad)):
+    for axis, xi in enumerate(grid.deriv_mesh):
         xi = tr.spectrum_table(xi)
-        w = tr.point_weights(g)
+        w = tr.sum_weights(phi.gradient(tr, axis))
         acc += _weighted_sum(w, a, tr.irfft_odd(xi * b_hat, axis))
         acc -= _weighted_sum(w, b, tr.irfft_odd(xi * a_hat, axis))
     return 2.0 * grid.h**grid.N * acc
